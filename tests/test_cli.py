@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -53,6 +54,11 @@ master_seed = 3
 """
 
 
+def _sha(path) -> str:
+    """Golden pin: SHA-256 of an output file, recorded from the seeded code."""
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.fixture
 def reg_config(tmp_path):
     path = tmp_path / "reg.ini"
@@ -68,6 +74,8 @@ def test_experiment_with_config(tmp_path, reg_config):
     assert len(lines) == 1 + 2 * 2 * 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["groups"]
+    assert _sha(out / "rows.csv") == "7b41ff1a8cc2b384ffb52f6f69c26985870081e75463286d871611684a00297d"
+    assert _sha(out / "summary.json") == "3095d11a846f3f5cd04ba940117ce670bbfb0d807d9d35469f300b1ec4f65386"
 
 
 def test_experiment_builtin(tmp_path):
@@ -95,6 +103,7 @@ def test_synth_writes_dataset(tmp_path, reg_config):
     assert main(["synth", "--config", str(reg_config), "--out", str(out)]) == 0
     ds = read_csv(out, TaskKind.REGRESSION)
     assert ds.n == 128 and ds.p == 1
+    assert _sha(out) == "bbd75efb54a9575053df540c63c7e005f9e6e15a1a6d7b38fa3f693fde38d918"
 
 
 def test_synth_classification_labels(tmp_path):
@@ -104,6 +113,7 @@ def test_synth_classification_labels(tmp_path):
     assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
     ds = read_csv(out, TaskKind.CLASSIFICATION)
     assert set(ds.responses) <= {-1.0, 1.0}
+    assert _sha(out) == "51a3c56e57a454ed828a423d1ea87506e8f1cf33d8389c727b0c0817ec6886d2"
 
 
 def test_fidelity_json(tmp_path, reg_config):
@@ -120,6 +130,7 @@ def test_utility_json(tmp_path, reg_config):
     reports = json.loads(out.read_text())
     assert len(reports) == 2
     assert all(r["report"]["utility"] >= 0.0 for r in reports)
+    assert _sha(out) == "6a96d98512b27fca3cfbae148a22a6977c48535648fb8c0fd26e5e881ddc8294"
 
 
 def test_bound_reg_json(tmp_path, reg_config):
@@ -129,6 +140,7 @@ def test_bound_reg_json(tmp_path, reg_config):
     for key in ("est_err_original", "est_err_synthetic", "chi2", "M", "upsilon1", "upsilon2", "phi_mu_hat", "total"):
         assert key in blob["report"]
     assert blob["report"]["total"] + 4 * blob["measured_utility_std_error"] >= blob["measured_utility"]
+    assert _sha(out) == "2940ffc4488e2dd869fc28f9b1d8116b2089c28a785262936e4882055d858fad"
 
 
 def test_bound_cls_json(tmp_path):
@@ -139,6 +151,7 @@ def test_bound_cls_json(tmp_path):
     blob = json.loads(out.read_text())
     for key in ("upsilon3", "eta_l2_gap", "c_terms", "phi_plugin", "total"):
         assert key in blob["report"]
+    assert _sha(out) == "b1dc85f5c99c7abb16db8b884642ef2af19a363dd026203874b95730d4c17808"
 
 
 def test_bound_lr_json(tmp_path):
@@ -149,6 +162,7 @@ def test_bound_lr_json(tmp_path):
     blob = json.loads(out.read_text())
     for key in ("t1", "t2", "t3", "chi2_term", "cross_term", "M_LR", "total"):
         assert key in blob["report"]
+    assert _sha(out) == "f86274d030b115a5a0052a79286b51f5c454fd0e3c0604e711154aadbfa842f0"
     assert main(["bound", "--task", "lr", "--config", str(cfg.parent / "nope.ini")]) == 1
 
 
@@ -159,6 +173,7 @@ def test_compare_json(tmp_path):
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
     blob = json.loads(out.read_text())
     assert "consistent" in blob and "optima" in blob
+    assert _sha(out) == "033ab0254b4d6199654776482e856988de815dfbf02eac66c5008fe9d65f8889"
 
 
 def test_compare_requires_two_classes(tmp_path, reg_config):

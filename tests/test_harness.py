@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -23,6 +24,13 @@ from syndatum.harness import (
 )
 
 TRIANGULAR_TAIL = lambda C: (1.0 + 2.0 * C) / (1.0 + C) ** 2
+
+
+def _rows_sha(rows, tmp_path) -> str:
+    """Golden pin: SHA-256 of the rows.csv bytes, recorded from the seeded code."""
+    path = tmp_path / "rows.csv"
+    write_rows_csv(rows, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _tiny_config(**overrides):
@@ -55,7 +63,7 @@ def test_counting_contract():
     }
 
 
-def test_fidelity_output_rows_emitted_once():
+def test_fidelity_output_rows_emitted_once(tmp_path):
     from syndatum.densities import PiecewiseConstant1D
 
     config = _tiny_config(
@@ -68,9 +76,10 @@ def test_fidelity_output_rows_emitted_once():
     v_rows = [r for r in rows if r.metric_name == "fidelity_V@d=1"]
     assert len(chi2_rows) == 1 and len(v_rows) == 1
     assert chi2_rows[0].value == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert _rows_sha(rows, tmp_path) == "12b93ad31810511ab87056a4c9aa866539bfc335d563332cd6253276810c6279"
 
 
-def test_comparison_output_rows():
+def test_comparison_output_rows(tmp_path):
     from syndatum.densities import PiecewiseConstant1D
 
     config = _tiny_config(
@@ -87,9 +96,10 @@ def test_comparison_output_rows():
     consistent = [r for r in rows if r.metric_name == "consistent"]
     assert len(consistent) == 1
     assert consistent[0].value == 0.0  # the flipped split makes ranking flip
+    assert _rows_sha(rows, tmp_path) == "d0d89df593a059724dfb5ccb2d6752ea94e216315e917a8aead71a83a44dc4f4"
 
 
-def test_bound_output_rows():
+def test_bound_output_rows(tmp_path):
     config = _tiny_config(outputs=("utility", "bound"), n_grid=(128,), n_test=4000)
     rows = run_scenario(config)
     by_metric = {r.metric_name: r for r in rows}
@@ -97,6 +107,28 @@ def test_bound_output_rows():
         assert key in by_metric
     # same real/synth density and oracle estimator: bound is essentially zero
     assert by_metric["bound_chi2"].value == pytest.approx(0.0, abs=1e-8)
+    assert _rows_sha(rows, tmp_path) == "2c5f0802e4733c72e081c430bd646e9a0ea7b4f2c3e2a82ed17ed80dcdb234dd"
+
+
+def test_classification_sweep_utility_bound_comparison(tmp_path):
+    from syndatum.densities import PiecewiseConstant1D
+
+    config = _tiny_config(
+        task=TaskKind.CLASSIFICATION,
+        real_density=PiecewiseConstant1D([-1.0, 0.0, 1.0], [0.75, 0.25]),
+        synth_density=PiecewiseConstant1D([-1.0, 0.0, 1.0], [0.25, 0.75]),
+        truth=TruthSpec("logistic", (2.0,)),
+        noise=NoiseModel.none(),
+        estimators=("oracle", "logistic"),
+        model_classes=("sign-abs", "sign-linear"),
+        n_grid=(128,),
+        outputs=("utility", "bound", "comparison"),
+    )
+    rows = run_scenario(config)
+    assert not any(r.error for r in rows)
+    metrics = {r.metric_name for r in rows}
+    assert {"utility", "bound_total", "bound_upsilon3", "consistent", "risk_synth_opt"} <= metrics
+    assert _rows_sha(rows, tmp_path) == "6f5e63d05d5266097416073e842084e72dfd7994b33321c611b5ee8cbd41d2d4"
 
 
 def test_full_run_determinism_byte_identical_csv(tmp_path):
@@ -141,7 +173,7 @@ def test_summarize_warns_and_omits_empty_group():
     assert any("no valid rows" in str(w.message) for w in caught)
 
 
-def test_error_rows_do_not_abort_sweep():
+def test_error_rows_do_not_abort_sweep(tmp_path):
     # ols on a classification task fails per-row; other estimators still run
     config = _tiny_config(
         task=TaskKind.CLASSIFICATION,
@@ -156,6 +188,11 @@ def test_error_rows_do_not_abort_sweep():
     assert failed and all(r.estimator == "ols" for r in failed)
     assert "TaskMismatch" in failed[0].error
     assert succeeded and all(r.estimator == "oracle" for r in succeeded)
+    assert _rows_sha(rows, tmp_path) == "475113c024343db7055d96327ce2b20723141372b43acf52fd95057383cd9877"
+
+
+def test_toy61_rows_pinned(tmp_path):
+    assert _rows_sha(run_builtin("toy-6.1"), tmp_path) == "62debb9758838eba5aadf0c6bc8b6e230821dc16e5de2fe58f3613471a99bef9"
 
 
 def test_fidelity_fig2_rows_match_closed_form():
