@@ -4,9 +4,9 @@
                         [--out DIR] [--workers W]
     syndatum synth    --config FILE --out FILE [--seed S]
     syndatum fidelity --config FILE [--d D] [--out FILE]
-    syndatum utility  --config FILE [--out FILE]
-    syndatum bound    --task {reg,cls,lr} --config FILE [--out FILE]
-    syndatum compare  --config FILE [--out FILE]
+    syndatum utility  --config FILE [--out FILE] [--seed S]
+    syndatum bound    --task {reg,cls,lr} --config FILE [--out FILE] [--seed S]
+    syndatum compare  --config FILE [--out FILE] [--seed S]
 
 Exit codes: 0 success, 1 fatal configuration error, 2 completed with
 per-row errors recorded in the CSV.  SYNDATUM_WORKERS overrides --workers.
@@ -21,26 +21,20 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .bounds import (
-    ClassificationScenario,
-    FittedQuad,
-    RegressionScenario,
-    classification_bound,
-    lr_explicit_bound,
-    regression_bound,
-)
-from .datamodel import NoiseModel, SeedSpec, TaskKind, sample_noise, write_csv
+from .datamodel import NoiseModel, SeedSpec, TaskKind, write_csv
 from .densities import certify_fidelity_level, chi_square_divergence
-from .erm import fit_classification, fit_regression, parse_model_class, population_optimum
+from .erm import parse_model_class
 from .errors import ConfigError, SyndatumError
-from .estimators import fit_estimator
 from .harness import (
     BUILTIN_NAMES,
     ScenarioConfig,
+    _bound_report,
+    _compare,
     _draw_original,
-    _estimator_spec,
+    _fit_downstream,
+    _lr_case,
+    _risk_config,
+    _synthesize,
     default_workers,
     load_scenarios,
     run_builtin,
@@ -48,8 +42,7 @@ from .harness import (
     summarize,
     write_rows_csv,
 )
-from .metrics import SQUARED, ZERO_ONE, RiskConfig, compare_models, utility_metric
-from .synthesis import FeatureGeneratorSpec, SynthesisConfig, synthesize_from_fitted
+from .metrics import utility_metric
 
 
 def _write_json(payload, out):
@@ -99,15 +92,7 @@ def _cmd_synth(args) -> int:
     config = _seeded(_first_scenario(args.config), args.seed)
     seed = SeedSpec(config.master_seed, 0)
     original = _draw_original(config, config.n_grid[0], seed.child(0))
-    spec = _estimator_spec(config, config.estimators[0])
-    est = fit_estimator(spec, original, seed.child(1))
-    syn_cfg = SynthesisConfig(
-        generator=FeatureGeneratorSpec.from_density(config.synth_density),
-        estimator=spec,
-        synthetic_n=config.synthetic_n(config.n_grid[0]),
-        noise=config.synth_noise,
-    )
-    synthetic = synthesize_from_fitted(est, syn_cfg, original, seed.child(2))
+    _, synthetic = _synthesize(config, config.estimators[0], original, seed.child(1), seed.child(2))
     write_csv(synthetic, args.out)
     print(f"wrote synthetic dataset ({synthetic.n} x {synthetic.p}) to {args.out}")
     return 0
@@ -128,47 +113,19 @@ def _cmd_fidelity(args) -> int:
     return 0
 
 
-def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
-    loss = SQUARED if config.task is TaskKind.REGRESSION else ZERO_ONE
-    return RiskConfig(
-        density=config.real_density,
-        truth=config.truth.resolve(),
-        loss=loss,
-        noise=config.noise if config.task is TaskKind.REGRESSION else None,
-        n_test=config.n_test,
-        method=config.risk_method,
-        seed=seed,
-    )
-
-
-def _fit_pair(config: ScenarioConfig, est_text: str, class_text: str, n: int, seed: SeedSpec):
-    original = _draw_original(config, n, seed.child(0))
-    spec = _estimator_spec(config, est_text)
-    est = fit_estimator(spec, original, seed.child(1))
-    syn_cfg = SynthesisConfig(
-        generator=FeatureGeneratorSpec.from_density(config.synth_density),
-        estimator=spec,
-        synthetic_n=config.synthetic_n(n),
-        noise=config.synth_noise,
-    )
-    synthetic = synthesize_from_fitted(est, syn_cfg, original, seed.child(2))
-    mc = parse_model_class(class_text, original.p, config.task)
-    if config.task is TaskKind.REGRESSION:
-        f_orig, f_synth = fit_regression(mc, original), fit_regression(mc, synthetic)
-    else:
-        f_orig, f_synth = fit_classification(mc, original), fit_classification(mc, synthetic)
-    return original, est, synthetic, mc, f_orig, f_synth
-
-
 def _cmd_utility(args) -> int:
     config = _seeded(_first_scenario(args.config), args.seed)
     seed = SeedSpec(config.master_seed, 0)
     n = config.n_grid[-1]
+    original = _draw_original(config, n, seed.child(0))
+    classes = [parse_model_class(text, original.p, config.task) for text in config.model_classes]
+    f_origs = [_fit_downstream(mc, original) for mc in classes]
+    risk_cfg = _risk_config(config, seed.child(9))
     reports = []
     for est_text in config.estimators:
-        for class_text in config.model_classes:
-            _, _, _, _, f_orig, f_synth = _fit_pair(config, est_text, class_text, n, seed)
-            report = utility_metric(f_synth, f_orig, _risk_config(config, seed.child(9)))
+        _, synthetic = _synthesize(config, est_text, original, seed.child(1), seed.child(2))
+        for class_text, mc, f_orig in zip(config.model_classes, classes, f_origs):
+            report = utility_metric(_fit_downstream(mc, synthetic), f_orig, risk_cfg)
             reports.append(
                 {
                     "estimator": est_text,
@@ -185,63 +142,28 @@ def _cmd_bound(args) -> int:
     config = _seeded(_first_scenario(args.config), args.seed)
     seed = SeedSpec(config.master_seed, 0)
     n = config.n_grid[0]
-    truth = config.truth.resolve()
     if args.task == "lr":
         if config.task is not TaskKind.REGRESSION or config.truth.name != "linear":
             raise ConfigError("bound --task lr requires a regression scenario with truth 'linear'")
-        real, synth = config.real_density, config.synth_density
-        X = real.sample(n, seed.child(1))
-        eps = sample_noise(config.noise, n, seed.child(2))
-        Y = X @ np.asarray(config.truth.beta) + eps
-        beta_hat = np.linalg.solve(X.T @ X, X.T @ Y)
-        ns = config.synthetic_n(n)
-        Xs = synth.sample(ns, seed.child(3))
         synth_noise = config.synth_noise or NoiseModel.bounded_uniform(config.noise.variance)
-        eps_s = sample_noise(synth_noise, ns, seed.child(4))
-        Ys = Xs @ beta_hat + eps_s
-        chi2 = chi_square_divergence(real, synth)
-        report = lr_explicit_bound(
-            X, Xs, eps, eps_s,
-            real.coordinate_variances(), synth.coordinate_variances(),
-            chi2, Y, Ys, real.support,
+        report, *_ = _lr_case(
+            config.real_density, config.synth_density, config.truth.beta, config.noise,
+            synth_noise, n, config.synthetic_n(n), seed,
         )
         _write_json({"task": "lr", "n": n, "report": report.to_json_dict()}, args.out)
         return 0
 
+    task = TaskKind.REGRESSION if args.task == "reg" else TaskKind.CLASSIFICATION
+    if config.task is not task:
+        raise ConfigError(f"bound --task {args.task} requires a {task.value} scenario")
     est_text, class_text = config.estimators[0], config.model_classes[0]
-    original, est, synthetic, mc, f_orig, f_synth = _fit_pair(
-        config, est_text, class_text, n, seed
+    original = _draw_original(config, n, seed.child(0))
+    est, synthetic = _synthesize(config, est_text, original, seed.child(1), seed.child(2))
+    mc = parse_model_class(class_text, original.p, config.task)
+    f_orig, f_synth = _fit_downstream(mc, original), _fit_downstream(mc, synthetic)
+    report = _bound_report(
+        config, mc, est, original, f_orig, f_synth, (seed.child(5), seed.child(6), seed.child(7))
     )
-    f_star = population_optimum(mc, config.real_density, truth, None, 100_000, seed.child(5))
-    if args.task == "reg":
-        if config.task is not TaskKind.REGRESSION:
-            raise ConfigError("bound --task reg requires a regression scenario")
-        f_tilde_star = population_optimum(
-            mc, config.synth_density, est.mean, None, 100_000, seed.child(6)
-        )
-        synth_noise = config.synth_noise or NoiseModel.bounded_uniform(
-            max(float(np.var(original.responses - est.mean(original.features))), 1e-12)
-        )
-        scenario = RegressionScenario(
-            config.real_density, config.synth_density, truth, config.noise, est, synth_noise
-        )
-        report = regression_bound(
-            scenario, FittedQuad(f_orig, f_synth, f_star, f_tilde_star),
-            n_test=config.n_test, seed=seed.child(7),
-        )
-    else:
-        if config.task is not TaskKind.CLASSIFICATION:
-            raise ConfigError("bound --task cls requires a classification scenario")
-        f_tilde_star = population_optimum(
-            mc, config.synth_density, est.prob, None, 100_000, seed.child(6)
-        )
-        scenario = ClassificationScenario(
-            config.real_density, config.synth_density, truth, est
-        )
-        report = classification_bound(
-            scenario, FittedQuad(f_orig, f_synth, f_star, f_tilde_star),
-            n_test=config.n_test, seed=seed.child(7),
-        )
     u_report = utility_metric(f_synth, f_orig, _risk_config(config, seed.child(8)))
     payload = {
         "task": args.task,
@@ -266,19 +188,8 @@ def _cmd_compare(args) -> int:
     if len(config.model_classes) != 2:
         raise ConfigError("compare requires exactly two entries in model_classes")
     seed = SeedSpec(config.master_seed, 0)
-    truth = config.truth.resolve()
-    est = fit_estimator(
-        _estimator_spec(config, config.estimators[0]),
-        _draw_original(config, config.n_grid[0], seed.child(0)),
-        seed.child(1),
-    )
-    p = config.real_density.dim
-    c1 = parse_model_class(config.model_classes[0], p, config.task)
-    c2 = parse_model_class(config.model_classes[1], p, config.task)
-    report = compare_models(
-        c1, c2, config.real_density, config.synth_density, truth, est,
-        _risk_config(config, seed.child(2)),
-    )
+    original = _draw_original(config, config.n_grid[0], seed.child(0))
+    report = _compare(config, original, seed.child(1), seed.child(2))
     _write_json(report.to_json_dict(), args.out)
     return 0
 

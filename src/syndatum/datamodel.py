@@ -48,9 +48,6 @@ class SeedSpec:
         )
         return np.random.default_rng(ss)
 
-    def stream(self, stream_id: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, stream_id)
-
     def child(self, *path: int) -> "SeedSpec":
         """Independent derived stream; children are collision-free by path."""
         return SeedSpec(self.master_seed, self.stream_id, self.path + path)

@@ -63,11 +63,6 @@ class BoxSupport:
             out[:, j] = col
         return out
 
-    def contains(self, X: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-        X = np.atleast_2d(X)
-        lo = np.asarray(self.lower) - atol
-        hi = np.asarray(self.upper) + atol
-        return np.all((X >= lo) & (X <= hi), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +94,6 @@ class Marginal1D:
 
     def sample1(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
-
-    def acceptance_rate(self) -> float:
-        """Analytic acceptance probability of the sampler (1 if direct)."""
-        return 1.0
 
     def _key(self):
         raise NotImplementedError
@@ -181,9 +172,6 @@ class _TruncNormal1D(Marginal1D):
         phi = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
         delta = (phi(alpha) - phi(beta)) / z
         return self.var * (1.0 + (alpha * phi(alpha) - beta * phi(beta)) / z - delta**2)
-
-    def acceptance_rate(self):
-        return self._mass()
 
     def sample1(self, n, rng):
         accept = self._mass()
@@ -404,9 +392,6 @@ class DensityModel:
         for j, f in enumerate(self._factors):
             out[:, j] = f.sample1(n, rng)
         return out
-
-    def coordinate_means(self) -> np.ndarray:
-        return np.array([f.mean() for f in self._factors])
 
     def coordinate_variances(self) -> np.ndarray:
         return np.array([f.variance() for f in self._factors])

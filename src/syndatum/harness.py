@@ -24,7 +24,8 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from functools import cache, partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,6 +189,9 @@ def parse_noise(text: str) -> Optional[NoiseModel]:
 # ---------------------------------------------------------------------------
 
 
+OUTPUT_NAMES = ("utility", "bound", "comparison", "fidelity")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
@@ -212,6 +216,11 @@ class ScenarioConfig:
             raise ConfigError("n_grid must be non-empty and ascending")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        unknown = sorted(set(self.outputs) - set(OUTPUT_NAMES))
+        if unknown:
+            raise ConfigError(f"unknown outputs {unknown}; choose from {OUTPUT_NAMES}")
+        if "comparison" in self.outputs and len(self.model_classes) != 2:
+            raise ConfigError("outputs 'comparison' requires exactly two model_classes")
 
     def synthetic_n(self, n: int) -> int:
         if self.synthetic_n_rule == "equal":
@@ -334,199 +343,179 @@ def _fit_downstream(model_class, data: Dataset):
     return fit_classification(model_class, data)
 
 
-def _fidelity_rows(config: ScenarioConfig) -> List[ResultRow]:
-    rows = []
-    try:
-        chi2 = chi_square_divergence(config.real_density, config.synth_density)
-        rows.append(ResultRow(config.name, 0, 0, "", "", "chi2", chi2, 0.0))
-    except SyndatumError as exc:
-        rows.append(
-            ResultRow(config.name, 0, 0, "", "", "chi2", float("nan"), float("nan"),
-                      f"{type(exc).__name__}: {exc}")
-        )
-    try:
-        cert = certify_fidelity_level(config.real_density, config.synth_density, d=1.0)
-        rows.append(ResultRow(config.name, 0, 0, "", "", "fidelity_V@d=1", cert.V, 0.0))
-    except SyndatumError as exc:
-        rows.append(
-            ResultRow(config.name, 0, 0, "", "", "fidelity_V@d=1", float("nan"), float("nan"),
-                      f"{type(exc).__name__}: {exc}")
-        )
-    return rows
+def _error_row(name, n, rep, est_name, class_name, metric, exc) -> ResultRow:
+    return ResultRow(name, n, rep, est_name, class_name, metric, float("nan"), float("nan"),
+                     f"{type(exc).__name__}: {exc}")
 
 
-def _bound_rows(config, n, rep, est_name, class_name, scenario_quad_report) -> List[ResultRow]:
-    report = scenario_quad_report
-    return [
-        ResultRow(config.name, n, rep, est_name, class_name, f"bound_{key}", value, 0.0)
-        for key, value in report.to_json_dict().items()
-    ]
+# The pipeline stages below are shared by sweep units, the bound suite and the
+# CLI.  Each caller passes its own SeedSpec streams, whose layout pins its
+# seeded outputs.
 
 
-def _comparison_unit_rows(config, original, base, n, rep) -> List[ResultRow]:
-    truth = config.truth.resolve()
-    loss = SQUARED if config.task is TaskKind.REGRESSION else ZERO_ONE
-    est_name = config.estimators[0].split()[0]
-    try:
-        spec0 = _estimator_spec(config, config.estimators[0])
-        est0 = fit_estimator(spec0, original, base.child(4, 0))
-        c1 = parse_model_class(config.model_classes[0], original.p, config.task)
-        c2 = parse_model_class(config.model_classes[1], original.p, config.task)
-        cfg = RiskConfig(
-            density=config.real_density,
-            truth=truth,
-            loss=loss,
-            noise=config.noise if config.task is TaskKind.REGRESSION else None,
-            n_test=config.n_test,
-            method=config.risk_method,
-            seed=base.child(8),
-        )
-        report = compare_models(
-            c1, c2, config.real_density, config.synth_density, truth, est0, cfg
-        )
-    except SyndatumError as exc:
-        return [
-            ResultRow(config.name, n, rep, est_name, "pair", "consistent",
-                      float("nan"), float("nan"), f"{type(exc).__name__}: {exc}")
-        ]
-    labels = (config.model_classes[0].split()[0], config.model_classes[1].split()[0])
-    rows = [
-        ResultRow(config.name, n, rep, est_name, "pair", "consistent", float(report.consistent), 0.0),
-        ResultRow(config.name, n, rep, est_name, labels[0], "risk_real",
-                  report.risk_f1_real.value, report.risk_f1_real.std_error),
-        ResultRow(config.name, n, rep, est_name, labels[1], "risk_real",
-                  report.risk_f2_real.value, report.risk_f2_real.std_error),
-        ResultRow(config.name, n, rep, est_name, labels[0], "risk_synth_opt",
-                  report.risk_f1_synth.value, report.risk_f1_synth.std_error),
-        ResultRow(config.name, n, rep, est_name, labels[1], "risk_synth_opt",
-                  report.risk_f2_synth.value, report.risk_f2_synth.std_error),
-    ]
-    return rows
-
-
-def _run_unit(config: ScenarioConfig, n_index: int, rep: int) -> List[ResultRow]:
-    n = config.n_grid[n_index]
-    base = SeedSpec(config.master_seed, rep).child(n_index)
-    rows: List[ResultRow] = []
-    loss = SQUARED if config.task is TaskKind.REGRESSION else ZERO_ONE
-    truth = config.truth.resolve()
-    cfg = RiskConfig(
+def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
+    regression = config.task is TaskKind.REGRESSION
+    return RiskConfig(
         density=config.real_density,
-        truth=truth,
-        loss=loss,
-        noise=config.noise if config.task is TaskKind.REGRESSION else None,
+        truth=config.truth.resolve(),
+        loss=SQUARED if regression else ZERO_ONE,
+        noise=config.noise if regression else None,
         n_test=config.n_test,
         method=config.risk_method,
-        seed=base.child(3),
+        seed=seed,
     )
+
+
+def _synthesize(config: ScenarioConfig, est_text: str, original: Dataset,
+                est_seed: SeedSpec, synth_seed: SeedSpec):
+    """Fit the estimation model on the original data and synthesize from it;
+    returns (fitted estimator, synthetic dataset)."""
+    spec = _estimator_spec(config, est_text)
+    est = fit_estimator(spec, original, est_seed)
+    syn_cfg = SynthesisConfig(
+        generator=FeatureGeneratorSpec.from_density(config.synth_density),
+        estimator=spec,
+        synthetic_n=config.synthetic_n(original.n),
+        noise=config.synth_noise,
+    )
+    return est, synthesize_from_fitted(est, syn_cfg, original, synth_seed)
+
+
+def _bound_report(config: ScenarioConfig, mc, est, original: Dataset, f_orig, f_synth,
+                  seeds: Tuple[SeedSpec, SeedSpec, SeedSpec], chi2: Optional[float] = None):
+    """The task's analytic utility bound.  ``seeds`` feed the real and the
+    synthetic population optima and the bound's own risk draws; ``chi2``
+    (None = compute) lets a sweep share one divergence across its units."""
+    star_seed, tilde_seed, bound_seed = seeds
+    truth = config.truth.resolve()
+    f_star = population_optimum(mc, config.real_density, truth, None, 100_000, star_seed)
+    if config.task is TaskKind.REGRESSION:
+        f_tilde_star = population_optimum(
+            mc, config.synth_density, est.mean, None, 100_000, tilde_seed
+        )
+        synth_noise = config.synth_noise or NoiseModel.bounded_uniform(
+            max(residual_variance(est, original), 1e-12)
+        )
+        scenario = RegressionScenario(
+            config.real_density, config.synth_density, truth, config.noise, est, synth_noise
+        )
+        return regression_bound(
+            scenario, FittedQuad(f_orig, f_synth, f_star, f_tilde_star),
+            n_test=config.n_test, seed=bound_seed, chi2=chi2,
+        )
+    f_tilde_star = population_optimum(mc, config.synth_density, est.prob, None, 100_000, tilde_seed)
+    scenario = ClassificationScenario(config.real_density, config.synth_density, truth, est)
+    return classification_bound(
+        scenario, FittedQuad(f_orig, f_synth, f_star, f_tilde_star),
+        n_test=config.n_test, seed=bound_seed, chi2=chi2,
+    )
+
+
+def _lr_case(real: DensityModel, synth: DensityModel, beta, noise: NoiseModel,
+             synth_noise: NoiseModel, n: int, ns: int, seed: SeedSpec):
+    """Explicit linear-regression bound: OLS on n real draws, synthetic
+    responses from the fitted coefficients on ns synthetic features.
+    Returns (report, chi2, beta_hat, beta_tilde)."""
+    X = real.sample(n, seed.child(1))
+    eps = sample_noise(noise, n, seed.child(2))
+    Y = X @ np.asarray(beta) + eps
+    beta_hat = np.linalg.solve(X.T @ X, X.T @ Y)
+    Xs = synth.sample(ns, seed.child(3))
+    eps_s = sample_noise(synth_noise, ns, seed.child(4))
+    Ys = Xs @ beta_hat + eps_s
+    beta_tilde = np.linalg.solve(Xs.T @ Xs, Xs.T @ Ys)
+    chi2 = chi_square_divergence(real, synth)
+    report = lr_explicit_bound(
+        X, Xs, eps, eps_s, real.coordinate_variances(), synth.coordinate_variances(),
+        chi2, Y, Ys, real.support,
+    )
+    return report, chi2, beta_hat, beta_tilde
+
+
+def _compare(config: ScenarioConfig, original: Dataset, est_seed: SeedSpec, risk_seed: SeedSpec):
+    """Model comparison of the two model classes under the first estimator."""
+    est = fit_estimator(_estimator_spec(config, config.estimators[0]), original, est_seed)
+    c1, c2 = (parse_model_class(text, original.p, config.task) for text in config.model_classes)
+    return compare_models(
+        c1, c2, config.real_density, config.synth_density, config.truth.resolve(), est,
+        _risk_config(config, risk_seed),
+    )
+
+
+def _comparison_rows(name, n, rep, est_name, labels, report) -> List[ResultRow]:
+    return [
+        ResultRow(name, n, rep, est_name, "pair", "consistent", float(report.consistent), 0.0),
+        ResultRow(name, n, rep, est_name, labels[0], "risk_real",
+                  report.risk_f1_real.value, report.risk_f1_real.std_error),
+        ResultRow(name, n, rep, est_name, labels[1], "risk_real",
+                  report.risk_f2_real.value, report.risk_f2_real.std_error),
+        ResultRow(name, n, rep, est_name, labels[0], "risk_synth_opt",
+                  report.risk_f1_synth.value, report.risk_f1_synth.std_error),
+        ResultRow(name, n, rep, est_name, labels[1], "risk_synth_opt",
+                  report.risk_f2_synth.value, report.risk_f2_synth.std_error),
+    ]
+
+
+def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[float]) -> List[ResultRow]:
+    n = config.n_grid[n_index]
+    base = SeedSpec(config.master_seed, rep).child(n_index)
+    cfg = _risk_config(config, base.child(3))
     original = _draw_original(config, n, base)
-    if "fidelity" in config.outputs and n_index == 0 and rep == 0:
-        rows.extend(_fidelity_rows(config))
-    if "comparison" in config.outputs and len(config.model_classes) == 2:
-        rows.extend(_comparison_unit_rows(config, original, base, n, rep))
-    want_bound = "bound" in config.outputs
-    chi2_val = None
-    if want_bound:
+    rows: List[ResultRow] = []
+    if "comparison" in config.outputs:
+        est_name = config.estimators[0].split()[0]
         try:
-            chi2_val = chi_square_divergence(config.real_density, config.synth_density)
-        except SyndatumError:
-            chi2_val = float("nan")
+            report = _compare(config, original, base.child(4, 0), base.child(8))
+            labels = tuple(text.split()[0] for text in config.model_classes)
+            rows.extend(_comparison_rows(config.name, n, rep, est_name, labels, report))
+        except SyndatumError as exc:
+            rows.append(_error_row(config.name, n, rep, est_name, "pair", "consistent", exc))
+
+    # ERM is deterministic, so one original-data fit per class serves every
+    # estimator
+    @cache
+    def fit_original(class_text):
+        mc = parse_model_class(class_text, original.p, config.task)
+        return mc, _fit_downstream(mc, original)
+
     for ei, est_text in enumerate(config.estimators):
         est_name = est_text.split()[0]
         try:
-            spec = _estimator_spec(config, est_text)
-            est = fit_estimator(spec, original, base.child(4, ei))
-            syn_cfg = SynthesisConfig(
-                generator=FeatureGeneratorSpec.from_density(config.synth_density),
-                estimator=spec,
-                synthetic_n=config.synthetic_n(n),
-                noise=config.synth_noise,
-            )
             # common random numbers across estimators: same synthetic feature
             # and noise draws, so utilities differ only through the fitted
             # estimation model
-            synthetic = synthesize_from_fitted(est, syn_cfg, original, base.child(5))
+            est, synthetic = _synthesize(config, est_text, original, base.child(4, ei), base.child(5))
         except SyndatumError as exc:
-            for class_text in config.model_classes:
-                rows.append(
-                    ResultRow(
-                        config.name, n, rep, est_name, class_text.split()[0], "utility",
-                        float("nan"), float("nan"), f"{type(exc).__name__}: {exc}",
-                    )
-                )
+            rows.extend(
+                _error_row(config.name, n, rep, est_name, text.split()[0], "utility", exc)
+                for text in config.model_classes
+            )
             continue
         for class_text in config.model_classes:
-            class_name = class_text.split()[0]
+            row = partial(ResultRow, config.name, n, rep, est_name, class_text.split()[0])
             try:
-                mc = parse_model_class(class_text, original.p, config.task)
-                f_orig = _fit_downstream(mc, original)
+                mc, f_orig = fit_original(class_text)
                 f_synth = _fit_downstream(mc, synthetic)
                 report = utility_metric(f_synth, f_orig, cfg)
             except SyndatumError as exc:
-                rows.append(
-                    ResultRow(
-                        config.name, n, rep, est_name, class_name, "utility",
-                        float("nan"), float("nan"), f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                rows.append(_error_row(*row.args, "utility", exc))
                 continue
-            rows.append(
-                ResultRow(
-                    config.name, n, rep, est_name, class_name, "utility",
-                    report.utility, report.combined_std_error,
-                )
-            )
-            rows.append(
-                ResultRow(
-                    config.name, n, rep, est_name, class_name, "risk_synth_trained",
-                    report.risk_synthetic.value, report.risk_synthetic.std_error,
-                )
-            )
-            rows.append(
-                ResultRow(
-                    config.name, n, rep, est_name, class_name, "risk_real_trained",
-                    report.risk_original.value, report.risk_original.std_error,
-                )
-            )
-            if want_bound:
+            rows.append(row("utility", report.utility, report.combined_std_error))
+            rows.append(row("risk_synth_trained", report.risk_synthetic.value,
+                            report.risk_synthetic.std_error))
+            rows.append(row("risk_real_trained", report.risk_original.value,
+                            report.risk_original.std_error))
+            if "bound" in config.outputs:
                 try:
-                    f_star = population_optimum(
-                        mc, config.real_density, truth, None, 100_000, base.child(6, ei)
+                    bound = _bound_report(
+                        config, mc, est, original, f_orig, f_synth,
+                        (base.child(6, ei), base.child(7, ei), base.child(9, ei)), chi2,
                     )
-                    if config.task is TaskKind.REGRESSION:
-                        f_tilde_star = population_optimum(
-                            mc, config.synth_density, est.mean, None, 100_000, base.child(7, ei)
-                        )
-                        synth_noise = config.synth_noise or NoiseModel.bounded_uniform(
-                            max(residual_variance(est, original), 1e-12)
-                        )
-                        scenario = RegressionScenario(
-                            config.real_density, config.synth_density, truth,
-                            config.noise, est, synth_noise,
-                        )
-                        bound = regression_bound(
-                            scenario, FittedQuad(f_orig, f_synth, f_star, f_tilde_star),
-                            n_test=config.n_test, seed=base.child(9, ei), chi2=chi2_val,
-                        )
-                    else:
-                        f_tilde_star = population_optimum(
-                            mc, config.synth_density, est.prob, None, 100_000, base.child(7, ei)
-                        )
-                        scenario = ClassificationScenario(
-                            config.real_density, config.synth_density, truth, est
-                        )
-                        bound = classification_bound(
-                            scenario, FittedQuad(f_orig, f_synth, f_star, f_tilde_star),
-                            n_test=config.n_test, seed=base.child(9, ei), chi2=chi2_val,
-                        )
-                    rows.extend(_bound_rows(config, n, rep, est_name, class_name, bound))
                 except SyndatumError as exc:
-                    rows.append(
-                        ResultRow(
-                            config.name, n, rep, est_name, class_name, "bound_total",
-                            float("nan"), float("nan"), f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+                    rows.append(_error_row(*row.args, "bound_total", exc))
+                    continue
+                rows.extend(row(f"bound_{key}", value, 0.0)
+                            for key, value in bound.to_json_dict().items())
     return rows
 
 
@@ -541,12 +530,29 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
     dropping or reordering replications never changes other rows.  Workers
     parallelize units; output order is schedule-independent.
     """
+    rows: List[ResultRow] = []
+    # once per scenario: the chi-square divergence (shared by every unit's
+    # bound; NaN if it fails) and the fidelity rows
+    chi2 = None
+    if "bound" in config.outputs or "fidelity" in config.outputs:
+        try:
+            chi2 = chi_square_divergence(config.real_density, config.synth_density)
+            chi2_row = ResultRow(config.name, 0, 0, "", "", "chi2", chi2, 0.0)
+        except SyndatumError as exc:
+            chi2 = float("nan")
+            chi2_row = _error_row(config.name, 0, 0, "", "", "chi2", exc)
+    if "fidelity" in config.outputs:
+        rows.append(chi2_row)
+        try:
+            cert = certify_fidelity_level(config.real_density, config.synth_density, d=1.0)
+            rows.append(ResultRow(config.name, 0, 0, "", "", "fidelity_V@d=1", cert.V, 0.0))
+        except SyndatumError as exc:
+            rows.append(_error_row(config.name, 0, 0, "", "", "fidelity_V@d=1", exc))
     units = [
-        (config, ni, rep)
+        (config, ni, rep, chi2)
         for ni in range(len(config.n_grid))
         for rep in range(config.replications)
     ]
-    rows: List[ResultRow] = []
     if workers > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_unit_star, units, chunksize=1):
@@ -716,66 +722,43 @@ def _oracle_estimator(truth_spec: TruthSpec, task: TaskKind) -> "FittedEstimator
     )
 
 
-def _comparison_rows(name, report, labels) -> List[ResultRow]:
-    rows = [
-        ResultRow(name, 0, 0, "oracle", "pair", "consistent", float(report.consistent), 0.0),
-        ResultRow(name, 0, 0, "oracle", labels[0], "risk_real", report.risk_f1_real.value, report.risk_f1_real.std_error),
-        ResultRow(name, 0, 0, "oracle", labels[1], "risk_real", report.risk_f2_real.value, report.risk_f2_real.std_error),
-        ResultRow(name, 0, 0, "oracle", labels[0], "risk_synth_trained", report.risk_f1_synth.value, report.risk_f1_synth.std_error),
-        ResultRow(name, 0, 0, "oracle", labels[1], "risk_synth_trained", report.risk_f2_synth.value, report.risk_f2_synth.std_error),
-    ]
-    for key, label in (("f1_real", labels[0]), ("f2_real", labels[1])):
-        rows.append(
-            ResultRow(name, 0, 0, "oracle", label, "coef_real", float(report.optima[key][0]), 0.0)
-        )
-    for key, label in (("f1_synth", labels[0]), ("f2_synth", labels[1])):
-        rows.append(
-            ResultRow(name, 0, 0, "oracle", label, "coef_synth", float(report.optima[key][0]), 0.0)
+def _toy61_part(name, alpha, truth_spec, task, class_name, boxes, labels, seed) -> List[ResultRow]:
+    real, synth = _mass_neg(alpha), _mass_neg(1 - alpha)
+    classes = [make_model_class(class_name, 1, task, box=box) for box in boxes]
+    cfg = RiskConfig(
+        density=real,
+        truth=truth_spec.resolve(),
+        loss=SQUARED if task is TaskKind.REGRESSION else ZERO_ONE,
+        method="quadrature",
+        population_m=_TOY_M,
+        seed=seed,
+    )
+    report = compare_models(
+        *classes, real, synth, truth_spec.resolve(), _oracle_estimator(truth_spec, task), cfg
+    )
+    rows = _comparison_rows(name, 0, 0, "oracle", labels, report)
+    for which in ("real", "synth"):
+        rows.extend(
+            ResultRow(name, 0, 0, "oracle", label, f"coef_{which}",
+                      float(report.optima[f"{key}_{which}"][0]), 0.0)
+            for key, label in zip(("f1", "f2"), labels)
         )
     return rows
 
 
 def _run_toy61(master_seed: int) -> List[ResultRow]:
-    rows: List[ResultRow] = []
     # regression part, alpha = 5/6
-    alpha = 5.0 / 6.0
-    truth = TruthSpec("identity")
-    f1 = make_model_class("constant", 1, TaskKind.REGRESSION, box=(-0.5, 0.5))
-    f2 = make_model_class("constant", 1, TaskKind.REGRESSION, box=(-0.25, 0.25))
-    cfg = RiskConfig(
-        density=_mass_neg(alpha),
-        truth=truth.resolve(),
-        loss=SQUARED,
-        method="quadrature",
-        population_m=_TOY_M,
-        seed=SeedSpec(master_seed, 1),
+    rows = _toy61_part(
+        "toy-6.1-regression", 5.0 / 6.0, TruthSpec("identity"), TaskKind.REGRESSION,
+        "constant", ((-0.5, 0.5), (-0.25, 0.25)), ("F1", "F2"), SeedSpec(master_seed, 1),
     )
-    report = compare_models(
-        f1, f2, _mass_neg(alpha), _mass_neg(1 - alpha), truth.resolve(),
-        _oracle_estimator(truth, TaskKind.REGRESSION), cfg,
-    )
-    rows.extend(_comparison_rows("toy-6.1-regression", report, ("F1", "F2")))
-
     # classification part, alpha = 3/4; positive labels sit on the negative
     # half-line, so the real-distribution risk increases in the threshold and
     # the synthetic one decreases, flipping the fitted thresholds
-    alpha = 0.75
-    truth_c = TruthSpec("step-neg")
-    g1 = make_model_class("threshold-abs", 1, TaskKind.CLASSIFICATION, box=(0.0, 0.5))
-    g2 = make_model_class("threshold-abs", 1, TaskKind.CLASSIFICATION, box=(0.25, 1.0 / 3.0))
-    cfg_c = RiskConfig(
-        density=_mass_neg(alpha),
-        truth=truth_c.resolve(),
-        loss=ZERO_ONE,
-        method="quadrature",
-        population_m=_TOY_M,
-        seed=SeedSpec(master_seed, 2),
+    rows += _toy61_part(
+        "toy-6.1-classification", 0.75, TruthSpec("step-neg"), TaskKind.CLASSIFICATION,
+        "threshold-abs", ((0.0, 0.5), (0.25, 1.0 / 3.0)), ("G1", "G2"), SeedSpec(master_seed, 2),
     )
-    report_c = compare_models(
-        g1, g2, _mass_neg(alpha), _mass_neg(1 - alpha), truth_c.resolve(),
-        _oracle_estimator(truth_c, TaskKind.CLASSIFICATION), cfg_c,
-    )
-    rows.extend(_comparison_rows("toy-6.1-classification", report_c, ("G1", "G2")))
     return _sort_rows(rows)
 
 
@@ -797,135 +780,64 @@ def _run_fidelity_fig2(master_seed: int) -> List[ResultRow]:
 # ---------------------------------------------------------------------------
 
 
-def _suite_regression_case(i: int, master_seed: int) -> dict:
-    seed = SeedSpec(master_seed, 1000 + i)
-    box2 = BoxSupport((-2.0, -2.0), (2.0, 2.0))
-    pairs = [
-        (TruncatedNormalDiag(box2, [1.0, 1.0], [1.0, 1.0]), UniformBox(box2), "expdiff"),
-        (UniformBox(box2), TruncatedNormalDiag(box2, [0.0, 0.0], [1.0, 1.0]), "expdiff"),
-        (_uniform_pm1(), _mass_pos(0.7), "abs"),
-        (_mass_neg(0.3), _mass_neg(0.65), "identity"),
-        (LinearTilt1D(0.0), LinearTilt1D(0.4), "cubicmix"),
-    ]
-    real, synth, truth_name = pairs[i % len(pairs)]
-    p = real.dim
-    estimators = ("oracle", "ols", "knn", "rf", "mlp")
-    est_text = estimators[(i + i // 5) % len(estimators)]
-    if p == 2:
-        classes = ("linear", "quadratic", "exp2")
-    elif truth_name == "cubicmix":
-        classes = ("recip-cubic-0", "recip-cubic-2", "recip-cubic-3")
-    else:
-        classes = ("linear", "abs", "quadratic")
-    class_text = classes[(i // 5) % len(classes)]
-    n = (400, 800)[i % 2]
-    noise_var = (0.25, 1.0)[(i // 2) % 2]
-
-    config = ScenarioConfig(
-        name=f"bound-reg-{i:02d}",
-        task=TaskKind.REGRESSION,
-        real_density=real,
-        synth_density=synth,
-        truth=TruthSpec(truth_name),
-        noise=NoiseModel.gaussian(noise_var),
-        estimators=(est_text,),
-        model_classes=(class_text,),
-        n_grid=(n,),
-        replications=1,
-        n_test=20_000,
-        master_seed=seed.master_seed,
-    )
-    truth = config.truth.resolve()
-    original = _draw_original(config, n, seed.child(1))
-    spec = _estimator_spec(config, est_text)
-    est = fit_estimator(spec, original, seed.child(2))
-    synth_noise = NoiseModel.bounded_uniform(max(noise_var, 1e-8))
-    syn_cfg = SynthesisConfig(
-        generator=FeatureGeneratorSpec.from_density(synth),
-        estimator=spec,
-        synthetic_n=n,
-        noise=synth_noise,
-    )
-    synthetic = synthesize_from_fitted(est, syn_cfg, original, seed.child(3))
-    mc = parse_model_class(class_text, p, TaskKind.REGRESSION)
-    f_hat = fit_regression(mc, original)
-    f_tilde = fit_regression(mc, synthetic)
-    f_star = population_optimum(mc, real, truth, None, 100_000, seed.child(4))
-    f_tilde_star = population_optimum(mc, synth, est.mean, None, 100_000, seed.child(5))
-
-    cfg = RiskConfig(
-        density=real, truth=truth, loss=SQUARED,
-        noise=config.noise, n_test=20_000, seed=seed.child(6),
-    )
-    u_report = utility_metric(f_tilde, f_hat, cfg)
-    scenario = RegressionScenario(real, synth, truth, config.noise, est, synth_noise)
-    quad = FittedQuad(f_hat, f_tilde, f_star, f_tilde_star)
-    bound = regression_bound(scenario, quad, n_test=20_000, seed=seed.child(7))
-    return {
-        "kind": "regression",
-        "name": config.name,
-        "estimator": est_text,
-        "model_class": class_text,
-        "u": u_report.utility,
-        "u_se": u_report.combined_std_error,
-        "total": bound.total,
-        "chi2": bound.chi2,
-    }
-
-
-def _suite_classification_case(i: int, master_seed: int) -> dict:
-    seed = SeedSpec(master_seed, 2000 + i)
-    pairs = [
-        (_mass_neg(0.75), _mass_neg(0.25), "step-pos", None),
-        (_uniform_pm1(), _mass_pos(0.65), "logistic", (2.0,)),
-        (_mass_neg(0.4), _mass_neg(0.7), "logistic", (1.5,)),
-    ]
-    real, synth, truth_name, beta = pairs[i % len(pairs)]
-    estimators = ("oracle", "logistic", "knn")
-    est_text = estimators[(i + i // 3) % len(estimators)]
+def _suite_table(task: TaskKind):
+    """(seed stream offset, estimators, [(real, synth, truth, model classes)])."""
+    if task is TaskKind.REGRESSION:
+        box2 = BoxSupport((-2.0, -2.0), (2.0, 2.0))
+        classes_2d = ("linear", "quadratic", "exp2")
+        classes_1d = ("linear", "abs", "quadratic")
+        return 1000, ("oracle", "ols", "knn", "rf", "mlp"), [
+            (TruncatedNormalDiag(box2, [1.0, 1.0], [1.0, 1.0]), UniformBox(box2),
+             TruthSpec("expdiff"), classes_2d),
+            (UniformBox(box2), TruncatedNormalDiag(box2, [0.0, 0.0], [1.0, 1.0]),
+             TruthSpec("expdiff"), classes_2d),
+            (_uniform_pm1(), _mass_pos(0.7), TruthSpec("abs"), classes_1d),
+            (_mass_neg(0.3), _mass_neg(0.65), TruthSpec("identity"), classes_1d),
+            (LinearTilt1D(0.0), LinearTilt1D(0.4), TruthSpec("cubicmix"),
+             ("recip-cubic-0", "recip-cubic-2", "recip-cubic-3")),
+        ]
     classes = ("sign-linear", "sign-abs", "threshold-abs box=0,0.5", "logistic-linear box=3")
-    class_text = classes[(i // 3) % len(classes)]
-    n = (400, 800)[i % 2]
+    return 2000, ("oracle", "logistic", "knn"), [
+        (_mass_neg(0.75), _mass_neg(0.25), TruthSpec("step-pos"), classes),
+        (_uniform_pm1(), _mass_pos(0.65), TruthSpec("logistic", (2.0,)), classes),
+        (_mass_neg(0.4), _mass_neg(0.7), TruthSpec("logistic", (1.5,)), classes),
+    ]
 
+
+def _suite_case(task: TaskKind, i: int, master_seed: int) -> dict:
+    offset, estimators, pairs = _suite_table(task)
+    real, synth, truth, classes = pairs[i % len(pairs)]
+    est_text = estimators[(i + i // len(pairs)) % len(estimators)]
+    class_text = classes[(i // len(pairs)) % len(classes)]
+    n = (400, 800)[i % 2]
+    regression = task is TaskKind.REGRESSION
+    noise_var = (0.25, 1.0)[(i // 2) % 2]
     config = ScenarioConfig(
-        name=f"bound-cls-{i:02d}",
-        task=TaskKind.CLASSIFICATION,
+        name=f"bound-{'reg' if regression else 'cls'}-{i:02d}",
+        task=task,
         real_density=real,
         synth_density=synth,
-        truth=TruthSpec(truth_name, beta),
-        noise=NoiseModel.none(),
+        truth=truth,
+        noise=NoiseModel.gaussian(noise_var) if regression else NoiseModel.none(),
+        synth_noise=NoiseModel.bounded_uniform(noise_var) if regression else None,
         estimators=(est_text,),
         model_classes=(class_text,),
         n_grid=(n,),
         replications=1,
         n_test=20_000,
-        master_seed=seed.master_seed,
+        master_seed=master_seed,
     )
-    truth = config.truth.resolve()
+    seed = SeedSpec(master_seed, offset + i)
     original = _draw_original(config, n, seed.child(1))
-    spec = _estimator_spec(config, est_text)
-    est = fit_estimator(spec, original, seed.child(2))
-    syn_cfg = SynthesisConfig(
-        generator=FeatureGeneratorSpec.from_density(synth),
-        estimator=spec,
-        synthetic_n=n,
+    est, synthetic = _synthesize(config, est_text, original, seed.child(2), seed.child(3))
+    mc = parse_model_class(class_text, original.p, task)
+    f_hat, f_tilde = _fit_downstream(mc, original), _fit_downstream(mc, synthetic)
+    u_report = utility_metric(f_tilde, f_hat, _risk_config(config, seed.child(6)))
+    bound = _bound_report(
+        config, mc, est, original, f_hat, f_tilde, (seed.child(4), seed.child(5), seed.child(7))
     )
-    synthetic = synthesize_from_fitted(est, syn_cfg, original, seed.child(3))
-    mc = parse_model_class(class_text, 1, TaskKind.CLASSIFICATION)
-    g_hat = fit_classification(mc, original)
-    g_tilde = fit_classification(mc, synthetic)
-    g_star = population_optimum(mc, real, truth, None, 100_000, seed.child(4))
-    g_tilde_star = population_optimum(mc, synth, est.prob, None, 100_000, seed.child(5))
-
-    cfg = RiskConfig(
-        density=real, truth=truth, loss=ZERO_ONE, n_test=20_000, seed=seed.child(6)
-    )
-    u_report = utility_metric(g_tilde, g_hat, cfg)
-    scenario = ClassificationScenario(real, synth, truth, est)
-    quad = FittedQuad(g_hat, g_tilde, g_star, g_tilde_star)
-    bound = classification_bound(scenario, quad, n_test=20_000, seed=seed.child(7))
     return {
-        "kind": "classification",
+        "kind": task.value,
         "name": config.name,
         "estimator": est_text,
         "model_class": class_text,
@@ -938,44 +850,33 @@ def _suite_classification_case(i: int, master_seed: int) -> dict:
 
 def _suite_lr_case(i: int, master_seed: int) -> dict:
     seed = SeedSpec(master_seed, 3000 + i)
-    rng = seed.rng(0)
     p = (1, 2, 4)[i % 3]
     half = (2.0, 4.0)[i % 2]
     support = BoxSupport((-half,) * p, (half,) * p)
     real = TruncatedNormalDiag(support, np.zeros(p), np.full(p, (1.0, 0.5)[(i // 2) % 2]))
-    synth = UniformBox(support)
-    n = (200, 500)[(i // 3) % 2]
-    ns = (200, 500)[i % 2]
-    sigma2 = (0.25, 1.0)[i % 2]
-    sigma2_s = (0.25, 1.0)[(i // 2) % 2]
-    beta_star = rng.uniform(-1.5, 1.5, size=p)
-
-    X = real.sample(n, seed.child(1))
-    eps = seed.child(2).rng().normal(0.0, math.sqrt(sigma2), size=n)
-    Y = X @ beta_star + eps
-    beta_hat = np.linalg.solve(X.T @ X, X.T @ Y)
-    Xs = synth.sample(ns, seed.child(3))
-    eps_s = sample_noise(NoiseModel.bounded_uniform(sigma2_s), ns, seed.child(4))
-    Ys = Xs @ beta_hat + eps_s
-    beta_tilde = np.linalg.solve(Xs.T @ Xs, Xs.T @ Ys)
-
-    Lam = real.coordinate_variances()
-    chi2 = chi_square_divergence(real, synth)
-    report = lr_explicit_bound(
-        X, Xs, eps, eps_s, Lam, synth.coordinate_variances(), chi2, Y, Ys, support
+    beta_star = seed.rng(0).uniform(-1.5, 1.5, size=p)
+    report, chi2, beta_hat, beta_tilde = _lr_case(
+        real,
+        UniformBox(support),
+        beta_star,
+        NoiseModel.gaussian((0.25, 1.0)[i % 2]),
+        NoiseModel.bounded_uniform((0.25, 1.0)[(i // 2) % 2]),
+        (200, 500)[(i // 3) % 2],
+        (200, 500)[i % 2],
+        seed,
     )
+    Lam = real.coordinate_variances()
 
     def phi(beta):
         d = beta - beta_star
         return float(np.sum(Lam * d * d))
 
-    u_r = abs(phi(beta_tilde) - phi(beta_hat))
     return {
         "kind": "linear-regression",
         "name": f"bound-lr-{i:02d}",
         "estimator": "ols",
         "model_class": "linear",
-        "u": u_r,
+        "u": abs(phi(beta_tilde) - phi(beta_hat)),
         "u_se": 0.0,  # closed-form risks under the diagonal moment matrix
         "total": report.total,
         "chi2": chi2,
@@ -985,27 +886,21 @@ def _suite_lr_case(i: int, master_seed: int) -> dict:
 def run_bound_suite(master_seed: int = DEFAULT_MASTER_SEED) -> List[dict]:
     """50 seeded scenarios with finite chi-square: 20 regression, 15
     classification, 15 explicit linear-regression bounds."""
-    cases = []
-    for i in range(20):
-        cases.append(_suite_regression_case(i, master_seed))
-    for i in range(15):
-        cases.append(_suite_classification_case(i, master_seed))
-    for i in range(15):
-        cases.append(_suite_lr_case(i, master_seed))
-    return cases
+    return (
+        [_suite_case(TaskKind.REGRESSION, i, master_seed) for i in range(20)]
+        + [_suite_case(TaskKind.CLASSIFICATION, i, master_seed) for i in range(15)]
+        + [_suite_lr_case(i, master_seed) for i in range(15)]
+    )
 
 
 def _run_bound_suite_rows(master_seed: int) -> List[ResultRow]:
-    rows = []
-    for idx, case in enumerate(run_bound_suite(master_seed)):
-        for metric in ("u", "u_se", "total", "chi2"):
-            rows.append(
-                ResultRow(
-                    case["name"], 0, idx, case["estimator"], case["model_class"],
-                    {"u": "utility", "u_se": "utility_std_error", "total": "bound_total", "chi2": "chi2"}[metric],
-                    float(case[metric]), 0.0,
-                )
-            )
+    metrics = (("u", "utility"), ("u_se", "utility_std_error"), ("total", "bound_total"), ("chi2", "chi2"))
+    rows = [
+        ResultRow(case["name"], 0, idx, case["estimator"], case["model_class"], metric,
+                  float(case[key]), 0.0)
+        for idx, case in enumerate(run_bound_suite(master_seed))
+        for key, metric in metrics
+    ]
     return _sort_rows(rows)
 
 

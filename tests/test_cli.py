@@ -90,6 +90,19 @@ def test_experiment_requires_builtin_or_config(tmp_path):
     assert main(["experiment", "fig99", "--out", str(tmp_path / "o")]) == 1
 
 
+def test_experiment_bad_outputs_fail_before_any_unit(tmp_path, reg_config, monkeypatch):
+    import syndatum.harness
+
+    def no_units(*args):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr(syndatum.harness, "_run_unit", no_units)
+    path = tmp_path / "typo.ini"
+    path.write_text(reg_config.read_text() + "outputs = utilty\n")
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_experiment_reports_row_errors_in_exit_code(tmp_path):
     # ols cannot fit a classification task: every row errors, exit code 2
     path = tmp_path / "bad.ini"
@@ -152,6 +165,19 @@ def test_bound_cls_json(tmp_path):
     for key in ("upsilon3", "eta_l2_gap", "c_terms", "phi_plugin", "total"):
         assert key in blob["report"]
     assert _sha(out) == "b1dc85f5c99c7abb16db8b884642ef2af19a363dd026203874b95730d4c17808"
+
+
+def test_bound_task_mismatch_fails_before_fitting(tmp_path, reg_config, monkeypatch):
+    import syndatum.cli
+
+    def no_draw(*args):
+        raise AssertionError("data drawn before the task check")
+
+    monkeypatch.setattr(syndatum.cli, "_draw_original", no_draw)
+    cls_cfg = tmp_path / "cls.ini"
+    cls_cfg.write_text(CLS_CONFIG)
+    assert main(["bound", "--task", "reg", "--config", str(cls_cfg)]) == 1
+    assert main(["bound", "--task", "cls", "--config", str(reg_config)]) == 1
 
 
 def test_bound_lr_json(tmp_path):

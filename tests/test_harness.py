@@ -192,7 +192,7 @@ def test_error_rows_do_not_abort_sweep(tmp_path):
 
 
 def test_toy61_rows_pinned(tmp_path):
-    assert _rows_sha(run_builtin("toy-6.1"), tmp_path) == "62debb9758838eba5aadf0c6bc8b6e230821dc16e5de2fe58f3613471a99bef9"
+    assert _rows_sha(run_builtin("toy-6.1"), tmp_path) == "6ae18d25d186da10063c49f80f986d9244a850e54be52400207b1d63dfaa8868"
 
 
 def test_fidelity_fig2_rows_match_closed_form():
@@ -290,6 +290,15 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
         load_scenarios(path)
     with pytest.raises(ConfigError):
         load_scenarios(tmp_path / "missing.ini")
+    path.write_text(CONFIG_TEXT + "outputs = utility, utilty\n")
+    with pytest.raises(ConfigError, match="unknown outputs"):
+        load_scenarios(path)
+    path.write_text(
+        CONFIG_TEXT.replace("model_classes = linear; abs", "model_classes = linear")
+        + "outputs = utility, comparison\n"
+    )
+    with pytest.raises(ConfigError, match="exactly two model_classes"):
+        load_scenarios(path)
 
 
 def test_scenario_config_validation():
