@@ -861,9 +861,9 @@ def _suite_lr_case(i: int, master_seed: int) -> dict:
         beta_star,
         NoiseModel.gaussian((0.25, 1.0)[i % 2]),
         NoiseModel.bounded_uniform((0.25, 1.0)[(i // 2) % 2]),
-        (200, 500)[(i // 3) % 2],
-        (200, 500)[i % 2],
-        seed,
+        n=(200, 500)[(i // 3) % 2],
+        ns=(200, 500)[i % 2],
+        seed=seed,
     )
     Lam = real.coordinate_variances()
 
