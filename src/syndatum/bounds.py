@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .datamodel import NoiseModel, SeedSpec, labels_from_probabilities, sample_noise
+from .datamodel import JsonReport, NoiseModel, SeedSpec, labels_from_probabilities, sample_noise
 from .densities import BoxSupport, DensityModel, chi_square_divergence
 from .erm import BasisFunctionClass, FittedModel, ThresholdAbsClass
 from .errors import SingularDesign
@@ -59,7 +59,7 @@ class FittedQuad:
 
 
 @dataclass(frozen=True)
-class RegressionBoundReport:
+class RegressionBoundReport(JsonReport):
     est_err_original: float
     est_err_synthetic: float
     chi2: float
@@ -73,21 +73,9 @@ class RegressionBoundReport:
     def vacuous(self) -> bool:
         return math.isinf(self.total)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "est_err_original": self.est_err_original,
-            "est_err_synthetic": self.est_err_synthetic,
-            "chi2": self.chi2,
-            "M": self.M,
-            "upsilon1": self.upsilon1,
-            "upsilon2": self.upsilon2,
-            "phi_mu_hat": self.phi_mu_hat,
-            "total": self.total,
-        }
-
 
 @dataclass(frozen=True)
-class ClassificationBoundReport:
+class ClassificationBoundReport(JsonReport):
     est_err_original: float
     est_err_synthetic: float
     chi2: float
@@ -101,21 +89,9 @@ class ClassificationBoundReport:
     def vacuous(self) -> bool:
         return math.isinf(self.total)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "est_err_original": self.est_err_original,
-            "est_err_synthetic": self.est_err_synthetic,
-            "chi2": self.chi2,
-            "upsilon3": self.upsilon3,
-            "eta_l2_gap": self.eta_l2_gap,
-            "c_terms": self.c_terms,
-            "phi_plugin": self.phi_plugin,
-            "total": self.total,
-        }
-
 
 @dataclass(frozen=True)
-class LRBoundReport:
+class LRBoundReport(JsonReport):
     t1: float  # 13 trace(eps eps' Q Lambda Q')
     t2: float  # trace(eps~ eps~' Q~ Lambda~ Q~')
     t3: float  # trace(eps eps' Q Lambda~ Q')
@@ -124,20 +100,9 @@ class LRBoundReport:
     M_LR: float
     total: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t1": self.t1,
-            "t2": self.t2,
-            "t3": self.t3,
-            "chi2_term": self.chi2_term,
-            "cross_term": self.cross_term,
-            "M_LR": self.M_LR,
-            "total": self.total,
-        }
-
 
 @dataclass(frozen=True)
-class AssumptionCheck:
+class AssumptionCheck(JsonReport):
     d: float
     V: float
     U: float
@@ -149,21 +114,6 @@ class AssumptionCheck:
     rhs_cls: float
     holds_reg: bool
     holds_cls: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "V": self.V,
-            "U": self.U,
-            "C_dVU": self.C_dVU,
-            "K_dV": self.K_dV,
-            "lhs_reg": self.lhs_reg,
-            "rhs_reg": self.rhs_reg,
-            "lhs_cls": self.lhs_cls,
-            "rhs_cls": self.rhs_cls,
-            "holds_reg": self.holds_reg,
-            "holds_cls": self.holds_cls,
-        }
 
 
 def _pred(model, X):

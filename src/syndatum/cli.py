@@ -27,11 +27,13 @@ from .erm import parse_model_class
 from .errors import ConfigError, SyndatumError
 from .harness import (
     BUILTIN_NAMES,
+    DEFAULT_MASTER_SEED,
     ScenarioConfig,
     _bound_report,
     _compare,
     _draw_original,
     _fit_downstream,
+    _fitted_estimator,
     _lr_case,
     _risk_config,
     _synthesize,
@@ -73,11 +75,8 @@ def _cmd_experiment(args) -> int:
         for config in load_scenarios(args.config):
             rows.extend(run_scenario(_seeded(config, args.seed), workers=workers))
     elif args.builtin:
-        seed = args.seed if args.seed is not None else None
-        kwargs = {"scale": args.scale, "workers": workers}
-        if seed is not None:
-            kwargs["master_seed"] = seed
-        rows = run_builtin(args.builtin, **kwargs)
+        seed = DEFAULT_MASTER_SEED if args.seed is None else args.seed
+        rows = run_builtin(args.builtin, args.scale, seed, workers)
     else:
         raise ConfigError("experiment requires a builtin name or --config FILE")
     os.makedirs(args.out, exist_ok=True)
@@ -92,7 +91,8 @@ def _cmd_synth(args) -> int:
     config = _seeded(_first_scenario(args.config), args.seed)
     seed = SeedSpec(config.master_seed, 0)
     original = _draw_original(config, config.n_grid[0], seed.child(0))
-    _, synthetic = _synthesize(config, config.estimators[0], original, seed.child(1), seed.child(2))
+    est = _fitted_estimator(config.truth, config.estimators[0], original, seed.child(1))
+    synthetic, _ = _synthesize(config, est, original, seed.child(2))
     write_csv(synthetic, args.out)
     print(f"wrote synthetic dataset ({synthetic.n} x {synthetic.p}) to {args.out}")
     return 0
@@ -123,7 +123,8 @@ def _cmd_utility(args) -> int:
     risk_cfg = _risk_config(config, seed.child(9))
     reports = []
     for est_text in config.estimators:
-        _, synthetic = _synthesize(config, est_text, original, seed.child(1), seed.child(2))
+        est = _fitted_estimator(config.truth, est_text, original, seed.child(1))
+        synthetic, _ = _synthesize(config, est, original, seed.child(2))
         for class_text, mc, f_orig in zip(config.model_classes, classes, f_origs):
             report = utility_metric(_fit_downstream(mc, synthetic), f_orig, risk_cfg)
             reports.append(
@@ -158,11 +159,12 @@ def _cmd_bound(args) -> int:
         raise ConfigError(f"bound --task {args.task} requires a {task.value} scenario")
     est_text, class_text = config.estimators[0], config.model_classes[0]
     original = _draw_original(config, n, seed.child(0))
-    est, synthetic = _synthesize(config, est_text, original, seed.child(1), seed.child(2))
+    est = _fitted_estimator(config.truth, est_text, original, seed.child(1))
+    synthetic, rv = _synthesize(config, est, original, seed.child(2))
     mc = parse_model_class(class_text, original.p, config.task)
     f_orig, f_synth = _fit_downstream(mc, original), _fit_downstream(mc, synthetic)
     report = _bound_report(
-        config, mc, est, original, f_orig, f_synth, (seed.child(5), seed.child(6), seed.child(7))
+        config, mc, est, rv, f_orig, f_synth, (seed.child(5), seed.child(6), seed.child(7))
     )
     u_report = utility_metric(f_synth, f_orig, _risk_config(config, seed.child(8)))
     payload = {
@@ -189,7 +191,8 @@ def _cmd_compare(args) -> int:
         raise ConfigError("compare requires exactly two entries in model_classes")
     seed = SeedSpec(config.master_seed, 0)
     original = _draw_original(config, config.n_grid[0], seed.child(0))
-    report = _compare(config, original, seed.child(1), seed.child(2))
+    est = _fitted_estimator(config.truth, config.estimators[0], original, seed.child(1))
+    report = _compare(config, est, seed.child(2))
     _write_json(report.to_json_dict(), args.out)
     return 0
 

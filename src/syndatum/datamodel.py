@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +51,26 @@ class SeedSpec:
     def child(self, *path: int) -> "SeedSpec":
         """Independent derived stream; children are collision-free by path."""
         return SeedSpec(self.master_seed, self.stream_id, self.path + path)
+
+
+class JsonReport:
+    """Base of the report dataclasses: to_json_dict maps every field, with
+    nested reports as dicts, enums as their values and arrays as float lists."""
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(value):
+    if isinstance(value, JsonReport):
+        return value.to_json_dict()
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return value
 
 
 class NoiseKind(enum.Enum):

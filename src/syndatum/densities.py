@@ -95,9 +95,6 @@ class Marginal1D:
     def sample1(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def _key(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class _Uniform1D(Marginal1D):
@@ -120,9 +117,6 @@ class _Uniform1D(Marginal1D):
 
     def sample1(self, n, rng):
         return rng.uniform(self.a, self.b, size=n)
-
-    def _key(self):
-        return ("uniform", self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -189,9 +183,6 @@ class _TruncNormal1D(Marginal1D):
             out[got : got + take] = keep[:take]
             got += take
         return out
-
-    def _key(self):
-        return ("truncnormal", self.a, self.b, self.m, self.var)
 
 
 @dataclass(frozen=True)
@@ -264,9 +255,6 @@ class _Piecewise1D(Marginal1D):
         frac = np.where(masses[idx] > 0, (u - prev) / masses[idx], 0.0)
         return br[idx] + frac * np.diff(br)[idx]
 
-    def _key(self):
-        return ("piecewise", self.breakpoints, self.heights)
-
 
 @dataclass(frozen=True)
 class _LinearTilt1D(Marginal1D):
@@ -305,9 +293,6 @@ class _LinearTilt1D(Marginal1D):
         bb = (1.0 - self.alpha) / 2.0
         return (-bb + np.sqrt(bb * bb + 4.0 * aa * u)) / (2.0 * aa)
 
-    def _key(self):
-        return ("tilt", self.alpha)
-
 
 @dataclass(frozen=True)
 class _Triangular1D(Marginal1D):
@@ -336,9 +321,6 @@ class _Triangular1D(Marginal1D):
     def sample1(self, n, rng):
         u = rng.random(n)
         return np.sqrt(u) if self.increasing else 1.0 - np.sqrt(1.0 - u)
-
-    def _key(self):
-        return ("triangular", self.increasing)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +378,6 @@ class DensityModel:
     def coordinate_variances(self) -> np.ndarray:
         return np.array([f.variance() for f in self._factors])
 
-    def _key(self):
-        return tuple(f._key() for f in self._factors)
-
     def __repr__(self):
         return f"DensityModel({self.name}, dim={self.dim})"
 
@@ -435,7 +414,8 @@ def Triangular1D(direction: str) -> DensityModel:
 
 
 def same_density(p: DensityModel, q: DensityModel) -> bool:
-    return p._key() == q._key()
+    # the 1-d factors are frozen dataclasses, compared by kind and parameters
+    return p.factors() == q.factors()
 
 
 def _check_compatible(p: DensityModel, q: DensityModel):

@@ -23,7 +23,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -221,13 +221,27 @@ class ScenarioConfig:
             raise ConfigError(f"unknown outputs {unknown}; choose from {OUTPUT_NAMES}")
         if "comparison" in self.outputs and len(self.model_classes) != 2:
             raise ConfigError("outputs 'comparison' requires exactly two model_classes")
+        rule, _, size = self.synthetic_n_rule.partition(":")
+        if self.synthetic_n_rule != "equal" and not (rule == "fixed" and size.isdigit() and int(size) > 0):
+            raise ConfigError(
+                f"synthetic_n_rule must be equal or fixed:<int >= 1>, got {self.synthetic_n_rule!r}"
+            )
+        if self.risk_method not in ("monte-carlo", "quadrature"):
+            raise ConfigError(f"risk_method must be monte-carlo or quadrature, got {self.risk_method!r}")
+        if self.risk_method == "quadrature" and self.real_density.dim != 1:
+            raise ConfigError("risk_method quadrature requires a one-dimensional real_density")
+        try:
+            for text in self.estimators:
+                parse_estimator(text)
+            for text in self.model_classes:
+                parse_model_class(text, self.real_density.dim, self.task)
+        except ValueError as exc:
+            raise ConfigError(f"{text!r}: {exc}") from exc
 
     def synthetic_n(self, n: int) -> int:
         if self.synthetic_n_rule == "equal":
             return n
-        if self.synthetic_n_rule.startswith("fixed:"):
-            return int(self.synthetic_n_rule.split(":", 1)[1])
-        raise ConfigError(f"unknown synthetic_n_rule {self.synthetic_n_rule!r}")
+        return int(self.synthetic_n_rule.split(":", 1)[1])
 
 
 @dataclass(frozen=True)
@@ -330,11 +344,13 @@ def _draw_original(config: ScenarioConfig, n: int, seed: SeedSpec) -> Dataset:
     return make_dataset(X, z, TaskKind.CLASSIFICATION)
 
 
-def _estimator_spec(config: ScenarioConfig, text: str) -> EstimatorSpec:
+def _fitted_estimator(truth: TruthSpec, text: str, data: Dataset, seed: SeedSpec) -> "FittedEstimator":
+    """Parse an estimator entry and fit it on ``data``; an oracle wraps the
+    truth."""
     spec = parse_estimator(text)
     if spec.kind == "oracle":
-        spec = replace(spec, oracle_fn=config.truth.resolve())
-    return spec
+        spec = replace(spec, oracle_fn=truth.resolve())
+    return fit_estimator(spec, data, seed)
 
 
 def _fit_downstream(model_class, data: Dataset):
@@ -366,26 +382,29 @@ def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
     )
 
 
-def _synthesize(config: ScenarioConfig, est_text: str, original: Dataset,
-                est_seed: SeedSpec, synth_seed: SeedSpec):
-    """Fit the estimation model on the original data and synthesize from it;
-    returns (fitted estimator, synthetic dataset)."""
-    spec = _estimator_spec(config, est_text)
-    est = fit_estimator(spec, original, est_seed)
+def _synthesize(config: ScenarioConfig, est, original: Dataset, seed: SeedSpec):
+    """Synthesize from the fitted estimation model.  Returns (synthetic
+    dataset, residual variance), the variance being None unless the
+    default synthetic noise of a regression scenario needed it."""
+    noise, rv = config.synth_noise, None
+    if noise is None and config.task is TaskKind.REGRESSION:
+        rv = residual_variance(est, original)
+        noise = NoiseModel.bounded_uniform(rv)
     syn_cfg = SynthesisConfig(
         generator=FeatureGeneratorSpec.from_density(config.synth_density),
-        estimator=spec,
+        estimator=EstimatorSpec(est.kind),  # unused: the estimator is already fitted
         synthetic_n=config.synthetic_n(original.n),
-        noise=config.synth_noise,
+        noise=noise,
     )
-    return est, synthesize_from_fitted(est, syn_cfg, original, synth_seed)
+    return synthesize_from_fitted(est, syn_cfg, original, seed), rv
 
 
-def _bound_report(config: ScenarioConfig, mc, est, original: Dataset, f_orig, f_synth,
+def _bound_report(config: ScenarioConfig, mc, est, rv: Optional[float], f_orig, f_synth,
                   seeds: Tuple[SeedSpec, SeedSpec, SeedSpec], chi2: Optional[float] = None):
-    """The task's analytic utility bound.  ``seeds`` feed the real and the
-    synthetic population optima and the bound's own risk draws; ``chi2``
-    (None = compute) lets a sweep share one divergence across its units."""
+    """The task's analytic utility bound.  ``rv`` is the residual variance
+    from _synthesize; ``seeds`` feed the real and the synthetic population
+    optima and the bound's own risk draws; ``chi2`` (None = compute) lets a
+    sweep share one divergence across its units."""
     star_seed, tilde_seed, bound_seed = seeds
     truth = config.truth.resolve()
     f_star = population_optimum(mc, config.real_density, truth, None, 100_000, star_seed)
@@ -393,9 +412,7 @@ def _bound_report(config: ScenarioConfig, mc, est, original: Dataset, f_orig, f_
         f_tilde_star = population_optimum(
             mc, config.synth_density, est.mean, None, 100_000, tilde_seed
         )
-        synth_noise = config.synth_noise or NoiseModel.bounded_uniform(
-            max(residual_variance(est, original), 1e-12)
-        )
+        synth_noise = config.synth_noise or NoiseModel.bounded_uniform(max(rv, 1e-12))
         scenario = RegressionScenario(
             config.real_density, config.synth_density, truth, config.noise, est, synth_noise
         )
@@ -432,10 +449,10 @@ def _lr_case(real: DensityModel, synth: DensityModel, beta, noise: NoiseModel,
     return report, chi2, beta_hat, beta_tilde
 
 
-def _compare(config: ScenarioConfig, original: Dataset, est_seed: SeedSpec, risk_seed: SeedSpec):
-    """Model comparison of the two model classes under the first estimator."""
-    est = fit_estimator(_estimator_spec(config, config.estimators[0]), original, est_seed)
-    c1, c2 = (parse_model_class(text, original.p, config.task) for text in config.model_classes)
+def _compare(config: ScenarioConfig, est, risk_seed: SeedSpec):
+    """Model comparison of the two model classes under the fitted estimator."""
+    dim = config.real_density.dim
+    c1, c2 = (parse_model_class(text, dim, config.task) for text in config.model_classes)
     return compare_models(
         c1, c2, config.real_density, config.synth_density, config.truth.resolve(), est,
         _risk_config(config, risk_seed),
@@ -462,10 +479,16 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
     cfg = _risk_config(config, base.child(3))
     original = _draw_original(config, n, base)
     rows: List[ResultRow] = []
+
+    # one fit per estimator, shared by the comparison and the synthesis
+    @cache
+    def fitted(ei):
+        return _fitted_estimator(config.truth, config.estimators[ei], original, base.child(4, ei))
+
     if "comparison" in config.outputs:
         est_name = config.estimators[0].split()[0]
         try:
-            report = _compare(config, original, base.child(4, 0), base.child(8))
+            report = _compare(config, fitted(0), base.child(8))
             labels = tuple(text.split()[0] for text in config.model_classes)
             rows.extend(_comparison_rows(config.name, n, rep, est_name, labels, report))
         except SyndatumError as exc:
@@ -484,7 +507,8 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
             # common random numbers across estimators: same synthetic feature
             # and noise draws, so utilities differ only through the fitted
             # estimation model
-            est, synthetic = _synthesize(config, est_text, original, base.child(4, ei), base.child(5))
+            est = fitted(ei)
+            synthetic, rv = _synthesize(config, est, original, base.child(5))
         except SyndatumError as exc:
             rows.extend(
                 _error_row(config.name, n, rep, est_name, text.split()[0], "utility", exc)
@@ -508,7 +532,7 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
             if "bound" in config.outputs:
                 try:
                     bound = _bound_report(
-                        config, mc, est, original, f_orig, f_synth,
+                        config, mc, est, rv, f_orig, f_synth,
                         (base.child(6, ei), base.child(7, ei), base.child(9, ei)), chi2,
                     )
                 except SyndatumError as exc:
@@ -712,14 +736,9 @@ def _run_toy_s1(master_seed: int) -> List[ResultRow]:
 
 
 def _oracle_estimator(truth_spec: TruthSpec, task: TaskKind) -> "FittedEstimator":
-    data = (
-        make_dataset([[0.0]], [0.0], TaskKind.REGRESSION)
-        if task is TaskKind.REGRESSION
-        else make_dataset([[0.0]], [1.0], TaskKind.CLASSIFICATION)
-    )
-    return fit_estimator(
-        EstimatorSpec("oracle", oracle_fn=truth_spec.resolve()), data, SeedSpec(0)
-    )
+    # the oracle ignores its training data; +1 is a valid response for either task
+    data = make_dataset([[0.0]], [1.0], task)
+    return _fitted_estimator(truth_spec, "oracle", data, SeedSpec(0))
 
 
 def _toy61_part(name, alpha, truth_spec, task, class_name, boxes, labels, seed) -> List[ResultRow]:
@@ -829,12 +848,13 @@ def _suite_case(task: TaskKind, i: int, master_seed: int) -> dict:
     )
     seed = SeedSpec(master_seed, offset + i)
     original = _draw_original(config, n, seed.child(1))
-    est, synthetic = _synthesize(config, est_text, original, seed.child(2), seed.child(3))
+    est = _fitted_estimator(truth, est_text, original, seed.child(2))
+    synthetic, rv = _synthesize(config, est, original, seed.child(3))
     mc = parse_model_class(class_text, original.p, task)
     f_hat, f_tilde = _fit_downstream(mc, original), _fit_downstream(mc, synthetic)
     u_report = utility_metric(f_tilde, f_hat, _risk_config(config, seed.child(6)))
     bound = _bound_report(
-        config, mc, est, original, f_hat, f_tilde, (seed.child(4), seed.child(5), seed.child(7))
+        config, mc, est, rv, f_hat, f_tilde, (seed.child(4), seed.child(5), seed.child(7))
     )
     return {
         "kind": task.value,
@@ -970,19 +990,25 @@ def _run_consistency_rows(master_seed: int) -> List[ResultRow]:
 # Builtin dispatch
 # ---------------------------------------------------------------------------
 
-BUILTIN_NAMES = (
-    "fig3",
-    "fig4",
-    "fig5",
-    "figS1-linear",
-    "figS1-logistic",
-    "toy-5.1",
-    "toy-S.1",
-    "toy-6.1",
-    "fidelity-fig2",
-    "bound-suite",
-    "consistency",
-)
+def _sweep(make_config, name):
+    return lambda scale, seed, workers: run_scenario(make_config(name, scale, seed), workers=workers)
+
+
+# name -> runner(scale, master_seed, workers)
+_BUILTINS = {
+    "fig3": _sweep(_fig34_config, "fig3"),
+    "fig4": _sweep(_fig34_config, "fig4"),
+    "fig5": _run_fig5,
+    "figS1-linear": _sweep(_figs1_config, "figS1-linear"),
+    "figS1-logistic": _sweep(_figs1_config, "figS1-logistic"),
+    "toy-5.1": lambda scale, seed, workers: _run_toy51(seed),
+    "toy-S.1": lambda scale, seed, workers: _run_toy_s1(seed),
+    "toy-6.1": lambda scale, seed, workers: _run_toy61(seed),
+    "fidelity-fig2": lambda scale, seed, workers: _run_fidelity_fig2(seed),
+    "bound-suite": lambda scale, seed, workers: _run_bound_suite_rows(seed),
+    "consistency": lambda scale, seed, workers: _run_consistency_rows(seed),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def run_builtin(
@@ -994,25 +1020,9 @@ def run_builtin(
     """Run a preconfigured experiment; see the module docstring for the menu."""
     if scale < 1:
         raise ConfigError("scale must be >= 1")
-    if name in ("fig3", "fig4"):
-        return run_scenario(_fig34_config(name, scale, master_seed), workers=workers)
-    if name == "fig5":
-        return _run_fig5(scale, master_seed, workers)
-    if name in ("figS1-linear", "figS1-logistic"):
-        return run_scenario(_figs1_config(name, scale, master_seed), workers=workers)
-    if name == "toy-5.1":
-        return _run_toy51(master_seed)
-    if name == "toy-S.1":
-        return _run_toy_s1(master_seed)
-    if name == "toy-6.1":
-        return _run_toy61(master_seed)
-    if name == "fidelity-fig2":
-        return _run_fidelity_fig2(master_seed)
-    if name == "bound-suite":
-        return _run_bound_suite_rows(master_seed)
-    if name == "consistency":
-        return _run_consistency_rows(master_seed)
-    raise UnknownBuiltin(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+    if name not in _BUILTINS:
+        raise UnknownBuiltin(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+    return _BUILTINS[name](scale, master_seed, workers)
 
 
 def default_workers() -> int:
@@ -1029,23 +1039,7 @@ def default_workers() -> int:
 # Config files: one INI section per scenario, flat key=value entries
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "task",
-    "real_density",
-    "synth_density",
-    "truth",
-    "noise",
-    "synth_noise",
-    "estimators",
-    "model_classes",
-    "n_grid",
-    "synthetic_n_rule",
-    "replications",
-    "n_test",
-    "master_seed",
-    "outputs",
-    "risk_method",
-}
+_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)} - {"name"}
 
 _CONFIG_DEFAULTS = {
     "noise": "none",
@@ -1093,7 +1087,7 @@ def load_scenarios(path) -> List[ScenarioConfig]:
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"[{section}] has unknown keys {sorted(unknown)}")
-        missing = {"task", "real_density", "synth_density", "truth", "n_grid", "model_classes"} - set(raw)
+        missing = _CONFIG_KEYS - set(_CONFIG_DEFAULTS) - set(raw)
         if missing:
             raise ConfigError(f"[{section}] is missing required keys {sorted(missing)}")
         merged = {**_CONFIG_DEFAULTS, **raw}

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .datamodel import (
+    JsonReport,
     NoiseModel,
     SeedSpec,
     TaskKind,
@@ -36,21 +37,12 @@ Predictor = Union[FittedModel, FittedEstimator, Callable]
 
 
 @dataclass(frozen=True)
-class RiskEstimate:
+class RiskEstimate(JsonReport):
     value: float
     std_error: float
     method: str  # "monte-carlo" or "quadrature-1d"
     loss: str
     n_test: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "method": self.method,
-            "loss": self.loss,
-            "n_test": self.n_test,
-        }
 
 
 @dataclass(frozen=True)
@@ -72,25 +64,16 @@ class RiskConfig:
 
 
 @dataclass(frozen=True)
-class UtilityReport:
+class UtilityReport(JsonReport):
     task: TaskKind
     risk_synthetic: RiskEstimate
     risk_original: RiskEstimate
     utility: float
     combined_std_error: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "task": self.task.value,
-            "risk_synthetic": self.risk_synthetic.to_json_dict(),
-            "risk_original": self.risk_original.to_json_dict(),
-            "utility": self.utility,
-            "combined_std_error": self.combined_std_error,
-        }
-
 
 @dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(JsonReport):
     """Population-optima comparison; all four risks are under the TRUE
     distribution.  Signs are declared only outside a two-standard-error dead
     band around zero."""
@@ -103,18 +86,6 @@ class ComparisonReport:
     synthetic_sign: int
     consistent: bool
     optima: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "risk_f1_real": self.risk_f1_real.to_json_dict(),
-            "risk_f2_real": self.risk_f2_real.to_json_dict(),
-            "risk_f1_synth": self.risk_f1_synth.to_json_dict(),
-            "risk_f2_synth": self.risk_f2_synth.to_json_dict(),
-            "original_sign": self.original_sign,
-            "synthetic_sign": self.synthetic_sign,
-            "consistent": self.consistent,
-            "optima": {k: list(map(float, v)) for k, v in self.optima.items()},
-        }
 
 
 def _score_fn(model: Predictor, loss: str) -> Callable:
@@ -170,11 +141,36 @@ def _draw_targets(cfg: RiskConfig, X: np.ndarray, seed: SeedSpec) -> np.ndarray:
     return labels_from_probabilities(values, seed.rng())
 
 
-def _quad_over_density(density: DensityModel, integrand: Callable, extra_knots=()) -> float:
+def _quadrature(model: Predictor, density: DensityModel, truth, loss: str, excess: bool) -> float:
+    """One-dimensional quadrature of a predictor's pointwise loss against the
+    noise-free truth (excess=False) or of its pointwise excess risk."""
+    score = _score_fn(model, loss)
+    truth_fn = _truth_fn(truth, loss)
     if density.dim != 1:
         raise UnsupportedQuadrature("quadrature risks require one-dimensional features")
+    if loss == SQUARED:
+
+        def integrand(x):
+            pt = np.array([[x]])
+            return (float(score(pt)[0]) - float(truth_fn(pt)[0])) ** 2
+
+    elif excess:
+
+        def integrand(x):
+            pt = np.array([[x]])
+            eta = float(truth_fn(pt)[0])
+            # weight |2 eta - 1| where the sign disagrees with the Bayes rule
+            return abs(2.0 * eta - 1.0) if (float(score(pt)[0]) >= 0.0) != (eta >= 0.5) else 0.0
+
+    else:
+
+        def integrand(x):
+            pt = np.array([[x]])
+            eta = float(truth_fn(pt)[0])
+            return eta if float(score(pt)[0]) < 0.0 else 1.0 - eta
+
     f = density.factors()[0]
-    pts = sorted({k for k in (*f.knots(), *extra_knots) if f.a < k < f.b})
+    pts = sorted({k for k in (*f.knots(), *_model_knots(model)) if f.a < k < f.b})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         val, _ = quad(
@@ -198,35 +194,10 @@ def estimate_risk(
     Monte-Carlo is unbiased with std_error = sample std / sqrt(n_test);
     one-dimensional quadrature is deterministic (std_error = 0).
     """
-    score = _score_fn(model, loss)
-    truth_fn = _truth_fn(truth, loss)
-    if method == "quadrature":
-        knots = _model_knots(model)
-        if loss == SQUARED:
-            sigma2 = noise.variance if noise is not None else 0.0
-
-            def integrand(x):
-                pt = np.array([[x]])
-                return (float(score(pt)[0]) - float(truth_fn(pt)[0])) ** 2
-
-            val = _quad_over_density(density, integrand, knots) + sigma2
-        else:
-
-            def integrand(x):
-                pt = np.array([[x]])
-                eta = float(truth_fn(pt)[0])
-                return eta if float(score(pt)[0]) < 0.0 else 1.0 - eta
-
-            val = _quad_over_density(density, integrand, knots)
-        return RiskEstimate(val, 0.0, "quadrature-1d", loss)
-
-    cfg = RiskConfig(density=density, truth=truth, loss=loss, noise=noise, seed=seed)
-    X = density.sample(n_test, seed.child(91))
-    target = _draw_targets(cfg, X, seed.child(92))
-    lv = _loss_vector(score, loss, X, target)
-    return RiskEstimate(
-        float(lv.mean()), float(lv.std(ddof=1) / math.sqrt(n_test)), "monte-carlo", loss, n_test
+    cfg = RiskConfig(
+        density=density, truth=truth, loss=loss, noise=noise, n_test=n_test, method=method, seed=seed
     )
+    return risks_common_draws([model], cfg)[0][0]
 
 
 def excess_risk(
@@ -239,26 +210,10 @@ def excess_risk(
     seed: SeedSpec = SeedSpec(0),
 ) -> float:
     """Squared loss: E[(f - mu)^2].  Zero-one: E[1{sign f != Bayes} |2 eta - 1|]."""
+    if method == "quadrature":
+        return _quadrature(model, density, truth, loss, excess=True)
     score = _score_fn(model, loss)
     truth_fn = _truth_fn(truth, loss)
-    if method == "quadrature":
-        if loss == SQUARED:
-
-            def integrand(x):
-                pt = np.array([[x]])
-                return (float(score(pt)[0]) - float(truth_fn(pt)[0])) ** 2
-
-        else:
-
-            def integrand(x):
-                pt = np.array([[x]])
-                eta = float(truth_fn(pt)[0])
-                bayes = 1.0 if eta >= 0.5 else -1.0
-                pred = 1.0 if float(score(pt)[0]) >= 0.0 else -1.0
-                return abs(2.0 * eta - 1.0) if pred != bayes else 0.0
-
-        return _quad_over_density(density, integrand, _model_knots(model))
-
     X = density.sample(n_test, seed.child(93))
     truth_vals = np.asarray(truth_fn(X), dtype=float).reshape(-1)
     scores = np.asarray(score(X), dtype=float).reshape(-1)
@@ -272,11 +227,18 @@ def risks_common_draws(models: Sequence[Predictor], cfg: RiskConfig):
     """Risks of several predictors on one shared test draw.
 
     Returns (estimates, loss_matrix); the loss matrix enables exact standard
-    errors for pairwise differences.
+    errors for pairwise differences.  Quadrature risks are exact and return
+    no loss matrix.
     """
     if cfg.method == "quadrature":
+        sigma2 = cfg.noise.variance if cfg.loss == SQUARED and cfg.noise is not None else 0.0
         ests = [
-            estimate_risk(m, cfg.density, cfg.truth, cfg.noise, cfg.loss, method="quadrature")
+            RiskEstimate(
+                _quadrature(m, cfg.density, cfg.truth, cfg.loss, excess=False) + sigma2,
+                0.0,
+                "quadrature-1d",
+                cfg.loss,
+            )
             for m in models
         ]
         return ests, None

@@ -131,6 +131,31 @@ def test_classification_sweep_utility_bound_comparison(tmp_path):
     assert _rows_sha(rows, tmp_path) == "6f5e63d05d5266097416073e842084e72dfd7994b33321c611b5ee8cbd41d2d4"
 
 
+def test_unit_fits_each_estimator_and_residual_variance_once(monkeypatch):
+    import sys
+
+    import syndatum.estimators
+    import syndatum.synthesis
+
+    calls = {}
+    for fn in (syndatum.estimators.fit_estimator, syndatum.synthesis.residual_variance):
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "syndatum"]:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    rows = run_scenario(
+        _tiny_config(estimators=("knn",), outputs=("utility", "bound", "comparison"), n_test=500)
+    )
+    assert {r.metric_name for r in rows} >= {"utility", "bound_total", "consistent"}
+    assert calls == {"fit_estimator": 1, "residual_variance": 1}
+
+
 def test_full_run_determinism_byte_identical_csv(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_rows_csv(run_builtin("toy-5.1"), a)
@@ -299,6 +324,22 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
     )
     with pytest.raises(ConfigError, match="exactly two model_classes"):
         load_scenarios(path)
+    # names and rules a unit would trip over are rejected before any unit runs
+    for old, new, match in (
+        ("model_classes = linear; abs", "model_classes = linaer; abs", "linaer"),
+        ("estimators = oracle", "estimators = orcale", "orcale"),
+        ("n_grid = 64", "n_grid = 64\nsynthetic_n_rule = fixed:0", "synthetic_n_rule"),
+        ("n_grid = 64", "n_grid = 64\nsynthetic_n_rule = half", "synthetic_n_rule"),
+        ("n_grid = 64", "n_grid = 64\nrisk_method = quadratur", "risk_method"),
+        (
+            "real_density = uniform-box lower=-1 upper=1",
+            "real_density = uniform-box lower=-1,-1 upper=1,1\nrisk_method = quadrature",
+            "one-dimensional",
+        ),
+    ):
+        path.write_text(CONFIG_TEXT.replace(old, new))
+        with pytest.raises(ConfigError, match=match):
+            load_scenarios(path)
 
 
 def test_scenario_config_validation():

@@ -13,6 +13,7 @@ from syndatum.metrics import (
     compare_models,
     estimate_risk,
     excess_risk,
+    risks_common_draws,
     utility_metric,
 )
 
@@ -296,3 +297,18 @@ def test_utility_report_json_round_trip():
     blob = report.to_json_dict()
     assert blob["task"] == "regression"
     assert blob["utility"] == report.utility
+
+
+@pytest.mark.parametrize("method", ["monte-carlo", "quadrature"])
+@pytest.mark.parametrize("loss", [SQUARED, ZERO_ONE])
+def test_estimate_risk_equals_common_draw_risk(method, loss):
+    regression = loss == SQUARED
+    truth = absval if regression else (lambda X: (X[:, 0] > 0).astype(float))
+    noise = NoiseModel.gaussian(0.3) if regression else None
+    model = (lambda X: 0.5 * X[:, 0]) if regression else (lambda X: X[:, 0] - 0.2)
+    cfg = RiskConfig(
+        density=uniform_pm1(), truth=truth, loss=loss, noise=noise, n_test=3_000,
+        method=method, seed=SeedSpec(23),
+    )
+    single = estimate_risk(model, uniform_pm1(), truth, noise, loss, 3_000, SeedSpec(23), method)
+    assert single == risks_common_draws([model], cfg)[0][0]
