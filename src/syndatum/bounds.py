@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .datamodel import JsonReport, NoiseModel, SeedSpec, labels_from_probabilities, sample_noise
+from .datamodel import JsonReport, NoiseModel, SeedSpec, TaskKind, draw_responses
 from .densities import BoxSupport, DensityModel, chi_square_divergence
 from .erm import BasisFunctionClass, FittedModel, ThresholdAbsClass
 from .errors import SingularDesign
@@ -151,15 +151,8 @@ def regression_bound(
     mu_X = np.asarray(scenario.truth(X), dtype=float).reshape(-1)
     muh_X = scenario.mu_hat.mean(X)
     muh_Xs = scenario.mu_hat.mean(Xs)
-    eps = sample_noise(scenario.noise, n_test, seed.child(13)) if scenario.noise.variance else 0.0
-    eps_s = (
-        sample_noise(scenario.synth_noise, n_test, seed.child(14))
-        if scenario.synth_noise.variance
-        else 0.0
-    )
-
-    y = mu_X + eps
-    ys = muh_Xs + eps_s
+    y = draw_responses(TaskKind.REGRESSION, mu_X, scenario.noise, seed.child(13))
+    ys = draw_responses(TaskKind.REGRESSION, muh_Xs, scenario.synth_noise, seed.child(14))
 
     def risk_real(model):
         return float(np.mean((_pred(model, X) - y) ** 2))
@@ -230,8 +223,8 @@ def classification_bound(
     eta_X = np.asarray(scenario.truth(X), dtype=float).reshape(-1)
     etah_X = scenario.eta_hat.prob(X)
     etah_Xs = scenario.eta_hat.prob(Xs)
-    Z = labels_from_probabilities(eta_X, seed.child(23).rng())
-    Zs = labels_from_probabilities(etah_Xs, seed.child(24).rng())
+    Z = draw_responses(TaskKind.CLASSIFICATION, eta_X, None, seed.child(23))
+    Zs = draw_responses(TaskKind.CLASSIFICATION, etah_Xs, None, seed.child(24))
 
     def sign(v):
         return np.where(v >= 0.0, 1.0, -1.0)

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 from .datamodel import NoiseModel, SeedSpec, TaskKind, write_csv
 from .densities import certify_fidelity_level, chi_square_divergence
-from .erm import parse_model_class
+from .erm import fit_downstream, parse_model_class
 from .errors import ConfigError, SyndatumError
 from .harness import (
     BUILTIN_NAMES,
@@ -32,7 +32,6 @@ from .harness import (
     _bound_report,
     _compare,
     _draw_original,
-    _fit_downstream,
     _fitted_estimator,
     _lr_case,
     _risk_config,
@@ -119,14 +118,14 @@ def _cmd_utility(args) -> int:
     n = config.n_grid[-1]
     original = _draw_original(config, n, seed.child(0))
     classes = [parse_model_class(text, original.p, config.task) for text in config.model_classes]
-    f_origs = [_fit_downstream(mc, original) for mc in classes]
+    f_origs = [fit_downstream(mc, original) for mc in classes]
     risk_cfg = _risk_config(config, seed.child(9))
     reports = []
     for est_text in config.estimators:
         est = _fitted_estimator(config.truth, est_text, original, seed.child(1))
         synthetic, _ = _synthesize(config, est, original, seed.child(2))
         for class_text, mc, f_orig in zip(config.model_classes, classes, f_origs):
-            report = utility_metric(_fit_downstream(mc, synthetic), f_orig, risk_cfg)
+            report = utility_metric(fit_downstream(mc, synthetic), f_orig, risk_cfg)
             reports.append(
                 {
                     "estimator": est_text,
@@ -160,11 +159,11 @@ def _cmd_bound(args) -> int:
     est_text, class_text = config.estimators[0], config.model_classes[0]
     original = _draw_original(config, n, seed.child(0))
     est = _fitted_estimator(config.truth, est_text, original, seed.child(1))
-    synthetic, rv = _synthesize(config, est, original, seed.child(2))
+    synthetic, synth_noise = _synthesize(config, est, original, seed.child(2))
     mc = parse_model_class(class_text, original.p, config.task)
-    f_orig, f_synth = _fit_downstream(mc, original), _fit_downstream(mc, synthetic)
+    f_orig, f_synth = fit_downstream(mc, original), fit_downstream(mc, synthetic)
     report = _bound_report(
-        config, mc, est, rv, f_orig, f_synth, (seed.child(5), seed.child(6), seed.child(7))
+        config, mc, est, synth_noise, f_orig, f_synth, (seed.child(5), seed.child(6), seed.child(7))
     )
     u_report = utility_metric(f_synth, f_orig, _risk_config(config, seed.child(8)))
     payload = {

@@ -12,7 +12,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -204,3 +204,35 @@ def labels_from_probabilities(prob: Sequence[float], rng: np.random.Generator) -
     prob = np.asarray(prob, dtype=float)
     u = rng.random(prob.shape[0])
     return np.where(u < prob, 1.0, -1.0)
+
+
+def draw_responses(task: TaskKind, values, noise: Optional[NoiseModel], seed: SeedSpec) -> np.ndarray:
+    """The response law shared by original, synthetic and population draws.
+
+    Regression: ``values`` (the conditional mean at each row) plus noise drawn
+    from ``seed`` when ``noise`` is given with positive variance.
+    Classification: {-1, +1} labels drawn from the probabilities ``values``.
+    """
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if task is TaskKind.CLASSIFICATION:
+        return labels_from_probabilities(values, seed.rng())
+    if noise is not None and noise.variance > 0:
+        return values + sample_noise(noise, values.shape[0], seed)
+    return values
+
+
+def parse_spec(text: str, keys) -> tuple:
+    """Split a spec like ``name key=value ...`` into (name, {key: value}).
+
+    Raises ValueError for a parameter that is not ``key=value`` with a key
+    in ``keys``, or that repeats a key.
+    """
+    kind, *items = text.split() or ["<empty>"]
+    params = {}
+    for item in items:
+        key, sep, value = item.partition("=")
+        if not sep or key not in keys or key in params:
+            raise ValueError(f"bad parameter {item!r} for {kind}; it takes "
+                             f"{', '.join(f'{k}=' for k in keys) or 'none'}, each at most once")
+        params[key] = value
+    return kind, params

@@ -19,7 +19,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .datamodel import SeedSpec
+from .datamodel import SeedSpec, parse_spec
 from .errors import (
     InfiniteDivergence,
     InvalidD,
@@ -654,6 +654,27 @@ def lemma1_fidelity_to_chi2_bound(V: float, d: float, C: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _floats(text: str) -> List[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _box(lower: str, upper: str) -> BoxSupport:
+    return BoxSupport(tuple(_floats(lower)), tuple(_floats(upper)))
+
+
+# variant -> (its keys, every one required; constructor taking their values)
+_DENSITY_SPECS = {
+    "uniform-box": (("lower", "upper"), lambda lo, hi: UniformBox(_box(lo, hi))),
+    "trunc-normal": (
+        ("lower", "upper", "mean", "var"),
+        lambda lo, hi, mean, var: TruncatedNormalDiag(_box(lo, hi), _floats(mean), _floats(var)),
+    ),
+    "piecewise": (("breaks", "heights"), lambda b, h: PiecewiseConstant1D(_floats(b), _floats(h))),
+    "tilt": (("alpha",), lambda alpha: LinearTilt1D(float(alpha))),
+    "triangular": (("direction",), Triangular1D),
+}
+
+
 def parse_density(text: str) -> DensityModel:
     """Parse a density spec string: variant name followed by key=value pairs.
 
@@ -665,29 +686,12 @@ def parse_density(text: str) -> DensityModel:
         tilt alpha=0.3
         triangular direction=increasing
     """
-    parts = text.split()
-    if not parts:
-        raise ValueError("empty density spec")
-    kind, kv = parts[0], parts[1:]
-    args = {}
-    for item in kv:
-        if "=" not in item:
-            raise ValueError(f"malformed density parameter {item!r}")
-        key, val = item.split("=", 1)
-        args[key] = val
-
-    def floats(key):
-        return [float(v) for v in args[key].split(",")]
-
-    if kind == "uniform-box":
-        return UniformBox(BoxSupport(tuple(floats("lower")), tuple(floats("upper"))))
-    if kind == "trunc-normal":
-        support = BoxSupport(tuple(floats("lower")), tuple(floats("upper")))
-        return TruncatedNormalDiag(support, floats("mean"), floats("var"))
-    if kind == "piecewise":
-        return PiecewiseConstant1D(floats("breaks"), floats("heights"))
-    if kind == "tilt":
-        return LinearTilt1D(float(args["alpha"]))
-    if kind == "triangular":
-        return Triangular1D(args["direction"])
-    raise ValueError(f"unknown density variant {kind!r}")
+    kind = (text.split() or [""])[0]
+    if kind not in _DENSITY_SPECS:
+        raise ValueError(f"unknown density variant {kind!r}")
+    keys, build = _DENSITY_SPECS[kind]
+    _, args = parse_spec(text, keys)
+    missing = [k for k in keys if k not in args]
+    if missing:
+        raise ValueError(f"{kind} requires {', '.join(f'{k}=' for k in missing)}")
+    return build(*(args[k] for k in keys))

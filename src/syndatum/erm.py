@@ -23,9 +23,9 @@ from .datamodel import (
     NoiseModel,
     SeedSpec,
     TaskKind,
-    labels_from_probabilities,
+    draw_responses,
     make_dataset,
-    sample_noise,
+    parse_spec,
 )
 from .densities import DensityModel
 from .errors import NonConvergence, SingularDesign, TaskMismatch
@@ -401,6 +401,13 @@ def fit_classification(model_class: ModelClass, data: Dataset) -> FittedModel:
     raise TaskMismatch(f"unsupported model class {model_class!r}")
 
 
+def fit_downstream(model_class: ModelClass, data: Dataset) -> FittedModel:
+    """ERM of the class on the data, by the data's task."""
+    if data.task is TaskKind.REGRESSION:
+        return fit_regression(model_class, data)
+    return fit_classification(model_class, data)
+
+
 # ---------------------------------------------------------------------------
 # Population optima by Monte-Carlo ERM
 # ---------------------------------------------------------------------------
@@ -423,17 +430,9 @@ def population_optimum(
     X = density.sample(m, seed.child(71))
     task = model_class.task
     if isinstance(truth, FittedEstimator):
-        fn = truth.mean if task is TaskKind.REGRESSION else truth.prob
-    else:
-        fn = truth
-    values = np.asarray(fn(X), dtype=float).reshape(-1)
-    if task is TaskKind.REGRESSION:
-        y = values
-        if noise is not None and noise.variance > 0:
-            y = y + sample_noise(noise, m, seed.child(72))
-        return fit_regression(model_class, make_dataset(X, y, task))
-    z = labels_from_probabilities(values, seed.child(72).rng())
-    return fit_classification(model_class, make_dataset(X, z, task))
+        truth = truth.mean if task is TaskKind.REGRESSION else truth.prob
+    y = draw_responses(task, truth(X), noise, seed.child(72))
+    return fit_downstream(model_class, make_dataset(X, y, task))
 
 
 # ---------------------------------------------------------------------------
@@ -489,17 +488,12 @@ def _expand_box(box, q):
 def parse_model_class(text: str, p: int, task: TaskKind) -> ModelClass:
     """Parse a class spec string like ``linear``, ``constant box=-0.5,0.5``,
     ``logistic-linear box=4``, or ``threshold-abs box=0,0.5``."""
-    parts = text.split()
-    name = parts[0]
+    name, params = parse_spec(text, ("box", "ridge"))
     box = None
-    ridge = 0.0
-    for item in parts[1:]:
-        key, val = item.split("=", 1)
-        if key == "box":
-            vals = [float(v) for v in val.split(",")]
-            box = vals[0] if len(vals) == 1 else (vals[0], vals[1])
-        elif key == "ridge":
-            ridge = float(val)
-        else:
-            raise ValueError(f"unknown model-class parameter {key!r}")
-    return make_model_class(name, p, task, box=box, ridge=ridge)
+    if "box" in params:
+        vals = [float(v) for v in params["box"].split(",")]
+        box = vals[0] if len(vals) == 1 else (vals[0], vals[1])
+    mc = make_model_class(name, p, task, box=box, ridge=float(params.get("ridge", 0.0)))
+    if mc.task is not task:
+        raise ValueError(f"{name} is a {mc.task.value} class, not {task.value}")
+    return mc

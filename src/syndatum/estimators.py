@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .datamodel import Dataset, SeedSpec, TaskKind
+from .datamodel import Dataset, SeedSpec, TaskKind, parse_spec
 from .errors import NonConvergence, SingularDesign, TaskMismatch
 
 ESTIMATOR_KINDS = ("oracle", "ols", "logistic", "knn", "rf", "mlp")
@@ -463,17 +463,11 @@ def fit_estimator(spec: EstimatorSpec, data: Dataset, seed: SeedSpec) -> FittedE
     return FittedEstimator(kind, task, n, params, mean, _mean_to_prob(mean))
 
 
+# estimator parameter -> its type
+_ESTIMATOR_KEYS = {"k": int, "trees": int, "depth": int, "hidden": int, "layers": int, "box": float}
+
+
 def parse_estimator(text: str) -> EstimatorSpec:
     """Parse an estimator config entry, e.g. ``knn k=16`` or ``logistic box=4``."""
-    parts = text.split()
-    kind = parts[0]
-    kwargs = {}
-    for item in parts[1:]:
-        key, val = item.split("=", 1)
-        if key in ("k", "trees", "depth", "hidden", "layers"):
-            kwargs[key] = int(val)
-        elif key == "box":
-            kwargs[key] = float(val)
-        else:
-            raise ValueError(f"unknown estimator parameter {key!r}")
-    return EstimatorSpec(kind, **kwargs)
+    kind, params = parse_spec(text, _ESTIMATOR_KEYS)
+    return EstimatorSpec(kind, **{key: _ESTIMATOR_KEYS[key](val) for key, val in params.items()})

@@ -44,8 +44,9 @@ from .datamodel import (
     NoiseModel,
     SeedSpec,
     TaskKind,
-    labels_from_probabilities,
+    draw_responses,
     make_dataset,
+    parse_spec,
     sample_noise,
 )
 from .densities import (
@@ -62,7 +63,7 @@ from .densities import (
     fidelity_tail_probability,
     parse_density,
 )
-from .erm import fit_classification, fit_regression, make_model_class, parse_model_class, population_optimum
+from .erm import fit_downstream, make_model_class, parse_model_class, population_optimum
 from .errors import ConfigError, SyndatumError, UnknownBuiltin
 from .estimators import EstimatorSpec, fit_estimator, parse_estimator
 from .metrics import (
@@ -76,8 +77,8 @@ from .metrics import (
 from .synthesis import (
     FeatureGeneratorSpec,
     SynthesisConfig,
-    residual_variance,
     synthesize_from_fitted,
+    synthetic_noise,
 )
 
 DEFAULT_MASTER_SEED = 20230517
@@ -156,14 +157,9 @@ class TruthSpec:
 
 
 def parse_truth(text: str) -> TruthSpec:
-    parts = text.split()
-    beta = None
-    for item in parts[1:]:
-        key, val = item.split("=", 1)
-        if key != "beta":
-            raise ConfigError(f"unknown truth parameter {key!r}")
-        beta = tuple(float(v) for v in val.split(","))
-    return TruthSpec(parts[0], beta)
+    name, params = parse_spec(text, ("beta",))
+    beta = tuple(float(v) for v in params["beta"].split(",")) if "beta" in params else None
+    return TruthSpec(name, beta)
 
 
 def parse_noise(text: str) -> Optional[NoiseModel]:
@@ -174,14 +170,13 @@ def parse_noise(text: str) -> Optional[NoiseModel]:
         return None
     if text == "none":
         return NoiseModel.none()
-    parts = text.split()
-    kv = dict(item.split("=", 1) for item in parts[1:])
-    var = float(kv.get("var", "1"))
-    if parts[0] == "gaussian":
+    kind, params = parse_spec(text, ("var",))
+    var = float(params.get("var", "1"))
+    if kind == "gaussian":
         return NoiseModel.gaussian(var)
-    if parts[0] == "bounded-uniform":
+    if kind == "bounded-uniform":
         return NoiseModel.bounded_uniform(var)
-    raise ConfigError(f"unknown noise model {parts[0]!r}")
+    raise ConfigError(f"unknown noise model {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +207,10 @@ class ScenarioConfig:
     risk_method: str = "monte-carlo"
 
     def __post_init__(self):
-        if not self.n_grid or list(self.n_grid) != sorted(self.n_grid):
-            raise ConfigError("n_grid must be non-empty and ascending")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+        if not self.n_grid or list(self.n_grid) != sorted(self.n_grid) or self.n_grid[0] < 1:
+            raise ConfigError(f"n_grid must be non-empty, ascending and >= 1, got {self.n_grid}")
+        if self.replications < 1 or self.n_test < 1:
+            raise ConfigError("replications and n_test must be >= 1")
         unknown = sorted(set(self.outputs) - set(OUTPUT_NAMES))
         if unknown:
             raise ConfigError(f"unknown outputs {unknown}; choose from {OUTPUT_NAMES}")
@@ -334,14 +329,8 @@ def summarize(rows: Sequence[ResultRow]) -> List[dict]:
 
 def _draw_original(config: ScenarioConfig, n: int, seed: SeedSpec) -> Dataset:
     X = config.real_density.sample(n, seed.child(1))
-    truth = config.truth.resolve()
-    if config.task is TaskKind.REGRESSION:
-        y = np.asarray(truth(X), dtype=float)
-        if config.noise.variance > 0:
-            y = y + sample_noise(config.noise, n, seed.child(2))
-        return make_dataset(X, y, TaskKind.REGRESSION)
-    z = labels_from_probabilities(np.asarray(truth(X), dtype=float), seed.child(2).rng())
-    return make_dataset(X, z, TaskKind.CLASSIFICATION)
+    y = draw_responses(config.task, config.truth.resolve()(X), config.noise, seed.child(2))
+    return make_dataset(X, y, config.task)
 
 
 def _fitted_estimator(truth: TruthSpec, text: str, data: Dataset, seed: SeedSpec) -> "FittedEstimator":
@@ -351,12 +340,6 @@ def _fitted_estimator(truth: TruthSpec, text: str, data: Dataset, seed: SeedSpec
     if spec.kind == "oracle":
         spec = replace(spec, oracle_fn=truth.resolve())
     return fit_estimator(spec, data, seed)
-
-
-def _fit_downstream(model_class, data: Dataset):
-    if data.task is TaskKind.REGRESSION:
-        return fit_regression(model_class, data)
-    return fit_classification(model_class, data)
 
 
 def _error_row(name, n, rep, est_name, class_name, metric, exc) -> ResultRow:
@@ -384,48 +367,39 @@ def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
 
 def _synthesize(config: ScenarioConfig, est, original: Dataset, seed: SeedSpec):
     """Synthesize from the fitted estimation model.  Returns (synthetic
-    dataset, residual variance), the variance being None unless the
-    default synthetic noise of a regression scenario needed it."""
-    noise, rv = config.synth_noise, None
-    if noise is None and config.task is TaskKind.REGRESSION:
-        rv = residual_variance(est, original)
-        noise = NoiseModel.bounded_uniform(rv)
+    dataset, synthetic noise model), the model being None for
+    classification."""
+    noise = synthetic_noise(config.synth_noise, est, original)
     syn_cfg = SynthesisConfig(
         generator=FeatureGeneratorSpec.from_density(config.synth_density),
         estimator=EstimatorSpec(est.kind),  # unused: the estimator is already fitted
         synthetic_n=config.synthetic_n(original.n),
         noise=noise,
     )
-    return synthesize_from_fitted(est, syn_cfg, original, seed), rv
+    return synthesize_from_fitted(est, syn_cfg, original, seed), noise
 
 
-def _bound_report(config: ScenarioConfig, mc, est, rv: Optional[float], f_orig, f_synth,
-                  seeds: Tuple[SeedSpec, SeedSpec, SeedSpec], chi2: Optional[float] = None):
-    """The task's analytic utility bound.  ``rv`` is the residual variance
-    from _synthesize; ``seeds`` feed the real and the synthetic population
-    optima and the bound's own risk draws; ``chi2`` (None = compute) lets a
-    sweep share one divergence across its units."""
+def _bound_report(config: ScenarioConfig, mc, est, synth_noise: Optional[NoiseModel], f_orig,
+                  f_synth, seeds: Tuple[SeedSpec, SeedSpec, SeedSpec], chi2: Optional[float] = None):
+    """The task's analytic utility bound.  ``synth_noise`` is the synthetic
+    noise model from _synthesize; ``seeds`` feed the real and the synthetic
+    population optima and the bound's own risk draws; ``chi2`` (None =
+    compute) lets a sweep share one divergence across its units."""
     star_seed, tilde_seed, bound_seed = seeds
     truth = config.truth.resolve()
-    f_star = population_optimum(mc, config.real_density, truth, None, 100_000, star_seed)
+    fitted = FittedQuad(
+        f_orig,
+        f_synth,
+        population_optimum(mc, config.real_density, truth, None, 100_000, star_seed),
+        population_optimum(mc, config.synth_density, est, None, 100_000, tilde_seed),
+    )
     if config.task is TaskKind.REGRESSION:
-        f_tilde_star = population_optimum(
-            mc, config.synth_density, est.mean, None, 100_000, tilde_seed
-        )
-        synth_noise = config.synth_noise or NoiseModel.bounded_uniform(max(rv, 1e-12))
         scenario = RegressionScenario(
             config.real_density, config.synth_density, truth, config.noise, est, synth_noise
         )
-        return regression_bound(
-            scenario, FittedQuad(f_orig, f_synth, f_star, f_tilde_star),
-            n_test=config.n_test, seed=bound_seed, chi2=chi2,
-        )
-    f_tilde_star = population_optimum(mc, config.synth_density, est.prob, None, 100_000, tilde_seed)
+        return regression_bound(scenario, fitted, n_test=config.n_test, seed=bound_seed, chi2=chi2)
     scenario = ClassificationScenario(config.real_density, config.synth_density, truth, est)
-    return classification_bound(
-        scenario, FittedQuad(f_orig, f_synth, f_star, f_tilde_star),
-        n_test=config.n_test, seed=bound_seed, chi2=chi2,
-    )
+    return classification_bound(scenario, fitted, n_test=config.n_test, seed=bound_seed, chi2=chi2)
 
 
 def _lr_case(real: DensityModel, synth: DensityModel, beta, noise: NoiseModel,
@@ -480,10 +454,20 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
     original = _draw_original(config, n, base)
     rows: List[ResultRow] = []
 
-    # one fit per estimator, shared by the comparison and the synthesis
-    @cache
+    # one fit per estimator, shared by the comparison and the synthesis; a
+    # failed fit is kept and raised again, not repeated
+    fits = {}
+
     def fitted(ei):
-        return _fitted_estimator(config.truth, config.estimators[ei], original, base.child(4, ei))
+        if ei not in fits:
+            try:
+                fits[ei] = _fitted_estimator(config.truth, config.estimators[ei], original,
+                                             base.child(4, ei))
+            except SyndatumError as exc:
+                fits[ei] = exc
+        if isinstance(fits[ei], SyndatumError):
+            raise fits[ei]
+        return fits[ei]
 
     if "comparison" in config.outputs:
         est_name = config.estimators[0].split()[0]
@@ -499,7 +483,7 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
     @cache
     def fit_original(class_text):
         mc = parse_model_class(class_text, original.p, config.task)
-        return mc, _fit_downstream(mc, original)
+        return mc, fit_downstream(mc, original)
 
     for ei, est_text in enumerate(config.estimators):
         est_name = est_text.split()[0]
@@ -508,7 +492,7 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
             # and noise draws, so utilities differ only through the fitted
             # estimation model
             est = fitted(ei)
-            synthetic, rv = _synthesize(config, est, original, base.child(5))
+            synthetic, synth_noise = _synthesize(config, est, original, base.child(5))
         except SyndatumError as exc:
             rows.extend(
                 _error_row(config.name, n, rep, est_name, text.split()[0], "utility", exc)
@@ -519,7 +503,7 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
             row = partial(ResultRow, config.name, n, rep, est_name, class_text.split()[0])
             try:
                 mc, f_orig = fit_original(class_text)
-                f_synth = _fit_downstream(mc, synthetic)
+                f_synth = fit_downstream(mc, synthetic)
                 report = utility_metric(f_synth, f_orig, cfg)
             except SyndatumError as exc:
                 rows.append(_error_row(*row.args, "utility", exc))
@@ -532,7 +516,7 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
             if "bound" in config.outputs:
                 try:
                     bound = _bound_report(
-                        config, mc, est, rv, f_orig, f_synth,
+                        config, mc, est, synth_noise, f_orig, f_synth,
                         (base.child(6, ei), base.child(7, ei), base.child(9, ei)), chi2,
                     )
                 except SyndatumError as exc:
@@ -849,12 +833,12 @@ def _suite_case(task: TaskKind, i: int, master_seed: int) -> dict:
     seed = SeedSpec(master_seed, offset + i)
     original = _draw_original(config, n, seed.child(1))
     est = _fitted_estimator(truth, est_text, original, seed.child(2))
-    synthetic, rv = _synthesize(config, est, original, seed.child(3))
+    synthetic, synth_noise = _synthesize(config, est, original, seed.child(3))
     mc = parse_model_class(class_text, original.p, task)
-    f_hat, f_tilde = _fit_downstream(mc, original), _fit_downstream(mc, synthetic)
+    f_hat, f_tilde = fit_downstream(mc, original), fit_downstream(mc, synthetic)
     u_report = utility_metric(f_tilde, f_hat, _risk_config(config, seed.child(6)))
     bound = _bound_report(
-        config, mc, est, rv, f_hat, f_tilde, (seed.child(4), seed.child(5), seed.child(7))
+        config, mc, est, synth_noise, f_hat, f_tilde, (seed.child(4), seed.child(5), seed.child(7))
     )
     return {
         "kind": task.value,

@@ -22,8 +22,7 @@ from .datamodel import (
     NoiseModel,
     SeedSpec,
     TaskKind,
-    labels_from_probabilities,
-    sample_noise,
+    draw_responses,
 )
 from .densities import DensityModel
 from .erm import FittedModel, ModelClass, population_optimum
@@ -132,15 +131,6 @@ def _loss_vector(
     return (_sign_pred(s) != target).astype(float)
 
 
-def _draw_targets(cfg: RiskConfig, X: np.ndarray, seed: SeedSpec) -> np.ndarray:
-    values = np.asarray(_truth_fn(cfg.truth, cfg.loss)(X), dtype=float).reshape(-1)
-    if cfg.loss == SQUARED:
-        if cfg.noise is not None and cfg.noise.variance > 0:
-            values = values + sample_noise(cfg.noise, X.shape[0], seed)
-        return values
-    return labels_from_probabilities(values, seed.rng())
-
-
 def _quadrature(model: Predictor, density: DensityModel, truth, loss: str, excess: bool) -> float:
     """One-dimensional quadrature of a predictor's pointwise loss against the
     noise-free truth (excess=False) or of its pointwise excess risk."""
@@ -243,7 +233,7 @@ def risks_common_draws(models: Sequence[Predictor], cfg: RiskConfig):
         ]
         return ests, None
     X = cfg.density.sample(cfg.n_test, cfg.seed.child(91))
-    target = _draw_targets(cfg, X, cfg.seed.child(92))
+    target = draw_responses(cfg.task, _truth_fn(cfg.truth, cfg.loss)(X), cfg.noise, cfg.seed.child(92))
     vectors = [_loss_vector(_score_fn(m, cfg.loss), cfg.loss, X, target) for m in models]
     ests = [
         RiskEstimate(
@@ -304,15 +294,11 @@ def compare_models(
     when either gap falls inside the two-standard-error dead band.
     """
     m = cfg.population_m
-    truth_fn = _truth_fn(truth, cfg.loss)
     # noise-free targets: the population argmin is unchanged, MC error smaller
-    f1 = population_optimum(class1, real_density, truth_fn, None, m, cfg.seed.child(1))
-    f2 = population_optimum(class2, real_density, truth_fn, None, m, cfg.seed.child(2))
-    synth_truth = (
-        estimator_for_synth.mean if cfg.loss == SQUARED else estimator_for_synth.prob
-    )
-    f1s = population_optimum(class1, synth_density, synth_truth, None, m, cfg.seed.child(3))
-    f2s = population_optimum(class2, synth_density, synth_truth, None, m, cfg.seed.child(4))
+    f1 = population_optimum(class1, real_density, truth, None, m, cfg.seed.child(1))
+    f2 = population_optimum(class2, real_density, truth, None, m, cfg.seed.child(2))
+    f1s = population_optimum(class1, synth_density, estimator_for_synth, None, m, cfg.seed.child(3))
+    f2s = population_optimum(class2, synth_density, estimator_for_synth, None, m, cfg.seed.child(4))
 
     ests, loss_matrix = risks_common_draws([f1, f2, f1s, f2s], cfg)
     gap_orig = ests[0].value - ests[1].value

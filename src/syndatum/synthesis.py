@@ -14,9 +14,8 @@ from .datamodel import (
     NoiseModel,
     SeedSpec,
     TaskKind,
-    labels_from_probabilities,
+    draw_responses,
     make_dataset,
-    sample_noise,
 )
 from .densities import DensityModel
 from .errors import EmptyOriginal, TaskMismatch
@@ -74,8 +73,7 @@ def generate_regression_responses(
 ) -> np.ndarray:
     if est.task is not TaskKind.REGRESSION:
         raise TaskMismatch("regression responses require a regression estimator")
-    eps = sample_noise(noise, features.shape[0], seed)
-    return est.mean(features) + eps
+    return draw_responses(TaskKind.REGRESSION, est.mean(features), noise, seed)
 
 
 def generate_classification_responses(
@@ -83,8 +81,7 @@ def generate_classification_responses(
 ) -> np.ndarray:
     if est.task is not TaskKind.CLASSIFICATION:
         raise TaskMismatch("classification responses require a classification estimator")
-    prob = est.prob(features)
-    return labels_from_probabilities(prob, seed.rng())
+    return draw_responses(TaskKind.CLASSIFICATION, est.prob(features), None, seed)
 
 
 def residual_variance(est: FittedEstimator, data: Dataset) -> float:
@@ -92,6 +89,17 @@ def residual_variance(est: FittedEstimator, data: Dataset) -> float:
     (the default synthetic-noise variance)."""
     resid = data.responses - est.mean(data.features)
     return float(np.var(resid))
+
+
+def synthetic_noise(
+    noise: Optional[NoiseModel], est: FittedEstimator, original: Dataset
+) -> Optional[NoiseModel]:
+    """The synthetic-noise law: ``noise`` when given; otherwise bounded-uniform
+    noise with the residual variance of ``est`` on ``original`` for
+    regression, and none for classification."""
+    if noise is not None or original.task is not TaskKind.REGRESSION:
+        return noise
+    return NoiseModel.bounded_uniform(residual_variance(est, original))
 
 
 def synthesize_dataset(config: SynthesisConfig, original: Dataset, seed: SeedSpec) -> Dataset:
@@ -109,10 +117,8 @@ def synthesize_from_fitted(
     """Synthesis with an already-fitted estimation model (stage 2 only)."""
     features = generate_features(config.generator, original, config.synthetic_n, seed.child(2))
     if original.task is TaskKind.REGRESSION:
-        noise = config.noise
-        if noise is None:
-            noise = NoiseModel.bounded_uniform(residual_variance(est, original))
+        noise = synthetic_noise(config.noise, est, original)
         responses = generate_regression_responses(est, features, noise, seed.child(3))
-        return make_dataset(features, responses, TaskKind.REGRESSION)
-    responses = generate_classification_responses(est, features, seed.child(3))
-    return make_dataset(features, responses, TaskKind.CLASSIFICATION)
+    else:
+        responses = generate_classification_responses(est, features, seed.child(3))
+    return make_dataset(features, responses, original.task)

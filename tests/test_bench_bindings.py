@@ -1,0 +1,66 @@
+"""The benchmark's tracer (bench/spans.py) and self-test (bench/selftest.py)
+reach into syndatum by name.  A rename or a move would break them only when
+the benchmark runs, so this checks that every name they bind still exists
+where they look for it."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# attributes spans.install() wraps or replaces by hand
+HAND_BOUND = (
+    "synthesis.synthesize_from_fitted",
+    "estimators.FittedEstimator.mean",
+    "estimators.FittedEstimator.prob",
+    "estimators.ESTIMATOR_KINDS",
+    "densities.DensityModel.sample",
+    "cli._write_json",
+    "metrics.quad",
+    "densities.quad",
+    "harness.ProcessPoolExecutor",
+)
+# span names recorded by hand-bound wrappers, not named after a function
+RECORDED_BY_HAND = {"harness.pool_unit", "estimators.predict", "densities.sample"}
+
+
+def _assigned_strings(path: Path, targets) -> set:
+    """String constants in the module-level assignments to `targets`."""
+    out = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in targets for t in node.targets):
+            out |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return out
+
+
+def _span_names() -> list:
+    names = _assigned_strings(BENCH / "spans.py", {"RISK", "FIDELITY", "ERM_FIT", "SYNTH", "WRITE"})
+    names |= _assigned_strings(BENCH / "selftest.py", {"NAMED_SPANS"})
+    return sorted(names - RECORDED_BY_HAND)
+
+
+def _resolve(name: str):
+    layer, *path = name.split(".")
+    obj = importlib.import_module(f"syndatum.{layer}")
+    for attr in path:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_bench_bound_names_exist():
+    span_names = _span_names()
+    assert "erm.population_optimum" in span_names  # the parsing above read something
+    missing = []
+    for name in HAND_BOUND + tuple(span_names):
+        try:
+            obj = _resolve(name)
+        except (ImportError, AttributeError):
+            missing.append(name)
+            continue
+        # spans.install() names a span after the module that defines the function
+        module = f"syndatum.{name.split('.')[0]}"
+        if name in span_names and not (inspect.isfunction(obj) and obj.__module__ == module):
+            missing.append(name)
+    assert not missing, f"names bench/ binds that syndatum no longer has: {missing}"

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from syndatum.bounds import RegressionScenario
 from syndatum.datamodel import NoiseModel, TaskKind
 from syndatum.densities import BoxSupport, UniformBox
 from syndatum.errors import ConfigError, UnknownBuiltin
@@ -131,14 +132,12 @@ def test_classification_sweep_utility_bound_comparison(tmp_path):
     assert _rows_sha(rows, tmp_path) == "6f5e63d05d5266097416073e842084e72dfd7994b33321c611b5ee8cbd41d2d4"
 
 
-def test_unit_fits_each_estimator_and_residual_variance_once(monkeypatch):
+def _count_calls(monkeypatch, *fns) -> dict:
+    """Count calls of each function in every syndatum module that binds it."""
     import sys
 
-    import syndatum.estimators
-    import syndatum.synthesis
-
     calls = {}
-    for fn in (syndatum.estimators.fit_estimator, syndatum.synthesis.residual_variance):
+    for fn in fns:
         calls[fn.__name__] = 0
 
         def counted(*args, _fn=fn, **kwargs):
@@ -149,11 +148,57 @@ def test_unit_fits_each_estimator_and_residual_variance_once(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_unit_fits_each_estimator_and_residual_variance_once(monkeypatch):
+    import syndatum.estimators
+    import syndatum.synthesis
+
+    calls = _count_calls(
+        monkeypatch, syndatum.estimators.fit_estimator, syndatum.synthesis.residual_variance
+    )
     rows = run_scenario(
         _tiny_config(estimators=("knn",), outputs=("utility", "bound", "comparison"), n_test=500)
     )
     assert {r.metric_name for r in rows} >= {"utility", "bound_total", "consistent"}
     assert calls == {"fit_estimator": 1, "residual_variance": 1}
+
+
+def test_unit_keeps_a_failed_fit(monkeypatch):
+    import syndatum.estimators
+
+    calls = _count_calls(monkeypatch, syndatum.estimators.fit_estimator)
+    rows = run_scenario(
+        _tiny_config(
+            task=TaskKind.CLASSIFICATION,
+            truth=TruthSpec("step-pos"),
+            noise=NoiseModel.none(),
+            estimators=("ols",),
+            model_classes=("sign-abs", "sign-linear"),
+            outputs=("utility", "comparison"),
+        )
+    )
+    # the comparison and the synthesis both report the one failed fit
+    assert {r.metric_name for r in rows} == {"consistent", "utility"}
+    assert all("TaskMismatch" in r.error for r in rows)
+    assert calls == {"fit_estimator": 1}
+
+
+def test_bound_assumes_the_synthetic_noise_the_synthesis_used(monkeypatch):
+    import syndatum.harness
+
+    variances = []
+
+    def scenario(*args):
+        variances.append(args[-1].variance)
+        return RegressionScenario(*args)
+
+    monkeypatch.setattr(syndatum.harness, "RegressionScenario", scenario)
+    # oracle on noise-free data: residual variance 0, so no synthetic noise
+    rows = run_scenario(_tiny_config(noise=NoiseModel.none(), outputs=("utility", "bound")))
+    assert not any(r.error for r in rows)
+    assert variances == [0.0, 0.0]
 
 
 def test_full_run_determinism_byte_identical_csv(tmp_path):
@@ -336,6 +381,18 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
             "real_density = uniform-box lower=-1,-1 upper=1,1\nrisk_method = quadrature",
             "one-dimensional",
         ),
+        # every spec takes only its own keys, and a density needs all of them
+        ("noise = gaussian var=0.25", "noise = gaussian variance=4", "variance=4"),
+        ("real_density = uniform-box lower=-1 upper=1",
+         "real_density = uniform-box lower=-1 upper=1 mean=3", "mean=3"),
+        ("real_density = uniform-box lower=-1 upper=1", "real_density = uniform-box lower=-1",
+         "uniform-box requires upper="),
+        ("synth_density = piecewise breaks=-1,0,1 heights=0.25,0.75", "synth_density = tilt",
+         "tilt requires alpha="),
+        ("model_classes = linear; abs", "model_classes = linear; sign-abs",
+         "sign-abs is a classification class"),
+        ("n_grid = 64", "n_grid = 0", "n_grid"),
+        ("n_test = 2000", "n_test = 0", "n_test"),
     ):
         path.write_text(CONFIG_TEXT.replace(old, new))
         with pytest.raises(ConfigError, match=match):
