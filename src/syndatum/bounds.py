@@ -169,16 +169,11 @@ def regression_bound(
     def phi_real(model):  # excess risk against mu under the real law
         return float(np.mean((_pred(model, X) - mu_X) ** 2))
 
-    upsilon1 = (
-        math.sqrt(phi_synth(fitted.on_synthetic))
-        + 2.0 * math.sqrt(phi_synth(fitted.population_synth))
-        + math.sqrt(phi_synth(fitted.population_real))
-    )
-    upsilon2 = (
-        math.sqrt(phi_real(fitted.on_synthetic))
-        + 2.0 * math.sqrt(phi_real(fitted.population_synth))
-        + math.sqrt(phi_real(fitted.population_real))
-    )
+    def upsilon(phi):
+        return (math.sqrt(phi(fitted.on_synthetic)) + 2.0 * math.sqrt(phi(fitted.population_synth))
+                + math.sqrt(phi(fitted.population_real)))
+
+    upsilon1, upsilon2 = upsilon(phi_synth), upsilon(phi_real)
     phi_mu_hat = float(np.mean((muh_X - mu_X) ** 2))
 
     support = scenario.real_density.support
@@ -244,19 +239,15 @@ def classification_bound(
     def phi_synth_01(model):
         return float(np.mean((sign(_pred(model, Xs)) != plug_sign_Xs) * weight_s))
 
-    upsilon3 = (
-        math.sqrt(phi_synth_01(fitted.population_real))
-        + 2.0 * math.sqrt(phi_synth_01(fitted.population_synth))
-        + math.sqrt(phi_synth_01(fitted.on_synthetic))
-    )
-    eta_l2_gap = float(math.sqrt(np.mean((etah_X - eta_X) ** 2)))
-
     def c_of(model):
         return float(math.sqrt(np.mean(_pred(model, X) * (etah_X - 0.5) < 0.0)))
 
-    c_terms = c_of(fitted.population_real) + 2.0 * c_of(fitted.population_synth) + c_of(
-        fitted.on_synthetic
-    )
+    def weighted(term):
+        return term(fitted.population_real) + 2.0 * term(fitted.population_synth) + term(fitted.on_synthetic)
+
+    upsilon3 = weighted(lambda model: math.sqrt(phi_synth_01(model)))
+    eta_l2_gap = float(math.sqrt(np.mean((etah_X - eta_X) ** 2)))
+    c_terms = weighted(c_of)
 
     bayes = sign(eta_X - 0.5)
     phi_plugin = float(np.mean((sign(etah_X - 0.5) != bayes) * np.abs(2.0 * eta_X - 1.0)))

@@ -55,12 +55,14 @@ def _write_json(payload, out):
         print(text)
 
 
-def _first_scenario(path) -> ScenarioConfig:
-    return load_scenarios(path)[0]
-
-
 def _seeded(config: ScenarioConfig, seed) -> ScenarioConfig:
     return config if seed is None else replace(config, master_seed=seed)
+
+
+def _first_scenario(args):
+    """The first --config scenario, seeded by --seed if given, and its seed stream 0."""
+    config = _seeded(load_scenarios(args.config)[0], getattr(args, "seed", None))
+    return config, SeedSpec(config.master_seed, 0)
 
 
 def _cmd_experiment(args) -> int:
@@ -87,8 +89,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    config = _seeded(_first_scenario(args.config), args.seed)
-    seed = SeedSpec(config.master_seed, 0)
+    config, seed = _first_scenario(args)
     original = _draw_original(config, config.n_grid[0], seed.child(0))
     est = _fitted_estimator(config.truth, config.estimators[0], original, seed.child(1))
     synthetic, _ = _synthesize(config, est, original, seed.child(2))
@@ -98,7 +99,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
-    config = _first_scenario(args.config)
+    config, _ = _first_scenario(args)
     p, q = config.real_density, config.synth_density
     chi2_pq = chi_square_divergence(p, q)
     chi2_qp = chi_square_divergence(q, p)
@@ -113,8 +114,7 @@ def _cmd_fidelity(args) -> int:
 
 
 def _cmd_utility(args) -> int:
-    config = _seeded(_first_scenario(args.config), args.seed)
-    seed = SeedSpec(config.master_seed, 0)
+    config, seed = _first_scenario(args)
     n = config.n_grid[-1]
     original = _draw_original(config, n, seed.child(0))
     classes = [parse_model_class(text, original.p, config.task) for text in config.model_classes]
@@ -139,8 +139,7 @@ def _cmd_utility(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    config = _seeded(_first_scenario(args.config), args.seed)
-    seed = SeedSpec(config.master_seed, 0)
+    config, seed = _first_scenario(args)
     n = config.n_grid[0]
     if args.task == "lr":
         if config.task is not TaskKind.REGRESSION or config.truth.name != "linear":
@@ -185,10 +184,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _seeded(_first_scenario(args.config), args.seed)
+    config, seed = _first_scenario(args)
     if len(config.model_classes) != 2:
         raise ConfigError("compare requires exactly two entries in model_classes")
-    seed = SeedSpec(config.master_seed, 0)
     original = _draw_original(config, config.n_grid[0], seed.child(0))
     est = _fitted_estimator(config.truth, config.estimators[0], original, seed.child(1))
     report = _compare(config, est, seed.child(2))
@@ -211,31 +209,21 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", default="syndatum-out", help="output directory")
     exp.add_argument("--workers", type=int, default=0, help="parallel workers (default 1 or SYNDATUM_WORKERS)")
 
-    synth = sub.add_parser("synth", help="emit a synthetic dataset as CSV")
-    synth.add_argument("--config", required=True)
-    synth.add_argument("--out", required=True)
-    synth.add_argument("--seed", type=int, default=None)
+    def command(name, help_text, seeded=True, out_required=False):
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config", required=True)
+        cmd.add_argument("--out", required=out_required, default=None)
+        if seeded:
+            cmd.add_argument("--seed", type=int, default=None)
+        return cmd
 
-    fid = sub.add_parser("fidelity", help="chi-square divergence and (V,d) certificate")
-    fid.add_argument("--config", required=True)
+    command("synth", "emit a synthetic dataset as CSV", out_required=True)
+    fid = command("fidelity", "chi-square divergence and (V,d) certificate", seeded=False)
     fid.add_argument("--d", type=float, default=1.0)
-    fid.add_argument("--out", default=None)
-
-    util = sub.add_parser("utility", help="utility reports for one scenario draw")
-    util.add_argument("--config", required=True)
-    util.add_argument("--out", default=None)
-    util.add_argument("--seed", type=int, default=None)
-
-    bound = sub.add_parser("bound", help="utility-bound report with every component")
+    command("utility", "utility reports for one scenario draw")
+    bound = command("bound", "utility-bound report with every component")
     bound.add_argument("--task", choices=("reg", "cls", "lr"), required=True)
-    bound.add_argument("--config", required=True)
-    bound.add_argument("--out", default=None)
-    bound.add_argument("--seed", type=int, default=None)
-
-    comp = sub.add_parser("compare", help="consistent model-comparison report")
-    comp.add_argument("--config", required=True)
-    comp.add_argument("--out", default=None)
-    comp.add_argument("--seed", type=int, default=None)
+    command("compare", "consistent model-comparison report")
     return parser
 
 

@@ -188,25 +188,29 @@ class _KNN:
     def predict(self, Q: np.ndarray) -> np.ndarray:
         n = self.X.shape[0]
         k = min(self.k, n)
+        if k >= n:
+            return np.full(Q.shape[0], self.y.mean())
         out = np.empty(Q.shape[0])
         chunk = max(1, int(4_000_000 // max(n, 1)))
         for s in range(0, Q.shape[0], chunk):
-            B = Q[s : s + chunk]
-            D = self._sq[None, :] - 2.0 * (B @ self.X.T)
-            # query norms omitted: constant per row, irrelevant to ordering
-            if k >= n:
-                out[s : s + B.shape[0]] = self.y.mean()
-                continue
-            kth = np.partition(D, k - 1, axis=1)[:, k - 1]
-            for i in range(B.shape[0]):
-                row = D[i]
-                less = row < kth[i]
-                c = int(np.count_nonzero(less))
-                total = float(self.y[less].sum())
-                if c < k:
-                    ties = np.flatnonzero(row == kth[i])[: k - c]
-                    total += float(self.y[ties].sum())
-                out[s + i] = total / k
+            D = self._sq[None, :] - 2.0 * (Q[s : s + chunk] @ self.X.T)
+            # query norms omitted: constant per row, irrelevant to ordering.  Where
+            # the k-th distance is unique, the k - 1 other columns of the k + 1
+            # nearest are the nearer rows; sorted, they sum as y[D[i] < kth[i]]
+            part = np.argpartition(D, k, axis=1)[:, : k + 1]
+            rows = np.arange(D.shape[0])
+            near = D[rows[:, None], part]
+            at = np.argmax(near[:, :k], axis=1)
+            kth = near[rows, at]
+            unique = (np.count_nonzero(near[:, :k] == kth[:, None], axis=1) == 1) & (near[:, k] > kth)
+            nearer = np.sort(np.where(np.arange(k) == at[:, None], -1, part[:, :k]), axis=1)[:, 1:]
+            total = self.y[nearer].sum(axis=1) + self.y[part[rows, at][:, None]].sum(axis=1)
+            for i in np.flatnonzero(~unique):  # the nearer rows, then the lowest-index tied ones
+                less = D[i] < kth[i]
+                ties = np.flatnonzero(D[i] == kth[i])[: k - np.count_nonzero(less)]
+                total[i] = float(self.y[less].sum()) + float(self.y[ties].sum())
+            out[s : s + rows.shape[0]] = total / k
+            del D, part  # free this chunk's arrays before the next is computed
         return out
 
 
@@ -252,52 +256,60 @@ class _Tree:
         return self.value[node]
 
 
-def _best_split(X: np.ndarray, y: np.ndarray):
+def _best_split(X: np.ndarray, y: np.ndarray, orders: np.ndarray, total: float):
     """Best (feature, threshold) by squared-error reduction; all features
-    considered; ties broken toward the lowest feature index."""
-    m = y.shape[0]
-    total = y.sum()
+    considered; ties broken toward the lowest feature index.  Row j of
+    ``orders`` holds the node's rows sorted by feature j; ``total`` is the
+    sum of their responses."""
+    p, m = orders.shape
+    xs = X[orders, np.arange(p)[:, None]]
+    prefix = np.cumsum(y[orders], axis=1)[:, :-1]
+    valid = xs[:, :-1] < xs[:, 1:]
+    counts = np.arange(1, m)
+    score = prefix**2 / counts + (total - prefix) ** 2 / (m - counts)
+    score[~valid] = -np.inf
+    best_i = np.argmax(score, axis=1)
     best_score = -np.inf
     best = None
-    counts = np.arange(1, m)
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        prefix = np.cumsum(y[order])[:-1]
-        valid = xs[:-1] < xs[1:]
-        if not valid.any():
-            continue
-        score = prefix**2 / counts + (total - prefix) ** 2 / (m - counts)
-        score[~valid] = -np.inf
-        i = int(np.argmax(score))
-        if score[i] > best_score + 1e-12:
-            best_score = score[i]
-            best = (j, 0.5 * (xs[i] + xs[i + 1]))
+    for j in np.flatnonzero(valid.any(axis=1)):
+        i = best_i[j]
+        if score[j, i] > best_score + 1e-12:
+            best_score = score[j, i]
+            best = (int(j), 0.5 * (xs[j, i] + xs[j, i + 1]))
     return best
 
 
 def _grow_tree(X, y, max_depth) -> _Tree:
     tree = _Tree()
     root = tree._add(-1, 0.0, float(y.mean()))
-    stack = [(root, np.arange(y.shape[0]), 0)]
+    # rows are sorted once per feature; a node's rows stay ascending and its
+    # orders, filtered from its parent's, equal a stable sort of its own rows
+    orders = np.stack([np.argsort(X[:, j], kind="stable") for j in range(X.shape[1])])
+    goes_left = np.zeros(y.shape[0], dtype=bool)
+    stack = [(root, np.arange(y.shape[0]), orders, 0)]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx, orders, depth = stack.pop()
         ys = y[idx]
-        if depth >= max_depth or idx.shape[0] < 2 or np.ptp(ys) == 0.0:
+        m = idx.shape[0]
+        if depth >= max_depth or m < 2 or ys.max() - ys.min() == 0.0:
             continue
-        split = _best_split(X[idx], ys)
+        split = _best_split(X, y, orders, ys.sum())
         if split is None:
             continue
         j, thr = split
         mask = X[idx, j] <= thr
-        left = tree._add(-1, 0.0, float(ys[mask].mean()))
-        right = tree._add(-1, 0.0, float(ys[~mask].mean()))
+        n_left = int(np.count_nonzero(mask))  # sum / count rounds as ndarray.mean
+        left = tree._add(-1, 0.0, float(ys[mask].sum() / n_left))
+        right = tree._add(-1, 0.0, float(ys[~mask].sum() / (m - n_left)))
         tree.feature[node] = j
         tree.threshold[node] = thr
         tree.left[node] = left
         tree.right[node] = right
-        stack.append((left, idx[mask], depth + 1))
-        stack.append((right, idx[~mask], depth + 1))
+        if depth + 1 < max_depth:  # children at max_depth stay leaves
+            goes_left[idx] = mask
+            sides = goes_left[orders]
+            stack.append((left, idx[mask], orders[sides].reshape(-1, n_left), depth + 1))
+            stack.append((right, idx[~mask], orders[~sides].reshape(-1, m - n_left), depth + 1))
     tree.finalize()
     return tree
 

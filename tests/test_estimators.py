@@ -87,6 +87,31 @@ def test_knn_tie_break_lowest_index():
     assert predict_mean(est2, [0.0]) == pytest.approx(50.5)
 
 
+def _knn_reference(X, y, k, Q):
+    """The k-nearest-neighbour mean, one query at a time: the rows strictly
+    nearer than the k-th distance, then the lowest-index rows at it."""
+    sq = np.einsum("ij,ij->i", X, X)
+    out = np.empty(Q.shape[0])
+    for i, row in enumerate(sq[None, :] - 2.0 * (Q @ X.T)):
+        kth = np.partition(row, k - 1)[k - 1]
+        less = row < kth
+        ties = np.flatnonzero(row == kth)[: k - np.count_nonzero(less)]
+        out[i] = (float(y[less].sum()) + float(y[ties].sum())) / k
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 40, 149])
+def test_knn_predict_matches_per_query_reference(k):
+    # rounded features put many training rows at the same distance
+    rng = SeedSpec(31).rng()
+    X = np.round(rng.normal(size=(150, 2)), 1)
+    y = rng.normal(size=150) * 1e3
+    Q = np.vstack([X[:50], np.round(rng.normal(size=(300, 2)), 1), rng.normal(size=(300, 2))])
+    from syndatum.estimators import _KNN
+
+    assert _KNN(X, y, k).predict(Q).tobytes() == _knn_reference(X, y, k, Q).tobytes()
+
+
 def test_knn_classification_prob_in_unit_interval():
     rng = SeedSpec(3).rng()
     X = rng.normal(size=(200, 2))
@@ -192,6 +217,59 @@ def test_rf_single_depth_zero_tree_is_training_mean():
     pred = forest.predict(np.array([[0.0, 0.0], [9.0, -9.0]]))
     assert np.allclose(pred, ds.responses.mean())
     assert est.training_n == 64
+
+
+def _cart_reference(X, y, max_depth, Q):
+    """Plain CART predictions: each node stable-sorts its own rows per feature
+    and takes the first best variance-reduction split (lowest feature on
+    ties); children are grown depth first."""
+
+    def grow(idx, depth):
+        ys = y[idx]
+        leaf = ("leaf", float(ys.mean()))
+        if depth >= max_depth or idx.shape[0] < 2 or np.ptp(ys) == 0.0:
+            return leaf
+        m, total, best_score, best = idx.shape[0], ys.sum(), -np.inf, None
+        for j in range(X.shape[1]):
+            order = np.argsort(X[idx, j], kind="stable")
+            xs = X[idx[order], j]
+            prefix = np.cumsum(ys[order])[:-1]
+            valid = xs[:-1] < xs[1:]
+            if not valid.any():
+                continue
+            counts = np.arange(1, m)
+            score = prefix**2 / counts + (total - prefix) ** 2 / (m - counts)
+            score[~valid] = -np.inf
+            i = int(np.argmax(score))
+            if score[i] > best_score + 1e-12:
+                best_score, best = score[i], (j, 0.5 * (xs[i] + xs[i + 1]))
+        if best is None:
+            return leaf
+        j, thr = best
+        mask = X[idx, j] <= thr
+        return ("split", j, thr, grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
+
+    def predict(node, q):
+        while node[0] == "split":
+            node = node[3] if q[node[1]] <= node[2] else node[4]
+        return node[1]
+
+    root = grow(np.arange(y.shape[0]), 0)
+    return np.array([predict(root, q) for q in Q])
+
+
+@pytest.mark.parametrize("p, depth", [(1, 3), (2, 6), (3, 12)])
+def test_rf_tree_matches_per_node_sort_reference(p, depth):
+    # rounded features give tied split candidates; rounded responses give
+    # constant nodes
+    rng = SeedSpec(32 + p).rng()
+    X = np.round(rng.normal(size=(300, p)), 1)
+    y = np.round(X[:, 0] ** 2 + rng.normal(size=300), 1)
+    Q = np.vstack([X, rng.normal(size=(200, p))])
+    from syndatum.estimators import _Forest
+
+    forest = _Forest(X, y, 1, depth, SeedSpec(5).rng())
+    assert forest.predict(Q).tobytes() == _cart_reference(X, y, depth, Q).tobytes()
 
 
 def test_rf_fits_signal_better_than_mean():
