@@ -485,10 +485,15 @@ def _expand_box(box, q):
     return (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
 
 
+# class name -> the parameters its spec takes; every basis class takes box= and ridge=
+_CLASS_KEYS = {"threshold-abs": ("box",), "sign-abs": (), "sign-linear": ()}
+
+
 def parse_model_class(text: str, p: int, task: TaskKind) -> ModelClass:
     """Parse a class spec string like ``linear``, ``constant box=-0.5,0.5``,
     ``logistic-linear box=4``, or ``threshold-abs box=0,0.5``."""
-    name, params = parse_spec(text, ("box", "ridge"))
+    name = (text.split() or ["<empty>"])[0]
+    name, params = parse_spec(text, _CLASS_KEYS.get(name, ("box", "ridge")))
     box = None
     if "box" in params:
         vals = [float(v) for v in params["box"].split(",")]

@@ -21,7 +21,10 @@ import numpy as np
 from .datamodel import Dataset, SeedSpec, TaskKind, parse_spec
 from .errors import NonConvergence, SingularDesign, TaskMismatch
 
-ESTIMATOR_KINDS = ("oracle", "ols", "logistic", "knn", "rf", "mlp")
+# estimator kind -> the parameters its spec takes (box is a float, the rest ints)
+_ESTIMATOR_KEYS = {"oracle": (), "ols": (), "logistic": ("box",), "knn": ("k",),
+                   "rf": ("trees", "depth"), "mlp": ("hidden", "layers")}
+ESTIMATOR_KINDS = tuple(_ESTIMATOR_KEYS)
 
 
 @dataclass(frozen=True)
@@ -475,11 +478,11 @@ def fit_estimator(spec: EstimatorSpec, data: Dataset, seed: SeedSpec) -> FittedE
     return FittedEstimator(kind, task, n, params, mean, _mean_to_prob(mean))
 
 
-# estimator parameter -> its type
-_ESTIMATOR_KEYS = {"k": int, "trees": int, "depth": int, "hidden": int, "layers": int, "box": float}
-
-
 def parse_estimator(text: str) -> EstimatorSpec:
-    """Parse an estimator config entry, e.g. ``knn k=16`` or ``logistic box=4``."""
-    kind, params = parse_spec(text, _ESTIMATOR_KEYS)
-    return EstimatorSpec(kind, **{key: _ESTIMATOR_KEYS[key](val) for key, val in params.items()})
+    """Parse an estimator config entry, e.g. ``knn k=16`` or ``logistic box=4``;
+    each kind takes only the parameters it reads."""
+    kind = (text.split() or ["<empty>"])[0]
+    if kind not in _ESTIMATOR_KEYS:
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    _, params = parse_spec(text, _ESTIMATOR_KEYS[kind])
+    return EstimatorSpec(kind, **{k: (float if k == "box" else int)(v) for k, v in params.items()})

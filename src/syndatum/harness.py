@@ -19,7 +19,6 @@ replication counts, and test sizes for desk-scale runs.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import warnings
@@ -532,21 +531,6 @@ def _unit_star(args):
     return _run_unit(*args)
 
 
-def _one_blas_thread() -> None:
-    """Pool-worker initializer: forked workers keep the parent's BLAS threads
-    and oversubscribe the cores (2 workers on 2 cores ran fig3 units ~1.5x
-    slower), so cap every loaded OpenBLAS at one; rows do not depend on it."""
-    if not os.path.exists("/proc/self/maps"):
-        return
-    with open("/proc/self/maps") as maps:
-        paths = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
-    for lib in map(ctypes.CDLL, sorted(paths)):
-        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
-            if hasattr(lib, name):
-                getattr(lib, name)(1)
-
-
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
     """Execute the full (n, replication) sweep.
 
@@ -578,7 +562,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
         for rep in range(config.replications)
     ]
     if workers > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_unit_star, units, chunksize=1):
                 rows.extend(result)
     else:

@@ -250,6 +250,10 @@ def test_parse_model_class():
     assert (mc.lo, mc.hi) == (0.0, 0.5)
     with pytest.raises(ValueError):
         parse_model_class("fourier", 1, REG)
+    # a class takes only the parameters it reads
+    for text in ("sign-abs box=1", "sign-linear ridge=0.1", "threshold-abs box=0,0.5 ridge=0.1"):
+        with pytest.raises(ValueError, match="bad parameter"):
+            parse_model_class(text, 1, CLS)
 
 
 def test_recip_cubic_bases_shapes():

@@ -341,3 +341,7 @@ def test_parse_estimator():
     assert (spec.trees, spec.depth) == (50, 5)
     with pytest.raises(ValueError):
         parse_estimator("svm")
+    # a kind takes only the parameters it reads
+    for text in ("knn depth=3", "knn trees=5 box=2", "rf k=3", "mlp box=1", "logistic k=2", "ols k=1"):
+        with pytest.raises(ValueError, match="bad parameter"):
+            parse_estimator(text)

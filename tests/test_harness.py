@@ -215,37 +215,6 @@ def test_schedule_independence_with_workers(tmp_path):
     assert serial == parallel
 
 
-def _blas_thread_counts():
-    """Thread count of every loaded OpenBLAS that reports one."""
-    import ctypes
-
-    with open("/proc/self/maps") as maps:
-        paths = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
-    counts = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
-            if hasattr(lib, name):
-                counts.append(getattr(lib, name)())
-                break
-    return counts
-
-
-def test_pool_workers_run_one_blas_thread(monkeypatch):
-    # each unit reports its worker's BLAS thread counts instead of results;
-    # forked workers inherit the patched unit function
-    def report(config, n_index, rep, chi2):
-        return [ResultRow("blas", n_index, rep, "", "", "threads", float(c), 0.0)
-                for c in _blas_thread_counts()]
-
-    import syndatum.harness as harness
-
-    monkeypatch.setattr(harness, "_run_unit", report)
-    rows = run_scenario(_tiny_config(replications=2, n_grid=(32, 64)), workers=2)
-    assert rows and {r.value for r in rows} == {1.0}
-
-
 def test_per_replication_independence():
     config3 = _tiny_config(replications=3)
     config2 = _tiny_config(replications=2)
@@ -422,6 +391,7 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
          "tilt requires alpha="),
         ("model_classes = linear; abs", "model_classes = linear; sign-abs",
          "sign-abs is a classification class"),
+        ("estimators = oracle", "estimators = knn depth=3", "depth=3"),
         ("n_grid = 64", "n_grid = 0", "n_grid"),
         ("n_test = 2000", "n_test = 0", "n_test"),
     ):
