@@ -25,6 +25,7 @@ from .densities import BoxSupport, DensityModel, chi_square_divergence
 from .erm import BasisFunctionClass, FittedModel, ThresholdAbsClass
 from .errors import SingularDesign
 from .estimators import FittedEstimator
+from .metrics import SQUARED, ZERO_ONE, _excess_vector, _loss_vector
 
 _TINY = 1e-12
 
@@ -116,12 +117,6 @@ class AssumptionCheck(JsonReport):
     holds_cls: bool
 
 
-def _pred(model, X):
-    if isinstance(model, FittedModel):
-        return np.asarray(model.predict(X), dtype=float).reshape(-1)
-    return np.asarray(model(X), dtype=float).reshape(-1)
-
-
 def _sup_abs(model_values_fn, X: np.ndarray, support: BoxSupport) -> float:
     pts = np.vstack([X, support.corners()])
     return float(np.max(np.abs(model_values_fn(pts))))
@@ -132,6 +127,24 @@ def _coupled_total(finite_part: float, coef: float, chi2: float) -> float:
     if math.isinf(chi2):
         return math.inf if coef > _TINY else finite_part
     return finite_part + coef * math.sqrt(chi2)
+
+
+def _estimation_errors(fitted: FittedQuad, loss: str, X, y, Xs, ys) -> tuple:
+    """|risk(ERM) - risk(population optimum)| on the real draw (X, y) and on
+    the synthetic draw (Xs, ys)."""
+
+    def risk(model, X, y):
+        return float(np.mean(_loss_vector(model.predict, loss, X, y)))
+
+    return (
+        abs(risk(fitted.on_original, X, y) - risk(fitted.population_real, X, y)),
+        abs(risk(fitted.on_synthetic, Xs, ys) - risk(fitted.population_synth, Xs, ys)),
+    )
+
+
+def _excess(model: FittedModel, X: np.ndarray, truth: np.ndarray, loss: str) -> float:
+    """Mean excess loss of a fitted model over the noise-free truth at X."""
+    return float(np.mean(_excess_vector(model.predict(X), truth, loss)))
 
 
 def regression_bound(
@@ -153,35 +166,22 @@ def regression_bound(
     muh_Xs = scenario.mu_hat.mean(Xs)
     y = draw_responses(TaskKind.REGRESSION, mu_X, scenario.noise, seed.child(13))
     ys = draw_responses(TaskKind.REGRESSION, muh_Xs, scenario.synth_noise, seed.child(14))
+    est_err_original, est_err_synthetic = _estimation_errors(fitted, SQUARED, X, y, Xs, ys)
 
-    def risk_real(model):
-        return float(np.mean((_pred(model, X) - y) ** 2))
+    def upsilon(X, truth):  # root excess risks against mu_hat (synthetic) or mu (real)
+        def root(model):
+            return math.sqrt(_excess(model, X, truth, SQUARED))
 
-    def risk_synth(model):
-        return float(np.mean((_pred(model, Xs) - ys) ** 2))
+        return root(fitted.on_synthetic) + 2.0 * root(fitted.population_synth) + root(fitted.population_real)
 
-    est_err_original = abs(risk_real(fitted.on_original) - risk_real(fitted.population_real))
-    est_err_synthetic = abs(risk_synth(fitted.on_synthetic) - risk_synth(fitted.population_synth))
-
-    def phi_synth(model):  # excess risk against mu_hat under the synthetic law
-        return float(np.mean((_pred(model, Xs) - muh_Xs) ** 2))
-
-    def phi_real(model):  # excess risk against mu under the real law
-        return float(np.mean((_pred(model, X) - mu_X) ** 2))
-
-    def upsilon(phi):
-        return (math.sqrt(phi(fitted.on_synthetic)) + 2.0 * math.sqrt(phi(fitted.population_synth))
-                + math.sqrt(phi(fitted.population_real)))
-
-    upsilon1, upsilon2 = upsilon(phi_synth), upsilon(phi_real)
-    phi_mu_hat = float(np.mean((muh_X - mu_X) ** 2))
+    upsilon1, upsilon2 = upsilon(Xs, muh_Xs), upsilon(X, mu_X)
+    phi_mu_hat = float(np.mean(_excess_vector(muh_X, mu_X, SQUARED)))
 
     support = scenario.real_density.support
     M = max(
-        _sup_abs(scenario.mu_hat.mean, X, support),
-        _sup_abs(lambda pts: _pred(fitted.on_synthetic, pts), X, support),
-        _sup_abs(lambda pts: _pred(fitted.population_synth, pts), X, support),
-        _sup_abs(lambda pts: _pred(fitted.population_real, pts), X, support),
+        _sup_abs(values, X, support)
+        for values in (scenario.mu_hat.mean, fitted.on_synthetic.predict,
+                       fitted.population_synth.predict, fitted.population_real.predict)
     )
 
     if chi2 is None:
@@ -220,37 +220,19 @@ def classification_bound(
     etah_Xs = scenario.eta_hat.prob(Xs)
     Z = draw_responses(TaskKind.CLASSIFICATION, eta_X, None, seed.child(23))
     Zs = draw_responses(TaskKind.CLASSIFICATION, etah_Xs, None, seed.child(24))
+    est_err_original, est_err_synthetic = _estimation_errors(fitted, ZERO_ONE, X, Z, Xs, Zs)
 
-    def sign(v):
-        return np.where(v >= 0.0, 1.0, -1.0)
-
-    def risk_real(model):
-        return float(np.mean(sign(_pred(model, X)) != Z))
-
-    def risk_synth(model):
-        return float(np.mean(sign(_pred(model, Xs)) != Zs))
-
-    est_err_original = abs(risk_real(fitted.on_original) - risk_real(fitted.population_real))
-    est_err_synthetic = abs(risk_synth(fitted.on_synthetic) - risk_synth(fitted.population_synth))
-
-    plug_sign_Xs = sign(etah_Xs - 0.5)
-    weight_s = np.abs(2.0 * etah_Xs - 1.0)
-
-    def phi_synth_01(model):
-        return float(np.mean((sign(_pred(model, Xs)) != plug_sign_Xs) * weight_s))
-
-    def c_of(model):
-        return float(math.sqrt(np.mean(_pred(model, X) * (etah_X - 0.5) < 0.0)))
+    def c_of(model):  # root mass where the model's score opposes eta_hat - 1/2
+        return float(math.sqrt(np.mean(model.predict(X) * (etah_X - 0.5) < 0.0)))
 
     def weighted(term):
         return term(fitted.population_real) + 2.0 * term(fitted.population_synth) + term(fitted.on_synthetic)
 
-    upsilon3 = weighted(lambda model: math.sqrt(phi_synth_01(model)))
-    eta_l2_gap = float(math.sqrt(np.mean((etah_X - eta_X) ** 2)))
+    upsilon3 = weighted(lambda model: math.sqrt(_excess(model, Xs, etah_Xs, ZERO_ONE)))
+    eta_l2_gap = float(math.sqrt(np.mean(_excess_vector(etah_X, eta_X, SQUARED))))
     c_terms = weighted(c_of)
-
-    bayes = sign(eta_X - 0.5)
-    phi_plugin = float(np.mean((sign(etah_X - 0.5) != bayes) * np.abs(2.0 * eta_X - 1.0)))
+    # the plug-in classifier's excess risk: its score is eta_hat - 1/2
+    phi_plugin = float(np.mean(_excess_vector(etah_X - 0.5, eta_X, ZERO_ONE)))
 
     if chi2 is None:
         chi2 = chi_square_divergence(scenario.real_density, scenario.synth_density)

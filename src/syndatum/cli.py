@@ -29,7 +29,7 @@ from .harness import (
     BUILTIN_NAMES,
     DEFAULT_MASTER_SEED,
     ScenarioConfig,
-    _bound_report,
+    _bound_case,
     _compare,
     _draw_original,
     _fitted_estimator,
@@ -155,21 +155,12 @@ def _cmd_bound(args) -> int:
     task = TaskKind.REGRESSION if args.task == "reg" else TaskKind.CLASSIFICATION
     if config.task is not task:
         raise ConfigError(f"bound --task {args.task} requires a {task.value} scenario")
-    est_text, class_text = config.estimators[0], config.model_classes[0]
-    original = _draw_original(config, n, seed.child(0))
-    est = _fitted_estimator(config.truth, est_text, original, seed.child(1))
-    synthetic, synth_noise = _synthesize(config, est, original, seed.child(2))
-    mc = parse_model_class(class_text, original.p, config.task)
-    f_orig, f_synth = fit_downstream(mc, original), fit_downstream(mc, synthetic)
-    report = _bound_report(
-        config, mc, est, synth_noise, f_orig, f_synth, (seed.child(5), seed.child(6), seed.child(7))
-    )
-    u_report = utility_metric(f_synth, f_orig, _risk_config(config, seed.child(8)))
+    report, u_report = _bound_case(config, n, seed, (0, 1, 2, 5, 6, 7, 8))
     payload = {
         "task": args.task,
         "n": n,
-        "estimator": est_text,
-        "model_class": class_text,
+        "estimator": config.estimators[0],
+        "model_class": config.model_classes[0],
         "report": report.to_json_dict(),
         "measured_utility": u_report.utility,
         "measured_utility_std_error": u_report.combined_std_error,

@@ -597,8 +597,9 @@ class FidelityCertificate:
         }
 
 
-def default_c_grid(n_points: int = 64, lo: float = 1e-2, hi: float = 1e4) -> np.ndarray:
-    exponents = np.linspace(math.log10(lo), math.log10(hi), n_points)
+def default_c_grid() -> np.ndarray:
+    """64 log-spaced levels C from 1e-2 to 1e4."""
+    exponents = np.linspace(-2.0, 4.0, 64)
     exponents[np.abs(exponents) < 1e-12] = 0.0
     return 10.0**exponents
 

@@ -20,7 +20,6 @@ from scipy.optimize import minimize
 
 from .datamodel import (
     Dataset,
-    NoiseModel,
     SeedSpec,
     TaskKind,
     draw_responses,
@@ -348,18 +347,18 @@ class _ThresholdRisk:
         return (errors_below + errors_above) / self.m
 
 
-def _grid_golden_minimize(risk, lo: float, hi: float, grid_points: int = 1000):
-    """Grid search then golden-section refinement; tracks the best point seen.
+def _grid_golden_minimize(risk, lo: float, hi: float):
+    """1000-point grid search then golden-section refinement; tracks the best point seen.
 
     The refinement narrows the bracket around the grid minimum to width 1e-4;
     for piecewise-constant empirical risks the best evaluated point is kept.
     """
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 1000)
     risks = np.array([risk(b) for b in grid])
     i = int(np.argmin(risks))
     best_b, best_r = float(grid[i]), float(risks[i])
     a = grid[max(0, i - 1)]
-    b = grid[min(grid_points - 1, i + 1)]
+    b = grid[min(grid.size - 1, i + 1)]
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = risk(x1), risk(x2)
@@ -417,7 +416,6 @@ def population_optimum(
     model_class: ModelClass,
     density: DensityModel,
     truth,
-    noise: Optional[NoiseModel],
     m: int = 100_000,
     seed: SeedSpec = SeedSpec(0),
 ) -> FittedModel:
@@ -425,13 +423,15 @@ def population_optimum(
     Monte-Carlo samples (error O(m^-1/2)).
 
     ``truth`` is the true conditional mean (regression) or P(Z=+1|x)
-    (classification); a FittedEstimator is also accepted.
+    (classification); a FittedEstimator is also accepted.  Regression
+    targets are noise-free: zero-mean noise leaves the population argmin
+    unchanged and only adds Monte-Carlo error.
     """
     X = density.sample(m, seed.child(71))
     task = model_class.task
     if isinstance(truth, FittedEstimator):
         truth = truth.mean if task is TaskKind.REGRESSION else truth.prob
-    y = draw_responses(task, truth(X), noise, seed.child(72))
+    y = draw_responses(task, truth(X), None, seed.child(72))
     return fit_downstream(model_class, make_dataset(X, y, task))
 
 
@@ -450,13 +450,16 @@ def make_model_class(
     """Build a model class from its config name.
 
     ``box`` is a scalar B (interpreted as [-B, B] per coefficient) or a
-    (lo, hi) pair replicated across coefficients.
+    (lo, hi) pair replicated across coefficients.  Raises ValueError for a
+    ridge that is not a finite number >= 0 and for an empty box.
     """
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     if name == "threshold-abs":
         if box is None:
             raise ValueError("threshold-abs requires box=lo,hi")
         lo, hi = (box, box) if np.isscalar(box) else box
-        return ThresholdAbsClass(float(lo), float(hi))
+        return ThresholdAbsClass(*_nonempty_box(float(lo), float(hi)))
     if name in ("sign-abs", "sign-linear"):
         return SignScaleClass("abs" if name == "sign-abs" else "linear")
     if name == "logistic-linear":
@@ -473,16 +476,20 @@ def make_model_class(
     raise ValueError(f"unknown model class {name!r}")
 
 
+def _nonempty_box(lo, hi):
+    if not np.all(np.asarray(lo) <= np.asarray(hi)):
+        raise ValueError(f"box is empty: lower {lo} is not <= upper {hi}")
+    return lo, hi
+
+
 def _expand_box(box, q):
     if box is None:
         return None
     if np.isscalar(box):
         b = abs(float(box))
         return (np.full(q, -b), np.full(q, b))
-    lo, hi = box
-    if np.isscalar(lo):
-        return (np.full(q, float(lo)), np.full(q, float(hi)))
-    return (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    lo, hi = (np.full(q, float(v)) if np.isscalar(v) else np.asarray(v, dtype=float) for v in box)
+    return _nonempty_box(lo, hi)
 
 
 # class name -> the parameters its spec takes; every basis class takes box= and ridge=

@@ -375,7 +375,9 @@ class _MLP:
                 back = back @ self.W[layer].T
         return gW, gb, float(np.mean((out - y) ** 2))
 
-    def train(self, X, y, lr=1e-3, epochs=500, patience=20, min_improvement=1e-6):
+    def train(self, X, y):
+        """Full-batch Adam with early stopping; returns the epochs run."""
+        lr, epochs, patience, min_improvement = 1e-3, 500, 20, 1e-6
         params = self.W + self.b
         m = [np.zeros_like(q) for q in params]
         v = [np.zeros_like(q) for q in params]

@@ -25,6 +25,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
+from itertools import chain, product, repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -390,8 +391,8 @@ def _bound_report(config: ScenarioConfig, mc, est, synth_noise: Optional[NoiseMo
     fitted = FittedQuad(
         f_orig,
         f_synth,
-        population_optimum(mc, config.real_density, truth, None, 100_000, star_seed),
-        population_optimum(mc, config.synth_density, est, None, 100_000, tilde_seed),
+        population_optimum(mc, config.real_density, truth, 100_000, star_seed),
+        population_optimum(mc, config.synth_density, est, 100_000, tilde_seed),
     )
     if config.task is TaskKind.REGRESSION:
         scenario = RegressionScenario(
@@ -400,6 +401,22 @@ def _bound_report(config: ScenarioConfig, mc, est, synth_noise: Optional[NoiseMo
         return regression_bound(scenario, fitted, n_test=config.n_test, seed=bound_seed, chi2=chi2)
     scenario = ClassificationScenario(config.real_density, config.synth_density, truth, est)
     return classification_bound(scenario, fitted, n_test=config.n_test, seed=bound_seed, chi2=chi2)
+
+
+def _bound_case(config: ScenarioConfig, n: int, seed: SeedSpec, streams: Tuple[int, ...]):
+    """The bound of the first estimator and model class on one draw of n
+    points.  ``streams`` are the children of ``seed`` for the draw, the
+    estimator fit, the synthesis, the real and the synthetic population
+    optima, the bound's risk draws and the utility's test draw.  Returns
+    (bound report, utility report)."""
+    draw, fit, synth, star, tilde, bound, utility = (seed.child(s) for s in streams)
+    original = _draw_original(config, n, draw)
+    est = _fitted_estimator(config.truth, config.estimators[0], original, fit)
+    synthetic, synth_noise = _synthesize(config, est, original, synth)
+    mc = parse_model_class(config.model_classes[0], original.p, config.task)
+    f_orig, f_synth = fit_downstream(mc, original), fit_downstream(mc, synthetic)
+    report = _bound_report(config, mc, est, synth_noise, f_orig, f_synth, (star, tilde, bound))
+    return report, utility_metric(f_synth, f_orig, _risk_config(config, utility))
 
 
 def _lr_case(real: DensityModel, synth: DensityModel, beta, noise: NoiseModel,
@@ -527,10 +544,6 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
     return rows
 
 
-def _unit_star(args):
-    return _run_unit(*args)
-
-
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
     """Execute the full (n, replication) sweep.
 
@@ -556,18 +569,13 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
             rows.append(ResultRow(config.name, 0, 0, "", "", "fidelity_V@d=1", cert.V, 0.0))
         except SyndatumError as exc:
             rows.append(_error_row(config.name, 0, 0, "", "", "fidelity_V@d=1", exc))
-    units = [
-        (config, ni, rep, chi2)
-        for ni in range(len(config.n_grid))
-        for rep in range(config.replications)
-    ]
-    if workers > 1 and len(units) > 1:
+    n_indices, reps = zip(*product(range(len(config.n_grid)), range(config.replications)))
+    args = (repeat(config), n_indices, reps, repeat(chi2))
+    if workers > 1 and len(reps) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_unit_star, units, chunksize=1):
-                rows.extend(result)
+            rows.extend(chain.from_iterable(pool.map(_run_unit, *args, chunksize=1)))
     else:
-        for unit in units:
-            rows.extend(_unit_star(unit))
+        rows.extend(chain.from_iterable(map(_run_unit, *args)))
     return _sort_rows(rows)
 
 
@@ -691,8 +699,8 @@ def _run_toy51(master_seed: int) -> List[ResultRow]:
     wrong = make_model_class("linear", 1, TaskKind.REGRESSION)
     for ai, alpha in enumerate(_TOY_ALPHAS):
         seed = SeedSpec(master_seed, ai)
-        f_hat = population_optimum(wrong, _uniform_pm1(), truth, None, _TOY_M, seed.child(1))
-        f_tilde = population_optimum(wrong, _mass_pos(alpha), truth, None, _TOY_M, seed.child(2))
+        f_hat = population_optimum(wrong, _uniform_pm1(), truth, _TOY_M, seed.child(1))
+        f_tilde = population_optimum(wrong, _mass_pos(alpha), truth, _TOY_M, seed.child(2))
         cfg = RiskConfig(density=_uniform_pm1(), truth=truth, loss=SQUARED, method="quadrature")
         report = utility_metric(f_tilde, f_hat, cfg)
         name = f"toy-5.1[alpha={alpha:g}]"
@@ -710,8 +718,8 @@ def _run_toy_s1(master_seed: int) -> List[ResultRow]:
     for ai, alpha in enumerate(_TOY_ALPHAS):
         seed = SeedSpec(master_seed, ai)
         real, synth = _mass_neg(alpha), _mass_neg(1.0 - alpha)
-        g_hat = population_optimum(cls, real, truth, None, _TOY_M, seed.child(1))
-        g_tilde = population_optimum(cls, synth, truth, None, _TOY_M, seed.child(2))
+        g_hat = population_optimum(cls, real, truth, _TOY_M, seed.child(1))
+        g_tilde = population_optimum(cls, synth, truth, _TOY_M, seed.child(2))
         cfg = RiskConfig(density=real, truth=truth, loss=ZERO_ONE, method="quadrature")
         report = utility_metric(g_tilde, g_hat, cfg)
         name = f"toy-S.1[alpha={alpha:g}]"
@@ -830,16 +838,7 @@ def _suite_case(task: TaskKind, i: int, master_seed: int) -> dict:
         n_test=20_000,
         master_seed=master_seed,
     )
-    seed = SeedSpec(master_seed, offset + i)
-    original = _draw_original(config, n, seed.child(1))
-    est = _fitted_estimator(truth, est_text, original, seed.child(2))
-    synthetic, synth_noise = _synthesize(config, est, original, seed.child(3))
-    mc = parse_model_class(class_text, original.p, task)
-    f_hat, f_tilde = fit_downstream(mc, original), fit_downstream(mc, synthetic)
-    u_report = utility_metric(f_tilde, f_hat, _risk_config(config, seed.child(6)))
-    bound = _bound_report(
-        config, mc, est, synth_noise, f_hat, f_tilde, (seed.child(4), seed.child(5), seed.child(7))
-    )
+    bound, u_report = _bound_case(config, n, SeedSpec(master_seed, offset + i), (1, 2, 3, 4, 5, 7, 6))
     return {
         "kind": task.value,
         "name": config.name,

@@ -131,6 +131,16 @@ def _loss_vector(
     return (_sign_pred(s) != target).astype(float)
 
 
+def _excess_vector(scores: np.ndarray, truth: np.ndarray, loss: str) -> np.ndarray:
+    """Pointwise excess loss over the noise-free truth: the squared gap, or
+    for zero-one loss |2 eta - 1| where the score's sign disagrees with the
+    Bayes sign."""
+    if loss == SQUARED:
+        return (scores - truth) ** 2
+    bayes = np.where(truth >= 0.5, 1.0, -1.0)
+    return (_sign_pred(scores) != bayes) * np.abs(2.0 * truth - 1.0)
+
+
 def _quadrature(model: Predictor, density: DensityModel, truth, loss: str, excess: bool) -> float:
     """One-dimensional quadrature of a predictor's pointwise loss against the
     noise-free truth (excess=False) or of its pointwise excess risk."""
@@ -207,10 +217,7 @@ def excess_risk(
     X = density.sample(n_test, seed.child(93))
     truth_vals = np.asarray(truth_fn(X), dtype=float).reshape(-1)
     scores = np.asarray(score(X), dtype=float).reshape(-1)
-    if loss == SQUARED:
-        return float(np.mean((scores - truth_vals) ** 2))
-    bayes = np.where(truth_vals >= 0.5, 1.0, -1.0)
-    return float(np.mean((_sign_pred(scores) != bayes) * np.abs(2.0 * truth_vals - 1.0)))
+    return float(np.mean(_excess_vector(scores, truth_vals, loss)))
 
 
 def risks_common_draws(models: Sequence[Predictor], cfg: RiskConfig):
@@ -294,11 +301,10 @@ def compare_models(
     when either gap falls inside the two-standard-error dead band.
     """
     m = cfg.population_m
-    # noise-free targets: the population argmin is unchanged, MC error smaller
-    f1 = population_optimum(class1, real_density, truth, None, m, cfg.seed.child(1))
-    f2 = population_optimum(class2, real_density, truth, None, m, cfg.seed.child(2))
-    f1s = population_optimum(class1, synth_density, estimator_for_synth, None, m, cfg.seed.child(3))
-    f2s = population_optimum(class2, synth_density, estimator_for_synth, None, m, cfg.seed.child(4))
+    f1 = population_optimum(class1, real_density, truth, m, cfg.seed.child(1))
+    f2 = population_optimum(class2, real_density, truth, m, cfg.seed.child(2))
+    f1s = population_optimum(class1, synth_density, estimator_for_synth, m, cfg.seed.child(3))
+    f2s = population_optimum(class2, synth_density, estimator_for_synth, m, cfg.seed.child(4))
 
     ests, loss_matrix = risks_common_draws([f1, f2, f1s, f2s], cfg)
     gap_orig = ests[0].value - ests[1].value

@@ -54,8 +54,8 @@ def _oracle_est(fn, task):
 
 def _population_quad(model_class, real, synth, truth, seed):
     """All four fits taken at their population optima (infinite-data mode)."""
-    f_star = population_optimum(model_class, real, truth, None, 10**5, seed.child(1))
-    f_tilde_star = population_optimum(model_class, synth, truth, None, 10**5, seed.child(2))
+    f_star = population_optimum(model_class, real, truth, 10**5, seed.child(1))
+    f_tilde_star = population_optimum(model_class, synth, truth, 10**5, seed.child(2))
     return FittedQuad(f_star, f_tilde_star, f_star, f_tilde_star)
 
 

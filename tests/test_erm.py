@@ -147,10 +147,10 @@ def test_constant_class_population_optimum_toy61():
     seed = SeedSpec(7)
     m = 200_000
     real, synth = mass_neg(alpha), mass_pos(alpha)
-    assert population_optimum(f1, real, truth, None, m, seed).coefficients[0] == pytest.approx(-1 / 3, abs=0.01)
-    assert population_optimum(f2, real, truth, None, m, seed).coefficients[0] == pytest.approx(-1 / 4, abs=0.01)
-    assert population_optimum(f1, synth, truth, None, m, seed).coefficients[0] == pytest.approx(1 / 3, abs=0.01)
-    assert population_optimum(f2, synth, truth, None, m, seed).coefficients[0] == pytest.approx(1 / 4, abs=0.01)
+    assert population_optimum(f1, real, truth, m, seed).coefficients[0] == pytest.approx(-1 / 3, abs=0.01)
+    assert population_optimum(f2, real, truth, m, seed).coefficients[0] == pytest.approx(-1 / 4, abs=0.01)
+    assert population_optimum(f1, synth, truth, m, seed).coefficients[0] == pytest.approx(1 / 3, abs=0.01)
+    assert population_optimum(f2, synth, truth, m, seed).coefficients[0] == pytest.approx(1 / 4, abs=0.01)
 
 
 def test_threshold_population_optima_toy61_classification():
@@ -163,10 +163,10 @@ def test_threshold_population_optima_toy61_classification():
     seed = SeedSpec(8)
     m = 200_000
     real, synth = mass_neg(alpha), mass_pos(alpha)
-    assert population_optimum(g1, real, eta, None, m, seed).coefficients[0] == pytest.approx(0.0, abs=0.01)
-    assert population_optimum(g2, real, eta, None, m, seed).coefficients[0] == pytest.approx(0.25, abs=0.01)
-    assert population_optimum(g1, synth, eta, None, m, seed).coefficients[0] == pytest.approx(0.5, abs=0.01)
-    assert population_optimum(g2, synth, eta, None, m, seed).coefficients[0] == pytest.approx(1.0 / 3.0, abs=0.01)
+    assert population_optimum(g1, real, eta, m, seed).coefficients[0] == pytest.approx(0.0, abs=0.01)
+    assert population_optimum(g2, real, eta, m, seed).coefficients[0] == pytest.approx(0.25, abs=0.01)
+    assert population_optimum(g1, synth, eta, m, seed).coefficients[0] == pytest.approx(0.5, abs=0.01)
+    assert population_optimum(g2, synth, eta, m, seed).coefficients[0] == pytest.approx(1.0 / 3.0, abs=0.01)
 
 
 def test_population_optimum_toy51():
@@ -175,11 +175,11 @@ def test_population_optimum_toy51():
     correct = make_model_class("abs", 1, REG)
     wrong = make_model_class("linear", 1, REG)
     seed = SeedSpec(9)
-    assert population_optimum(correct, uniform, absval, None, 10**5, seed).coefficients[0] == pytest.approx(1.0, abs=0.01)
-    assert population_optimum(wrong, uniform, absval, None, 10**5, seed).coefficients[0] == pytest.approx(0.0, abs=0.01)
+    assert population_optimum(correct, uniform, absval, 10**5, seed).coefficients[0] == pytest.approx(1.0, abs=0.01)
+    assert population_optimum(wrong, uniform, absval, 10**5, seed).coefficients[0] == pytest.approx(0.0, abs=0.01)
     for alpha in (0.2, 0.75):
         tilted = PiecewiseConstant1D([-1, 0, 1], [1 - alpha, alpha])
-        beta = population_optimum(wrong, tilted, absval, None, 10**5, seed).coefficients[0]
+        beta = population_optimum(wrong, tilted, absval, 10**5, seed).coefficients[0]
         assert beta == pytest.approx(2 * alpha - 1, abs=0.02)
 
 
@@ -254,6 +254,15 @@ def test_parse_model_class():
     for text in ("sign-abs box=1", "sign-linear ridge=0.1", "threshold-abs box=0,0.5 ridge=0.1"):
         with pytest.raises(ValueError, match="bad parameter"):
             parse_model_class(text, 1, CLS)
+    # a negative ridge and empty boxes, which fit silently or fail inside a unit otherwise
+    for text, task, match in (
+        ("constant ridge=-1", REG, "ridge"),
+        ("constant box=1,-1", REG, "box is empty"),
+        ("logistic-linear box=1,-1", CLS, "box is empty"),
+        ("threshold-abs box=0.5,0", CLS, "box is empty"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            parse_model_class(text, 1, task)
 
 
 def test_recip_cubic_bases_shapes():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import warnings
 
@@ -10,11 +11,14 @@ from syndatum.datamodel import NoiseModel, TaskKind
 from syndatum.densities import BoxSupport, UniformBox
 from syndatum.errors import ConfigError, UnknownBuiltin
 from syndatum.harness import (
+    DEFAULT_MASTER_SEED,
     ResultRow,
     ScenarioConfig,
     TruthSpec,
     _fig34_config,
     _figs1_config,
+    _suite_case,
+    _suite_lr_case,
     load_scenarios,
     parse_noise,
     parse_truth,
@@ -265,6 +269,21 @@ def test_toy61_rows_pinned(tmp_path):
     assert _rows_sha(run_builtin("toy-6.1"), tmp_path) == "6ae18d25d186da10063c49f80f986d9244a850e54be52400207b1d63dfaa8868"
 
 
+def test_bound_suite_slice_pinned():
+    # every regression estimator, every classification class and three LR cases
+    cases = (
+        [_suite_case(TaskKind.REGRESSION, i, DEFAULT_MASTER_SEED) for i in range(5)]
+        + [_suite_case(TaskKind.CLASSIFICATION, i, DEFAULT_MASTER_SEED) for i in (0, 3, 6, 9)]
+        + [_suite_lr_case(i, DEFAULT_MASTER_SEED) for i in range(3)]
+    )
+    assert [c["estimator"] for c in cases[:5]] == ["oracle", "ols", "knn", "rf", "mlp"]
+    assert {c["model_class"] for c in cases[5:9]} == {
+        "sign-linear", "sign-abs", "threshold-abs box=0,0.5", "logistic-linear box=3"
+    }
+    digest = hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest()
+    assert digest == "972d860bc3fae1975aaddf172aa29301c88c488241d55c8e712a51f08151554f"
+
+
 def test_fidelity_fig2_rows_match_closed_form():
     rows = run_builtin("fidelity-fig2")
     by_rep = {}
@@ -394,9 +413,18 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
         ("estimators = oracle", "estimators = knn depth=3", "depth=3"),
         ("n_grid = 64", "n_grid = 0", "n_grid"),
         ("n_test = 2000", "n_test = 0", "n_test"),
+        ("model_classes = linear; abs", "model_classes = constant ridge=-1; linear", "ridge"),
+        ("model_classes = linear; abs", "model_classes = constant box=1,-1", "box is empty"),
     ):
         path.write_text(CONFIG_TEXT.replace(old, new))
         with pytest.raises(ConfigError, match=match):
+            load_scenarios(path)
+    cls_text = CONFIG_TEXT.replace("task = regression", "task = classification").replace(
+        "truth = abs", "truth = step-pos"
+    )
+    for classes in ("logistic-linear box=1,-1", "threshold-abs box=0.5,0"):
+        path.write_text(cls_text.replace("model_classes = linear; abs", f"model_classes = {classes}"))
+        with pytest.raises(ConfigError, match="box is empty"):
             load_scenarios(path)
 
 

@@ -137,6 +137,27 @@ def test_excess_risk_bayes_plugin_zero():
     assert excess_risk(est, mass_neg(0.4), eta, loss=ZERO_ONE) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_excess_risk_monte_carlo_matches_quadrature():
+    # eta = (1 + x) / 2, so the Bayes sign is sign(x) and |2 eta - 1| = |x|;
+    # the shifted threshold x - 0.3 disagrees with it on (0, 0.3)
+    eta = lambda X: (1.0 + X[:, 0]) / 2.0
+    shifted = lambda X: X[:, 0] - 0.3
+    density, n = mass_neg(0.25), 200_000
+    x = density.sample(n, SeedSpec(8))[:, 0]
+    cases = (
+        (ZERO_ONE, 0.75 * 0.3**2 / 2.0, np.where((x > 0.0) & (x < 0.3), x, 0.0)),
+        # E[(x/2 - 0.8)^2] = 0.25 * (1/12 + 1.04) + 0.75 * (1/12 + 0.24)
+        (SQUARED, 0.25 * (1 / 12 + 1.04) + 0.75 * (1 / 12 + 0.24), (x / 2.0 - 0.8) ** 2),
+    )
+    for loss, exact, pointwise in cases:
+        quad_value = excess_risk(shifted, density, eta, loss=loss, method="quadrature")
+        mc_value = excess_risk(shifted, density, eta, loss=loss, method="monte-carlo",
+                               n_test=n, seed=SeedSpec(7))
+        se = pointwise.std(ddof=1) / np.sqrt(n)
+        assert quad_value == pytest.approx(exact, abs=1e-6)
+        assert mc_value > 0.0 and abs(mc_value - quad_value) < 4.0 * se
+
+
 def test_excess_risk_never_negative():
     rng = SeedSpec(5).rng()
     for _ in range(5):
@@ -189,9 +210,9 @@ def test_utility_toy51_population_idealization():
     # U_r = (2 alpha - 1)^2 / 3 at alpha = 0.9 with population optima
     alpha = 0.9
     wrong = make_model_class("linear", 1, REG)
-    f_hat = population_optimum(wrong, uniform_pm1(), absval, None, 10**5, SeedSpec(9))
+    f_hat = population_optimum(wrong, uniform_pm1(), absval, 10**5, SeedSpec(9))
     synth_density = PiecewiseConstant1D([-1.0, 0.0, 1.0], [1.0 - alpha, alpha])
-    f_tilde = population_optimum(wrong, synth_density, absval, None, 10**5, SeedSpec(10))
+    f_tilde = population_optimum(wrong, synth_density, absval, 10**5, SeedSpec(10))
     cfg = RiskConfig(density=uniform_pm1(), truth=absval, loss=SQUARED, method="quadrature")
     report = utility_metric(f_tilde, f_hat, cfg)
     assert report.utility == pytest.approx((2 * alpha - 1) ** 2 / 3.0, abs=0.01)
@@ -202,8 +223,8 @@ def test_utility_toy_s1():
     alpha = 0.9
     eta = lambda X: (X[:, 0] > 0).astype(float)
     cls = make_model_class("sign-abs", 1, CLS)
-    g_hat = population_optimum(cls, mass_neg(alpha), eta, None, 10**5, SeedSpec(11))
-    g_tilde = population_optimum(cls, mass_neg(1 - alpha), eta, None, 10**5, SeedSpec(12))
+    g_hat = population_optimum(cls, mass_neg(alpha), eta, 10**5, SeedSpec(11))
+    g_tilde = population_optimum(cls, mass_neg(1 - alpha), eta, 10**5, SeedSpec(12))
     cfg = RiskConfig(density=mass_neg(alpha), truth=eta, loss=ZERO_ONE, method="quadrature")
     report = utility_metric(g_tilde, g_hat, cfg)
     assert report.utility == pytest.approx(abs(2 * alpha - 1), abs=0.01)
