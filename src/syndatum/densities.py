@@ -516,14 +516,11 @@ def _ratio_region_mass(num: Marginal1D, den: Marginal1D, C: float) -> float:
     )
 
     def gap(x):
-        # >= 0 exactly where the ratio is >= C (with num > 0 required)
-        nv = float(num.pdf1(x))
-        dv = float(den.pdf1(x))
-        if nv <= 0.0:
-            return -max(C * dv, 1e-300)
-        if dv <= 0.0:
-            return nv  # ratio = +inf
-        return nv - C * dv
+        # elementwise; >= 0 exactly where the ratio is >= C (with num > 0
+        # required), and +num where den = 0 (ratio = +inf)
+        nv = num.pdf1(x)
+        dv = den.pdf1(x)
+        return np.where(nv <= 0.0, -np.maximum(C * dv, 1e-300), np.where(dv <= 0.0, nv, nv - C * dv))
 
     mass = 0.0
     for lo, hi in zip(pieces[:-1], pieces[1:]):
@@ -531,17 +528,15 @@ def _ratio_region_mass(num: Marginal1D, den: Marginal1D, C: float) -> float:
         # evaluate slightly inside to dodge boundary pdf zeros
         xs[0] = lo + (hi - lo) * 1e-12
         xs[-1] = hi - (hi - lo) * 1e-12
-        gs = np.array([gap(x) for x in xs])
-        signs = gs >= 0.0
+        signs = gap(xs) >= 0.0
         # locate boundaries of the in-region set within this piece
         edges = [lo]
-        for i in range(len(xs) - 1):
-            if signs[i] != signs[i + 1]:
-                try:
-                    root = brentq(gap, xs[i], xs[i + 1], xtol=1e-14)
-                except ValueError:
-                    root = 0.5 * (xs[i] + xs[i + 1])
-                edges.append(root)
+        for i in np.flatnonzero(signs[:-1] != signs[1:]):
+            try:
+                root = brentq(lambda x: float(gap(x)), xs[i], xs[i + 1], xtol=1e-14)
+            except ValueError:
+                root = 0.5 * (xs[i] + xs[i + 1])
+            edges.append(root)
         edges.append(hi)
         for i in range(len(edges) - 1):
             mid = 0.5 * (edges[i] + edges[i + 1])
@@ -608,13 +603,13 @@ def certify_fidelity_level(
     p: DensityModel, q: DensityModel, d: float, C_grid=None
 ) -> FidelityCertificate:
     """Certify the minimal grid-restricted V for a given decay exponent d."""
-    if d <= 0:
-        raise InvalidD(f"d must be positive, got {d}")
+    if not (math.isfinite(d) and d > 0):
+        raise InvalidD(f"d must be finite and positive, got {d}")
     if C_grid is None:
         C_grid = default_c_grid()
     C_grid = np.asarray(C_grid, dtype=float)
-    if C_grid.size == 0 or np.any(C_grid <= 0):
-        raise InvalidGrid("C_grid must be non-empty and strictly positive")
+    if C_grid.size == 0 or not np.all(np.isfinite(C_grid) & (C_grid > 0)):
+        raise InvalidGrid("C_grid must be non-empty, finite and strictly positive")
     tails = np.array([fidelity_tail_probability(p, q, c) for c in C_grid])
     scores = C_grid**d * tails
     i = int(np.argmax(scores))

@@ -217,6 +217,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown outputs {unknown}; choose from {OUTPUT_NAMES}")
         if "comparison" in self.outputs and len(self.model_classes) != 2:
             raise ConfigError("outputs 'comparison' requires exactly two model_classes")
+        if "fidelity" in self.outputs and self.real_density.dim != 1:
+            raise ConfigError("outputs 'fidelity' requires a one-dimensional real_density")
         rule, _, size = self.synthetic_n_rule.partition(":")
         if self.synthetic_n_rule != "equal" and not (rule == "fixed" and size.isdigit() and int(size) > 0):
             raise ConfigError(

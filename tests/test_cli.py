@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +137,15 @@ def test_fidelity_json(tmp_path, reg_config):
     blob = json.loads(out.read_text())
     assert blob["chi2_real_vs_synth"] == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert {"d", "V", "grid"} <= set(blob["certificate"])
+    assert _sha(out) == "0cb18d5ac05839f0487441787b3c4ff5055287ae287f6e46c1c828c1fe32f5a8"
+
+
+def test_fidelity_rejects_non_finite_d(tmp_path, reg_config, capsys):
+    out = tmp_path / "fid.json"
+    assert main(["fidelity", "--config", str(reg_config), "--d", "nan", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "InvalidD" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_utility_json(tmp_path, reg_config):
@@ -217,3 +228,16 @@ def test_console_script_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "rows.csv").exists()
+
+
+def test_package_runs_as_module_from_source_tree():
+    # `PYTHONPATH=src python -m syndatum` needs no install
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "syndatum", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "experiment" in proc.stdout

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.stats import kstest
 
 from syndatum.datamodel import SeedSpec
@@ -15,6 +18,7 @@ from syndatum.densities import (
     Triangular1D,
     TruncatedNormalDiag,
     UniformBox,
+    _ratio_region_mass,
     certify_fidelity_level,
     chi_square_divergence,
     default_c_grid,
@@ -269,6 +273,12 @@ def test_certificate_invalid_inputs():
         certify_fidelity_level(uniform_pm1(), uniform_pm1(), d=1.0, C_grid=[-1.0])
     with pytest.raises(InvalidD):
         certify_fidelity_level(uniform_pm1(), uniform_pm1(), d=0.0)
+    for d in (math.nan, math.inf):
+        with pytest.raises(InvalidD):
+            certify_fidelity_level(uniform_pm1(), step_density(0.75), d=d)
+    for grid in ([math.nan], [1.0, math.inf]):
+        with pytest.raises(InvalidGrid):
+            certify_fidelity_level(uniform_pm1(), step_density(0.75), d=1.0, C_grid=grid)
 
 
 def test_certificate_json_shape():
@@ -276,6 +286,100 @@ def test_certificate_json_shape():
     blob = cert.to_json_dict()
     assert set(blob) == {"d", "V", "grid"}
     assert set(blob["grid"][0]) == {"C", "tail", "bound"}
+
+
+# one pair per density kind
+KIND_PAIRS = {
+    "trunc-normal": (
+        TruncatedNormalDiag(BoxSupport((-2.0,), (2.0,)), [0.0], [1.0]),
+        UniformBox(BoxSupport((-2.0,), (2.0,))),
+    ),
+    "tilt": (LinearTilt1D(-0.5), LinearTilt1D(0.5)),
+    "triangular": (Triangular1D("increasing"), Triangular1D("decreasing")),
+    # a zero-height segment: q/p is infinite on (0, 0.5)
+    "piecewise": (
+        PiecewiseConstant1D([-1.0, 0.0, 0.5, 1.0], [0.5, 0.0, 1.0]),
+        PiecewiseConstant1D([-1.0, 0.0, 0.5, 1.0], [0.5, 0.5, 0.5]),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("trunc-normal", "021248f2204a39e7ee91244eaf06925aaef50a01f48a83f0937a97e5458edbda"),
+        ("tilt", "a038bc63bac679e58470456dc7eae8fb821f03cc9116c4d005b1831c78f8774a"),
+        ("triangular", "120a0b8ef9896b5764337b19d1b674c3e8d04b1946b189eb2d1df4c1d0faedb7"),
+        ("piecewise", "9b0ade447edcae0727dfd48690930f30ffa43232a9d934515966d9d924749dee"),
+    ],
+)
+def test_certificate_bytes_pinned(kind, digest):
+    """Golden pin: SHA-256 of the certificate JSON, recorded from the seeded code."""
+    p, q = KIND_PAIRS[kind]
+    blob = json.dumps(certify_fidelity_level(p, q, d=1.0).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _ratio_region_mass_scalar_reference(num, den, C):
+    """The scalar-loop form of densities._ratio_region_mass, one gap call per probe point."""
+    pieces = sorted(
+        {num.a, num.b}
+        | {k for k in num.knots() if num.a < k < num.b}
+        | {k for k in den.knots() if num.a < k < num.b}
+    )
+
+    def gap(x):
+        nv = float(num.pdf1(x))
+        dv = float(den.pdf1(x))
+        if nv <= 0.0:
+            return -max(C * dv, 1e-300)
+        if dv <= 0.0:
+            return nv
+        return nv - C * dv
+
+    mass = 0.0
+    for lo, hi in zip(pieces[:-1], pieces[1:]):
+        xs = np.linspace(lo, hi, 513)
+        xs[0] = lo + (hi - lo) * 1e-12
+        xs[-1] = hi - (hi - lo) * 1e-12
+        signs = np.array([gap(x) for x in xs]) >= 0.0
+        edges = [lo]
+        for i in range(len(xs) - 1):
+            if signs[i] != signs[i + 1]:
+                try:
+                    root = brentq(gap, xs[i], xs[i + 1], xtol=1e-14)
+                except ValueError:
+                    root = 0.5 * (xs[i] + xs[i + 1])
+                edges.append(root)
+        edges.append(hi)
+        for i in range(len(edges) - 1):
+            if gap(0.5 * (edges[i] + edges[i + 1])) >= 0.0:
+                mass += float(num.cdf1(edges[i + 1]) - num.cdf1(edges[i]))
+    return min(max(mass, 0.0), 1.0)
+
+
+def test_ratio_region_mass_matches_scalar_reference():
+    box = BoxSupport((-2.0,), (2.0,))
+    pairs = [
+        *KIND_PAIRS.values(),
+        (TruncatedNormalDiag(box, [0.5], [0.5]), TruncatedNormalDiag(box, [-0.3], [2.0])),
+    ]
+    for p, q in pairs:
+        for num, den in ((p.factors()[0], q.factors()[0]), (q.factors()[0], p.factors()[0])):
+            for C in (0.3, 1.0, 2.5):
+                assert _ratio_region_mass(num, den, C) == _ratio_region_mass_scalar_reference(num, den, C)
+
+
+def test_tail_probability_tilt_closed_form():
+    # p = Unif(0, 2), q has density (alpha (x - 1) + 1) / 2; both ratio regions are intervals
+    alpha = 0.5
+    p, q = LinearTilt1D(0.0), LinearTilt1D(alpha)
+    cdf_q = lambda x: alpha * x * x / 4.0 + (1.0 - alpha) * x / 2.0
+    for C in default_c_grid():
+        x_p = np.clip(1.0 + (1.0 / C - 1.0) / alpha, 0.0, 2.0)
+        x_q = np.clip(1.0 + (C - 1.0) / alpha, 0.0, 2.0)
+        expected = max(x_p / 2.0, 1.0 - cdf_q(x_q))
+        assert fidelity_tail_probability(p, q, C) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -284,8 +284,9 @@ def test_bound_suite_slice_pinned():
     assert digest == "972d860bc3fae1975aaddf172aa29301c88c488241d55c8e712a51f08151554f"
 
 
-def test_fidelity_fig2_rows_match_closed_form():
+def test_fidelity_fig2_rows_match_closed_form(tmp_path):
     rows = run_builtin("fidelity-fig2")
+    assert _rows_sha(rows, tmp_path) == "aec5108aaef99b5c52d9eea2465c94c68148b2b4c69c541aa8bd491eba6ba179"
     by_rep = {}
     for r in rows:
         by_rep.setdefault(r.replication, {})[r.metric_name] = r.value
@@ -399,6 +400,13 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
             "real_density = uniform-box lower=-1 upper=1",
             "real_density = uniform-box lower=-1,-1 upper=1,1\nrisk_method = quadrature",
             "one-dimensional",
+        ),
+        (
+            "real_density = uniform-box lower=-1 upper=1\n"
+            "synth_density = piecewise breaks=-1,0,1 heights=0.25,0.75",
+            "real_density = trunc-normal lower=-2,-2 upper=2,2 mean=0,0 var=1,1\n"
+            "synth_density = uniform-box lower=-2,-2 upper=2,2\noutputs = utility, fidelity",
+            "outputs 'fidelity' requires a one-dimensional",
         ),
         # every spec takes only its own keys, and a density needs all of them
         ("noise = gaussian var=0.25", "noise = gaussian variance=4", "variance=4"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset, sample_noise
 from syndatum.densities import (
     PiecewiseConstant1D,
+    chi_square_divergence,
     fidelity_tail_probability,
     lemma1_chi2_to_fidelity,
 )
@@ -53,10 +54,20 @@ def test_tail_probability_monotone_property(pair, c1, c2):
 
 @settings(max_examples=20, deadline=None)
 @given(pair=piecewise_pair())
+def test_chi2_piecewise_matches_closed_form_property(pair):
+    # chi2(p || q) = sum_i w_i hp_i^2 / hq_i - 1 over the shared segments
+    p, q = pair
+    (pf,), (qf,) = p.factors(), q.factors()
+    widths = np.diff(pf.breakpoints)
+    hp, hq = np.asarray(pf.heights), np.asarray(qf.heights)
+    expected = float(np.sum(widths * hp**2 / hq)) - 1.0
+    assert chi_square_divergence(p, q) == pytest.approx(expected, rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=piecewise_pair())
 def test_lemma1_translation_certifies_tails(pair):
     # the (max chi2 + 1, 1) level must dominate every tail probability
-    from syndatum.densities import chi_square_divergence
-
     p, q = pair
     V, d = lemma1_chi2_to_fidelity(
         chi_square_divergence(p, q), chi_square_divergence(q, p)
