@@ -178,10 +178,11 @@ def regression_bound(
     phi_mu_hat = float(np.mean(_excess_vector(muh_X, mu_X, SQUARED)))
 
     support = scenario.real_density.support
+    muh_sup = np.concatenate([muh_X, scenario.mu_hat.mean(support.corners())])  # mu_hat on X is muh_X
     M = max(
-        _sup_abs(values, X, support)
-        for values in (scenario.mu_hat.mean, fitted.on_synthetic.predict,
-                       fitted.population_synth.predict, fitted.population_real.predict)
+        float(np.max(np.abs(muh_sup))),
+        *(_sup_abs(model.predict, X, support)
+          for model in (fitted.on_synthetic, fitted.population_synth, fitted.population_real)),
     )
 
     if chi2 is None:

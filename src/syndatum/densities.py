@@ -546,9 +546,9 @@ def _ratio_region_mass(num: Marginal1D, den: Marginal1D, C: float) -> float:
 
 
 def fidelity_tail_probability(p: DensityModel, q: DensityModel, C: float) -> float:
-    """max of P_p(p/q >= C) and P_q(q/p >= C) for a threshold C > 0."""
-    if C <= 0:
-        raise ValueError("C must be positive")
+    """max of P_p(p/q >= C) and P_q(q/p >= C) for a finite threshold C > 0."""
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError("C must be finite and positive")
     _check_compatible(p, q)
     if same_density(p, q):
         return 1.0 if C <= 1.0 else 0.0

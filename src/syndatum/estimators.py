@@ -180,21 +180,35 @@ def fit_logistic_mle(
 
 
 class _KNN:
-    """Brute-force Euclidean KNN with exact lowest-index tie breaking."""
+    """Brute-force Euclidean KNN with exact lowest-index tie breaking.  With one
+    feature, a query whose k nearest provably form a window of the sorted
+    training values is answered from that window with the kernel's bytes."""
 
     def __init__(self, X, y, k):
         self.X = X
         self.y = y
         self.k = int(k)
         self._sq = np.einsum("ij,ij->i", X, X)
+        self._sorted = None
+        if X.shape[1] == 1 and np.all(np.isfinite(X)):
+            order = np.argsort(X[:, 0], kind="stable")
+            self._sorted = (order, X[order, 0], self._sq[order], float(np.max(np.abs(X))))
 
     def predict(self, Q: np.ndarray) -> np.ndarray:
         n = self.X.shape[0]
         k = min(self.k, n)
         if k >= n:
             return np.full(Q.shape[0], self.y.mean())
+        if self._sorted is None:
+            return self._kernel(Q, k)
+        out, rest = self._window_predict(Q[:, 0], k)
+        if rest.size:
+            out[rest] = self._kernel(Q[rest], k)
+        return out
+
+    def _kernel(self, Q: np.ndarray, k: int) -> np.ndarray:
         out = np.empty(Q.shape[0])
-        chunk = max(1, int(4_000_000 // max(n, 1)))
+        chunk = max(1, int(4_000_000 // max(self.X.shape[0], 1)))
         for s in range(0, Q.shape[0], chunk):
             D = self._sq[None, :] - 2.0 * (Q[s : s + chunk] @ self.X.T)
             # query norms omitted: constant per row, irrelevant to ordering.  Where
@@ -215,6 +229,53 @@ class _KNN:
             out[s : s + rows.shape[0]] = total / k
             del D, part  # free this chunk's arrays before the next is computed
         return out
+
+    def _window_predict(self, q: np.ndarray, k: int):
+        """One-feature fast path.  Each query's k nearest are taken as the
+        window [lo, lo + k) of the sorted training values; a row is kept only
+        when no other training value lies within the window's radius plus the
+        rounding bound of the kernel's distances, and the window's largest
+        distance is unique.  The kernel then takes its unique branch on these
+        very rows, so the sum below repeats it.  Returns the predictions and
+        the rows left for the kernel."""
+        order, xs, sqs, M = self._sorted
+        n = xs.shape[0]
+        out = np.empty(q.shape[0])
+        proven = np.empty(q.shape[0], dtype=bool)
+        span = np.arange(k)
+        chunk = max(1, 1_000_000 // k)
+        for s in range(0, q.shape[0], chunk):
+            finite = np.isfinite(q[s : s + chunk])
+            qc = np.where(finite, q[s : s + chunk], 0.0)
+            pos = np.searchsorted(xs, qc)
+            lo, hi = np.clip(pos - k, 0, n - k), np.clip(pos, 0, n - k)
+            while np.any(lo < hi):  # the window start whose two ends balance
+                mid = (lo + hi) // 2
+                right = (lo < hi) & (qc - xs[mid] > xs[np.minimum(mid + k, n - 1)] - qc)
+                lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cols = lo[:, None] + span
+                # the kernel's D elementwise: with one feature the matmul is q * x
+                D = sqs[cols] - 2.0 * (qc[:, None] * xs[cols])
+                at = np.argmax(D, axis=1)
+                kth = D[np.arange(D.shape[0]), at]
+                # fl(x * x) - 2 fl(q * x) is within delta / 2 of x^2 - 2 q x
+                delta = 4.0 * 2.0**-53 * (M * M + 2.0 * np.abs(qc) * M)
+                r = np.maximum(qc - xs[lo], xs[lo + k - 1] - qc)
+                R = np.sqrt(r * r + 2.0 * delta) * (1.0 + 1e-12) + 1e-12 * (np.abs(qc) + 1.0)
+                count = np.searchsorted(xs, qc + R, side="right") - np.searchsorted(xs, qc - R)
+            ok = finite & (count == k) & (np.count_nonzero(D == kth[:, None], axis=1) == 1)
+            proven[s : s + chunk] = ok
+            # rows sharing a window and its farthest member share a sum: the
+            # other k - 1 members in index order, then the farthest
+            keys, inv = np.unique((lo * k + at)[ok], return_inverse=True)
+            members = order[(keys // k)[:, None] + span]
+            far = members[np.arange(keys.shape[0]), keys % k]
+            ranked = np.sort(members, axis=1)
+            nearer = ranked[ranked != far[:, None]].reshape(keys.shape[0], k - 1)
+            total = self.y[nearer].sum(axis=1) + self.y[far[:, None]].sum(axis=1)
+            out[s : s + chunk][ok] = (total / k)[inv]
+        return out, np.flatnonzero(~proven)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +388,25 @@ class _Forest:
             else:
                 idx = rng.integers(0, n, size=n)
             self.trees.append(_grow_tree(X[idx], y[idx], max_depth))
+        self._steps = None
+        if X.shape[1] == 1:
+            # a 1-d forest is a step function: every query in (cuts[i-1], cuts[i]]
+            # reaches the leaves cuts[i] reaches, and any query above the last
+            # cut, like NaN, goes right at every node
+            cuts = np.unique(np.concatenate([t.threshold[t.feature >= 0] for t in self.trees]))
+            self._steps = (cuts, self._average(np.append(cuts, np.nan)[:, None]))
 
-    def predict(self, Q: np.ndarray) -> np.ndarray:
+    def _average(self, Q: np.ndarray) -> np.ndarray:
         out = np.zeros(Q.shape[0])
         for tree in self.trees:
             out += tree.predict(Q)
         return out / len(self.trees)
+
+    def predict(self, Q: np.ndarray) -> np.ndarray:
+        if self._steps is None:
+            return self._average(Q)
+        cuts, values = self._steps
+        return values[np.searchsorted(cuts, Q[:, 0])]
 
 
 # ---------------------------------------------------------------------------

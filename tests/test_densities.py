@@ -209,6 +209,12 @@ def test_tail_identical_above_one_is_zero():
     assert fidelity_tail_probability(uniform_pm1(), uniform_pm1(), 1.5) == 0.0
 
 
+@pytest.mark.parametrize("C", [math.nan, math.inf, 0.0, -1.0])
+def test_tail_rejects_threshold_that_is_not_finite_and_positive(C):
+    with pytest.raises(ValueError):
+        fidelity_tail_probability(Triangular1D("increasing"), Triangular1D("decreasing"), C)
+
+
 def test_tail_triangular_matches_closed_form():
     t1, t2 = Triangular1D("increasing"), Triangular1D("decreasing")
     assert fidelity_tail_probability(t1, t2, 1.0) == pytest.approx(0.75, abs=1e-6)

@@ -112,6 +112,36 @@ def test_knn_predict_matches_per_query_reference(k):
     assert _KNN(X, y, k).predict(Q).tobytes() == _knn_reference(X, y, k, Q).tobytes()
 
 
+@pytest.mark.parametrize("features", ["continuous", "rounded", "duplicated"])
+@pytest.mark.parametrize("labels", [False, True])
+def test_knn_one_feature_matches_per_query_reference(features, labels):
+    # one feature takes the sorted-window path; rows it cannot prove (ties,
+    # non-finite queries) take the brute-force kernel
+    rng = SeedSpec(33).rng()
+    n = 150
+    x = rng.normal(size=n)
+    if features == "rounded":
+        x = np.round(x, 1)
+    elif features == "duplicated":
+        x = x[rng.integers(0, 30, size=n)]
+    X = x[:, None]
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0) if labels else rng.normal(size=n) * 1e3
+    Q = np.concatenate([x, rng.normal(size=300), rng.uniform(3.0, 50.0, size=20) * rng.choice([-1.0, 1.0], 20),
+                        [np.inf, -np.inf, np.nan, -0.0]])[:, None]
+    from syndatum.estimators import _KNN
+
+    for k in (1, 2, 7, 40, n - 1, n):
+        model = _KNN(X, y, k)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the distances of an infinite query
+            got = model.predict(Q)
+            # k = n is the global mean for every query, NaN included
+            want = _knn_reference(X, y, k, Q) if k < n else np.full(Q.shape[0], y.mean())
+        assert got.tobytes() == want.tobytes(), k
+        if features == "continuous" and k < n:  # only inf, -inf and NaN need the kernel
+            assert model._window_predict(Q[:, 0], k)[1].tolist() == list(range(Q.shape[0] - 4, Q.shape[0] - 1))
+        assert model.predict(np.empty((0, 1))).shape == (0,)
+
+
 def test_knn_classification_prob_in_unit_interval():
     rng = SeedSpec(3).rng()
     X = rng.normal(size=(200, 2))
@@ -270,6 +300,25 @@ def test_rf_tree_matches_per_node_sort_reference(p, depth):
 
     forest = _Forest(X, y, 1, depth, SeedSpec(5).rng())
     assert forest.predict(Q).tobytes() == _cart_reference(X, y, depth, Q).tobytes()
+
+
+@pytest.mark.parametrize("depth", [0, 4])
+def test_rf_one_feature_step_table_matches_tree_sum(depth):
+    rng = SeedSpec(34).rng()
+    X = np.round(rng.normal(size=(200, 1)), 1)
+    y = np.sin(3.0 * X[:, 0]) + rng.normal(size=200)
+    from syndatum.estimators import _Forest
+
+    forest = _Forest(X, y, 7, depth, SeedSpec(6).rng())
+    cuts = forest._steps[0]
+    assert cuts.size == 0 if depth == 0 else cuts.size > 7
+    # at, just below and just above every threshold, and the non-finite ends
+    Q = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf), rng.normal(size=100) * 3.0,
+                        [np.inf, -np.inf, np.nan, -0.0, 0.0]])[:, None]
+    want = np.zeros(Q.shape[0])
+    for tree in forest.trees:
+        want += tree.predict(Q)
+    assert forest.predict(Q).tobytes() == (want / len(forest.trees)).tobytes()
 
 
 def test_rf_fits_signal_better_than_mean():
