@@ -467,19 +467,23 @@ def _chi2_1d(pf: Marginal1D, qf: Marginal1D) -> float:
     if np.any(interior & (qv <= 1e-300) & (pv > 1e-12)):
         return math.inf
 
-    # refine toward the support boundary; a running integral that keeps
-    # doubling across three refinements signals a divergent boundary layer
-    # (eps0 must be wide enough that the base integral is small relative to
-    # any divergent layer, else log-divergence never doubles)
-    eps0 = width * 0.05
-    running = []
-    for k in range(9):
-        eps = eps0 * 4.0**-k
-        running.append(_quad_ratio(pf, qf, a + eps, b - eps))
-    for k in range(len(running) - 3):
-        base = max(running[k], 1e-12)
-        if running[k + 3] > 2.0 * base:
-            return math.inf
+    # every density here is bounded and continuous up to its ends, so p^2/q
+    # can only blow up at an end where q is 0.  There, refine toward the
+    # boundary; a running integral that keeps doubling across three
+    # refinements signals a divergent boundary layer (eps0 must be wide
+    # enough that the base integral is small relative to any divergent layer,
+    # else log-divergence never doubles).  Elsewhere the test would misread
+    # p's mass inside the outer layer as a divergence
+    if min(float(qf.pdf1(a)), float(qf.pdf1(b))) <= 0.0:
+        eps0 = width * 0.05
+        running = []
+        for k in range(9):
+            eps = eps0 * 4.0**-k
+            running.append(_quad_ratio(pf, qf, a + eps, b - eps))
+        for k in range(len(running) - 3):
+            base = max(running[k], 1e-12)
+            if running[k + 3] > 2.0 * base:
+                return math.inf
 
     value = _quad_ratio(pf, qf, a, b) - 1.0
     return max(value, 0.0)

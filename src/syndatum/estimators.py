@@ -198,12 +198,15 @@ class _KNN:
         n = self.X.shape[0]
         k = min(self.k, n)
         if k >= n:
-            return np.full(Q.shape[0], self.y.mean())
-        if self._sorted is None:
-            return self._kernel(Q, k)
-        out, rest = self._window_predict(Q[:, 0], k)
-        if rest.size:
-            out[rest] = self._kernel(Q[rest], k)
+            out = np.full(Q.shape[0], self.y.mean())
+        elif self._sorted is None:
+            out = self._kernel(Q, k)
+        else:
+            out, rest = self._window_predict(Q[:, 0], k)
+            if rest.size:
+                out[rest] = self._kernel(Q[rest], k)
+        # a query with a NaN feature has no nearest neighbours
+        out[np.isnan(Q).any(axis=1)] = np.nan
         return out
 
     def _kernel(self, Q: np.ndarray, k: int) -> np.ndarray:
@@ -284,29 +287,17 @@ class _KNN:
 
 
 class _Tree:
+    """One fitted tree as flat node arrays; node 0 is the root and a leaf has
+    feature -1."""
+
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-
-    def _add(self, feature, threshold, value):
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return len(self.feature) - 1
-
-    def finalize(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=float)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value, dtype=float)
+    def __init__(self, feature, threshold, left, right, value):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.value = value
 
     def predict(self, Q: np.ndarray) -> np.ndarray:
         node = np.zeros(Q.shape[0], dtype=np.int64)
@@ -320,74 +311,150 @@ class _Tree:
         return self.value[node]
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, orders: np.ndarray, total: float):
-    """Best (feature, threshold) by squared-error reduction; all features
-    considered; ties broken toward the lowest feature index.  Row j of
-    ``orders`` holds the node's rows sorted by feature j; ``total`` is the
-    sum of their responses."""
-    p, m = orders.shape
-    xs = X[orders, np.arange(p)[:, None]]
-    prefix = np.cumsum(y[orders], axis=1)[:, :-1]
-    valid = xs[:, :-1] < xs[:, 1:]
-    counts = np.arange(1, m)
-    score = prefix**2 / counts + (total - prefix) ** 2 / (m - counts)
-    score[~valid] = -np.inf
-    best_i = np.argmax(score, axis=1)
-    best_score = -np.inf
-    best = None
-    for j in np.flatnonzero(valid.any(axis=1)):
-        i = best_i[j]
-        if score[j, i] > best_score + 1e-12:
-            best_score = score[j, i]
-            best = (int(j), 0.5 * (xs[j, i] + xs[j, i + 1]))
-    return best
+_BATCH_ROWS = 1 << 14  # bootstrap rows (trees x n) grown together
+_BLOCK_CELLS = 1 << 14  # cells of one padded (p, nodes, width) block of split scores
 
 
-def _grow_tree(X, y, max_depth) -> _Tree:
-    tree = _Tree()
-    root = tree._add(-1, 0.0, float(y.mean()))
-    # rows are sorted once per feature; a node's rows stay ascending and its
-    # orders, filtered from its parent's, equal a stable sort of its own rows
-    orders = np.stack([np.argsort(X[:, j], kind="stable") for j in range(X.shape[1])])
-    goes_left = np.zeros(y.shape[0], dtype=bool)
-    stack = [(root, np.arange(y.shape[0]), orders, 0)]
-    while stack:
-        node, idx, orders, depth = stack.pop()
-        ys = y[idx]
-        m = idx.shape[0]
-        if depth >= max_depth or m < 2 or ys.max() - ys.min() == 0.0:
-            continue
-        split = _best_split(X, y, orders, ys.sum())
-        if split is None:
-            continue
-        j, thr = split
-        mask = X[idx, j] <= thr
-        n_left = int(np.count_nonzero(mask))  # sum / count rounds as ndarray.mean
-        left = tree._add(-1, 0.0, float(ys[mask].sum() / n_left))
-        right = tree._add(-1, 0.0, float(ys[~mask].sum() / (m - n_left)))
-        tree.feature[node] = j
-        tree.threshold[node] = thr
-        tree.left[node] = left
-        tree.right[node] = right
-        if depth + 1 < max_depth:  # children at max_depth stay leaves
-            goes_left[idx] = mask
-            sides = goes_left[orders]
-            stack.append((left, idx[mask], orders[sides].reshape(-1, n_left), depth + 1))
-            stack.append((right, idx[~mask], orders[~sides].reshape(-1, m - n_left), depth + 1))
-    tree.finalize()
-    return tree
+def _segment_sums(values, starts, sizes):
+    """values[s : s + m].sum() for every segment, rounded as 1-d .sum() does:
+    segments of one length are summed as the rows of one block."""
+    out = np.empty(sizes.shape[0])
+    by_size = np.argsort(sizes, kind="stable")
+    ordered = sizes[by_size]
+    bounds = np.flatnonzero(np.diff(ordered, prepend=-1, append=-1))
+    span = np.arange(ordered.max(initial=0))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        group = by_size[lo:hi]
+        out[group] = np.add.reduce(values[starts[group, None] + span[: ordered[lo]]], axis=1)
+    return out
+
+
+def _best_splits(xt, yb, orders, starts, sizes, totals):
+    """Best (feature, threshold) of each node by squared-error reduction; all
+    features considered; ties broken toward the lowest feature index.  ``xt``
+    holds the features as rows; row j of ``orders`` holds every node's rows
+    sorted by feature j, node i at [starts[i], starts[i] + sizes[i]);
+    ``totals`` are the nodes' response sums.  Feature -1 means no split."""
+    p, level_rows = orders.shape
+    feature = np.full(sizes.shape[0], -1)
+    threshold = np.zeros(sizes.shape[0])
+    by_size = np.argsort(-sizes, kind="stable")
+    s = 0
+    while s < by_size.shape[0]:
+        # a block holds the widest nodes left, up to the cell cap
+        width = sizes[by_size[s]]
+        nodes = by_size[s : s + max(1, _BLOCK_CELLS // (p * width))]
+        s += nodes.shape[0]
+        m = sizes[nodes]
+        # a node's padding repeats its last row, so no split falls in it; the
+        # cumulative sum is sequential, so padding leaves each prefix as is
+        cols = starts[nodes, None] + np.minimum(np.arange(width), m[:, None] - 1)
+        block = orders.ravel()[cols + (np.arange(p) * level_rows)[:, None, None]]
+        xs = xt.ravel()[block + (np.arange(p) * xt.shape[1])[:, None, None]]
+        prefix = np.cumsum(yb[block[..., :-1]], axis=-1)
+        counts = np.arange(1.0, width)  # float counts give the same quotients as ints
+        with np.errstate(divide="ignore", invalid="ignore"):  # m - counts <= 0 in padding
+            score = prefix**2 / counts + (totals[nodes, None] - prefix) ** 2 / (m[:, None] - counts)
+        np.copyto(score, -np.inf, where=~(xs[..., :-1] < xs[..., 1:]))
+        at = np.argmax(score, axis=-1)
+        top = np.take_along_axis(score, at[..., None], axis=-1)[..., 0]
+        # a feature without a valid split tops at -inf and is never taken
+        best = np.full(nodes.shape[0], -np.inf)
+        j_best = np.full(nodes.shape[0], -1)
+        for j in range(p):
+            take = top[j] > best + 1e-12
+            best = np.where(take, top[j], best)
+            j_best = np.where(take, j, j_best)
+        split = np.flatnonzero(j_best >= 0)
+        j, i = j_best[split], at[j_best[split], split]
+        mid = 0.5 * (xs[j, split, i] + xs[j, split, i + 1])
+        # the midpoint can round up onto the next value; when that is the
+        # node's largest, every row would go left, so the node stays a leaf
+        made = ~(mid >= xs[j, split, -1])
+        feature[nodes[split[made]]] = j[made]
+        threshold[nodes[split[made]]] = mid[made]
+    return feature, threshold
+
+
+def _grow_trees(X, y, ranks, boots, max_depth):
+    """One CART tree per row of bootstrap indices ``boots``, grown together
+    one depth at a time.  Row 0 of ``orders`` lists the rows of every node of
+    the current depth in index order, row j + 1 sorted by feature j (ties in
+    index order); each node's rows are contiguous.  A node's sums are
+    pairwise sums of its responses in index order, as y[idx].sum() is."""
+    t, n = boots.shape
+    p = X.shape[1]
+    xt, yb = X.T.take(boots.ravel(), axis=1), y[boots.ravel()]
+    rows = np.arange(t * n)
+    # a row's key is (tree, rank of its value, row): ties keep index order
+    tree_rank = np.repeat(np.arange(t) * n, n) + ranks[:, boots.ravel()]
+    orders = np.concatenate([rows[None, :], np.argsort(tree_rank * (t * n) + rows, axis=1)])
+    sizes = np.full(t, n)
+    starts = np.arange(t) * n
+    totals = yb.reshape(t, n).sum(axis=1)
+    tree = np.arange(t)
+    levels = []  # per depth: (tree, feature, threshold, left, right, value)
+    first = 0  # node id of the depth's first node; ids run depth by depth
+    for depth in range(max_depth + 1):
+        count = sizes.shape[0]
+        feature = np.full(count, -1)
+        threshold = np.zeros(count)
+        left = np.full(count, -1)
+        right = np.full(count, -1)
+        values = totals / sizes  # sum / count rounds as ndarray.mean
+        levels.append((tree, feature, threshold, left, right, values))
+        if depth == max_depth or count == 0:
+            break
+        ys = yb[orders[0]]
+        spread = np.maximum.reduceat(ys, starts) - np.minimum.reduceat(ys, starts)
+        cand = np.flatnonzero((sizes >= 2) & (spread != 0.0))
+        feature[cand], threshold[cand] = _best_splits(xt, yb, orders[1:], starts[cand], sizes[cand],
+                                                      totals[cand])
+        split = np.flatnonzero(feature >= 0)
+        # each row goes left (1), right (2) or, in a leaf, nowhere (0)
+        node_of = np.repeat(np.arange(count), sizes)
+        rows, f = orders[0], feature[node_of]
+        goes_left = xt.ravel()[np.maximum(f, 0) * xt.shape[1] + rows] <= threshold[node_of]
+        slot = np.where(f < 0, 0, 2 - goes_left).astype(np.int8)
+        side = np.empty(t * n, dtype=np.int8)
+        side[rows] = slot
+        # children at max_depth stay leaves: only their sums are needed.  A
+        # compress is stable; boolean indexing is slower on scattered masks
+        keep = orders if depth + 1 < max_depth else orders[:1]
+        code = side[keep].ravel()
+        orders = np.concatenate([np.compress(code == c, keep).reshape(keep.shape[0], -1) for c in (1, 2)], axis=1)
+        n_left = np.bincount(node_of, slot == 1, count)[split].astype(np.int64)
+        sizes = np.concatenate([n_left, sizes[split] - n_left])
+        starts = np.cumsum(sizes) - sizes
+        totals = _segment_sums(yb[orders[0]], starts, sizes)
+        tree = np.tile(tree[split], 2)
+        first += count
+        left[split] = first + np.arange(split.shape[0])
+        right[split] = first + split.shape[0] + np.arange(split.shape[0])
+    tree, feature, threshold, left, right, value = map(np.concatenate, zip(*levels))
+    # number each tree's nodes in id order, so its root is node 0
+    by_tree = np.argsort(tree, kind="stable")
+    bounds = np.searchsorted(tree[by_tree], np.arange(t + 1))
+    local = np.empty_like(by_tree)
+    local[by_tree] = np.arange(by_tree.shape[0]) - bounds[tree[by_tree]]
+    left = np.where(left >= 0, local[left], -1)
+    right = np.where(right >= 0, local[right], -1)
+    return [_Tree(*(a[by_tree[lo:hi]] for a in (feature, threshold, left, right, value)))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 class _Forest:
     def __init__(self, X, y, n_trees, max_depth, rng):
         n = X.shape[0]
+        per_batch = max(1, _BATCH_ROWS // n)
+        ranks = np.stack([np.unique(X[:, j], return_inverse=True)[1] for j in range(X.shape[1])])
         self.trees = []
-        for t in range(n_trees):
+        for s in range(0, n_trees, per_batch):
             if n_trees == 1:
-                idx = np.arange(n)  # single-tree forest degenerates to plain CART
-            else:
-                idx = rng.integers(0, n, size=n)
-            self.trees.append(_grow_tree(X[idx], y[idx], max_depth))
+                boots = np.arange(n)[None, :]  # single-tree forest degenerates to plain CART
+            else:  # growth draws nothing, so the draws keep their order
+                boots = np.stack([rng.integers(0, n, size=n) for _ in range(min(per_batch, n_trees - s))])
+            self.trees.extend(_grow_trees(X, y, ranks, boots, max_depth))
         self._steps = None
         if X.shape[1] == 1:
             # a 1-d forest is a step function: every query in (cuts[i-1], cuts[i]]
@@ -414,14 +481,26 @@ class _Forest:
 # ---------------------------------------------------------------------------
 
 
+def _views(flat, shapes):
+    """Consecutive reshaped views of a flat vector, one per shape."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [flat[end - math.prod(shape) : end].reshape(shape) for shape, end in zip(shapes, ends)]
+
+
 class _MLP:
     def __init__(self, p, layers, hidden, rng):
         sizes = [p] + [hidden] * layers + [1]
-        self.W = [
-            rng.normal(0.0, math.sqrt(2.0 / sizes[i]), size=(sizes[i], sizes[i + 1]))
-            for i in range(len(sizes) - 1)
-        ]
-        self.b = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+        shapes = [(sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
+        shapes += [(size,) for size in sizes[1:]]
+        # W and b are views of one flat parameter vector, and their gradients
+        # views of one flat gradient vector, so one Adam step updates them all
+        self._theta = np.zeros(sum(math.prod(shape) for shape in shapes))
+        self._grad = np.zeros_like(self._theta)
+        params, grads = _views(self._theta, shapes), _views(self._grad, shapes)
+        self.W, self.b = params[: len(sizes) - 1], params[len(sizes) - 1 :]
+        self._gW, self._gb = grads[: len(sizes) - 1], grads[len(sizes) - 1 :]
+        for i, W in enumerate(self.W):
+            W[...] = rng.normal(0.0, math.sqrt(2.0 / sizes[i]), size=W.shape)
 
     def forward(self, X):
         h = X
@@ -433,44 +512,44 @@ class _MLP:
         return out, cache
 
     def gradients(self, X, y):
+        """Loss gradients, written into views of the flat gradient vector;
+        returns (gW, gb, loss)."""
         out, cache = self.forward(X)
         n = X.shape[0]
-        gW = [None] * len(self.W)
-        gb = [None] * len(self.b)
-        delta = (2.0 / n) * (out - y).reshape(-1, 1)
-        gW[-1] = cache[-1].T @ delta
-        gb[-1] = delta.sum(axis=0)
+        gW, gb = self._gW, self._gb
+        err = out - y
+        delta = (2.0 / n) * err.reshape(-1, 1)
+        np.matmul(cache[-1].T, delta, out=gW[-1])
+        np.add.reduce(delta, axis=0, out=gb[-1])
         back = delta @ self.W[-1].T
         for layer in range(len(self.W) - 2, -1, -1):
             back = back * (cache[layer + 1] > 0.0)
-            gW[layer] = cache[layer].T @ back
-            gb[layer] = back.sum(axis=0)
+            np.matmul(cache[layer].T, back, out=gW[layer])
+            np.add.reduce(back, axis=0, out=gb[layer])
             if layer > 0:
                 back = back @ self.W[layer].T
-        return gW, gb, float(np.mean((out - y) ** 2))
+        return gW, gb, float(np.mean(err**2))
 
     def train(self, X, y):
         """Full-batch Adam with early stopping; returns the epochs run."""
         lr, epochs, patience, min_improvement = 1e-3, 500, 20, 1e-6
-        params = self.W + self.b
-        m = [np.zeros_like(q) for q in params]
-        v = [np.zeros_like(q) for q in params]
+        q, g = self._theta, self._grad
+        m = np.zeros_like(q)
+        v = np.zeros_like(q)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         best = math.inf
         stall = 0
         t = 0
         for _ in range(epochs):
-            gW, gb, loss = self.gradients(X, y)
-            grads = gW + gb
+            loss = self.gradients(X, y)[2]
             t += 1
-            for q, g, mi, vi in zip(params, grads, m, v):
-                mi *= beta1
-                mi += (1 - beta1) * g
-                vi *= beta2
-                vi += (1 - beta2) * g * g
-                mhat = mi / (1 - beta1**t)
-                vhat = vi / (1 - beta2**t)
-                q -= lr * mhat / (np.sqrt(vhat) + eps)
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            mhat = m / (1 - beta1**t)
+            vhat = v / (1 - beta2**t)
+            q -= lr * mhat / (np.sqrt(vhat) + eps)
             if loss < best - min_improvement:
                 best = loss
                 stall = 0

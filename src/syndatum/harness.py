@@ -474,7 +474,9 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
     rows: List[ResultRow] = []
 
     # one fit per estimator, shared by the comparison and the synthesis; a
-    # failed fit is kept and raised again, not repeated
+    # failed fit is kept and raised again, not repeated.  Any exception, a
+    # numpy LinAlgError as well as a SyndatumError, becomes a row error, so
+    # one failing unit does not end the sweep
     fits = {}
 
     def fitted(ei):
@@ -482,9 +484,9 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
             try:
                 fits[ei] = _fitted_estimator(config.truth, config.estimators[ei], original,
                                              base.child(4, ei))
-            except SyndatumError as exc:
+            except Exception as exc:
                 fits[ei] = exc
-        if isinstance(fits[ei], SyndatumError):
+        if isinstance(fits[ei], Exception):
             raise fits[ei]
         return fits[ei]
 
@@ -494,7 +496,7 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
             report = _compare(config, fitted(0), base.child(8))
             labels = tuple(text.split()[0] for text in config.model_classes)
             rows.extend(_comparison_rows(config.name, n, rep, est_name, labels, report))
-        except SyndatumError as exc:
+        except Exception as exc:
             rows.append(_error_row(config.name, n, rep, est_name, "pair", "consistent", exc))
 
     # ERM is deterministic, so one original-data fit per class serves every
@@ -512,7 +514,7 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
             # estimation model
             est = fitted(ei)
             synthetic, synth_noise = _synthesize(config, est, original, base.child(5))
-        except SyndatumError as exc:
+        except Exception as exc:
             rows.extend(
                 _error_row(config.name, n, rep, est_name, text.split()[0], "utility", exc)
                 for text in config.model_classes
@@ -524,7 +526,7 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
                 mc, f_orig = fit_original(class_text)
                 f_synth = fit_downstream(mc, synthetic)
                 report = utility_metric(f_synth, f_orig, cfg)
-            except SyndatumError as exc:
+            except Exception as exc:
                 rows.append(_error_row(*row.args, "utility", exc))
                 continue
             rows.append(row("utility", report.utility, report.combined_std_error))
@@ -538,7 +540,7 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
                         config, mc, est, synth_noise, f_orig, f_synth,
                         (base.child(6, ei), base.child(7, ei), base.child(9, ei)), chi2,
                     )
-                except SyndatumError as exc:
+                except Exception as exc:
                     rows.append(_error_row(*row.args, "bound_total", exc))
                     continue
                 rows.extend(row(f"bound_{key}", value, 0.0)

@@ -113,6 +113,59 @@ def test_experiment_reports_row_errors_in_exit_code(tmp_path):
     assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
 
 
+UNIT_ERROR_CONFIG = """
+[unit-error]
+task = regression
+real_density = uniform-box lower=-1 upper=1
+synth_density = uniform-box lower=-1 upper=1
+truth = abs
+noise = gaussian var=0.25
+estimators = knn, rf trees=3
+model_classes = linear; abs
+n_grid = 48, 64
+replications = 2
+n_test = 500
+master_seed = 5
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_experiment_turns_unit_exception_into_row_error(tmp_path, monkeypatch, capsys, workers):
+    # a numpy error inside one estimator fit becomes that fit's row errors:
+    # the sweep finishes, the other rows keep their bytes, and no traceback
+    # reaches the terminal
+    import numpy as np
+
+    import syndatum.estimators
+
+    path = tmp_path / "unit.ini"
+    path.write_text(UNIT_ERROR_CONFIG)
+    args = ["experiment", "--config", str(path), "--workers", str(workers), "--out"]
+    assert main(args + [str(tmp_path / "clean")]) == 0
+    grow = syndatum.estimators._Forest.__init__
+
+    def failing(self, X, *rest):
+        if X.shape[0] == 64:
+            raise np.linalg.LinAlgError("Singular matrix")
+        grow(self, X, *rest)
+
+    monkeypatch.setattr(syndatum.estimators._Forest, "__init__", failing)
+    capsys.readouterr()
+    assert main(args + [str(tmp_path / "failed")]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    clean = (tmp_path / "clean" / "rows.csv").read_text().splitlines()
+    failed = (tmp_path / "failed" / "rows.csv").read_text().splitlines()
+    header = clean[0].split(",")
+    n_at, est_at, err_at = header.index("n"), header.index("estimator"), header.index("error")
+    hit = [line for line in failed if line.split(",")[n_at] == "64" and line.split(",")[est_at] == "rf"]
+    assert len(hit) == 4  # 2 replications x 2 model classes
+    assert all(line.split(",")[err_at] == "LinAlgError: Singular matrix" for line in hit)
+    assert [line for line in failed if line not in hit] == [
+        line for line in clean if not (line.split(",")[n_at] == "64" and line.split(",")[est_at] == "rf")
+    ]
+
+
 def test_synth_writes_dataset(tmp_path, reg_config):
     out = tmp_path / "synth.csv"
     assert main(["synth", "--config", str(reg_config), "--out", str(out)]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -89,10 +90,14 @@ def test_knn_tie_break_lowest_index():
 
 def _knn_reference(X, y, k, Q):
     """The k-nearest-neighbour mean, one query at a time: the rows strictly
-    nearer than the k-th distance, then the lowest-index rows at it."""
+    nearer than the k-th distance, then the lowest-index rows at it.  A
+    query with a NaN feature has no neighbours and gets NaN."""
     sq = np.einsum("ij,ij->i", X, X)
     out = np.empty(Q.shape[0])
     for i, row in enumerate(sq[None, :] - 2.0 * (Q @ X.T)):
+        if np.isnan(Q[i]).any():
+            out[i] = np.nan
+            continue
         kth = np.partition(row, k - 1)[k - 1]
         less = row < kth
         ties = np.flatnonzero(row == kth)[: k - np.count_nonzero(less)]
@@ -106,7 +111,8 @@ def test_knn_predict_matches_per_query_reference(k):
     rng = SeedSpec(31).rng()
     X = np.round(rng.normal(size=(150, 2)), 1)
     y = rng.normal(size=150) * 1e3
-    Q = np.vstack([X[:50], np.round(rng.normal(size=(300, 2)), 1), rng.normal(size=(300, 2))])
+    Q = np.vstack([X[:50], np.round(rng.normal(size=(300, 2)), 1), rng.normal(size=(300, 2)),
+                   [[np.nan, 0.0], [0.5, np.nan]]])
     from syndatum.estimators import _KNN
 
     assert _KNN(X, y, k).predict(Q).tobytes() == _knn_reference(X, y, k, Q).tobytes()
@@ -134,8 +140,8 @@ def test_knn_one_feature_matches_per_query_reference(features, labels):
         model = _KNN(X, y, k)
         with np.errstate(invalid="ignore"):  # inf * 0 in the distances of an infinite query
             got = model.predict(Q)
-            # k = n is the global mean for every query, NaN included
-            want = _knn_reference(X, y, k, Q) if k < n else np.full(Q.shape[0], y.mean())
+            # k = n is the global mean for every query but NaN
+            want = _knn_reference(X, y, k, Q) if k < n else np.where(np.isnan(Q[:, 0]), np.nan, y.mean())
         assert got.tobytes() == want.tobytes(), k
         if features == "continuous" and k < n:  # only inf, -inf and NaN need the kernel
             assert model._window_predict(Q[:, 0], k)[1].tolist() == list(range(Q.shape[0] - 4, Q.shape[0] - 1))
@@ -277,6 +283,8 @@ def _cart_reference(X, y, max_depth, Q):
             return leaf
         j, thr = best
         mask = X[idx, j] <= thr
+        if mask.all():  # the midpoint rounded onto the largest value
+            return leaf
         return ("split", j, thr, grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
 
     def predict(node, q):
@@ -319,6 +327,83 @@ def test_rf_one_feature_step_table_matches_tree_sum(depth):
     for tree in forest.trees:
         want += tree.predict(Q)
     assert forest.predict(Q).tobytes() == (want / len(forest.trees)).tobytes()
+
+
+def _forest_reference(X, y, n_trees, depth, seed, Q):
+    """The tree-order average of plain CART trees, each grown on the
+    bootstrap draw the forest makes for it."""
+    rng = SeedSpec(seed).rng()
+    out = np.zeros(Q.shape[0])
+    for _ in range(n_trees):
+        idx = rng.integers(0, X.shape[0], size=X.shape[0]) if n_trees > 1 else np.arange(X.shape[0])
+        out += _cart_reference(X[idx], y[idx], depth, Q)
+    return out / n_trees
+
+
+@pytest.mark.parametrize("caps", [None, (300, 40)])
+@pytest.mark.parametrize("p, depth, data", [(1, 0, "rounded"), (1, 5, "rounded"), (2, 3, "rounded"), (2, 40, "rounded"),
+                                            (3, 7, "rounded"), (2, 6, "mirrored"), (2, 6, "wide")])
+def test_rf_forest_matches_cart_reference_on_its_bootstraps(monkeypatch, caps, p, depth, data):
+    # rounded features tie split candidates and rounded responses make
+    # constant nodes; depth 40 is deeper than any tree grows.  A mirrored
+    # feature ties every split score up to rounding, and responses of wide
+    # magnitude make the prefix sums depend on the order of tied rows.  Small
+    # caps spread the trees over several batches and the nodes over blocks
+    import syndatum.estimators as estimators
+
+    if caps is not None:
+        monkeypatch.setattr(estimators, "_BATCH_ROWS", caps[0])
+        monkeypatch.setattr(estimators, "_BLOCK_CELLS", caps[1])
+    rng = SeedSpec(40 + p).rng()
+    X = np.round(rng.normal(size=(120, p)), 1)
+    y = np.round(np.sin(2.0 * X[:, 0]) + 0.5 * rng.normal(size=120), 1)
+    if data == "mirrored":
+        X[:, 1] = -X[:, 0]
+    elif data == "wide":
+        y = rng.normal(size=120) * 10.0 ** rng.uniform(-8, 8, size=120)
+    Q = np.vstack([X, rng.normal(size=(100, p)) * 2.0])
+    forest = estimators._Forest(X, y, 9, depth, SeedSpec(8).rng())
+    assert forest.predict(Q).tobytes() == _forest_reference(X, y, 9, depth, 8, Q).tobytes()
+
+
+def test_rf_split_whose_midpoint_rounds_onto_the_largest_value_is_not_made():
+    # 0.5 * (a + b) rounds to b for these neighbours: every row would go
+    # left and leave an empty child, so such a node stays a leaf
+    from syndatum.estimators import _Forest
+
+    a, b = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+    assert 0.5 * (a + b) == b
+    rng = SeedSpec(44).rng()
+    X = np.column_stack([np.tile([a, b], 20), rng.normal(size=40)])
+    y = np.where(X[:, 0] == a, 0.0, 1.0) + 0.01 * rng.normal(size=40)
+    Q = np.vstack([X, [[2.0, 0.0], [b, 5.0]]])
+    got = _Forest(X, y, 4, 3, SeedSpec(9).rng()).predict(Q)
+    assert np.all(np.isfinite(got)) and got.tobytes() == _forest_reference(X, y, 4, 3, 9, Q).tobytes()
+
+
+def _fig3_like(n):
+    """A draw like a fig3 unit's: two truncated-normal features, exp(x1) -
+    exp(x2) plus unit Gaussian noise; and 2000 query points."""
+    density = TruncatedNormalDiag(BoxSupport((-2.0, -2.0), (2.0, 2.0)), [1.0, 1.0], [1.0, 1.0])
+    X = density.sample(n, SeedSpec(41, n))
+    y = np.exp(X[:, 0]) - np.exp(X[:, 1]) + SeedSpec(42, n).rng().normal(size=n)
+    return make_dataset(X, y, TaskKind.REGRESSION), density.sample(2000, SeedSpec(43))
+
+
+@pytest.mark.parametrize(
+    "kind, n, digest",
+    [
+        ("rf", 100, "1598b216dad4c102164e18f4d044253ab3af58245104c10f3e946d79ed531b9b"),
+        ("rf", 1600, "d98be9835a005d3baf9b8fabb973f6490cb2ff90cd130e55e78f274988af2d42"),
+        ("mlp", 100, "8a08c0e96eeac68204ee76a9d32c543230cbceed8e171b9af97f58af258bb250"),
+        ("mlp", 1600, "32d2e382c6a28b553347655c731edf6d1f30674a3f520128e5fbc9568b92c6ee"),
+    ],
+)
+def test_rf_and_mlp_means_pinned(kind, n, digest):
+    # golden pins: SHA-256 of the fitted mean at 2000 points, default shapes
+    ds, Q = _fig3_like(n)
+    est = fit_estimator(EstimatorSpec(kind), ds, SeedSpec(7))
+    assert hashlib.sha256(est.mean(Q).tobytes()).hexdigest() == digest
 
 
 def test_rf_fits_signal_better_than_mean():
@@ -371,6 +456,76 @@ def test_mlp_gradient_check():
             an = gW[layer][idx]
             errs.append(abs(fd - an) / max(abs(fd), abs(an), 1e-12))
     assert max(errs) < 1e-4
+
+
+def _mlp_reference(X, y, layers, hidden, rng):
+    """The network trained by full-batch Adam with one update per parameter
+    array.  Returns the weights, the biases, the epochs run and a predictor."""
+    sizes = [X.shape[1]] + [hidden] * layers + [1]
+    W = [rng.normal(0.0, math.sqrt(2.0 / sizes[i]), size=(sizes[i], sizes[i + 1])) for i in range(len(sizes) - 1)]
+    b = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+
+    def forward(Q):
+        cache = [Q]
+        for Wi, bi in zip(W[:-1], b[:-1]):
+            cache.append(np.maximum(cache[-1] @ Wi + bi, 0.0))
+        return (cache[-1] @ W[-1] + b[-1]).ravel(), cache
+
+    lr, patience, min_improvement = 1e-3, 20, 1e-6
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    params = W + b
+    m = [np.zeros_like(q) for q in params]
+    v = [np.zeros_like(q) for q in params]
+    best, stall, t = math.inf, 0, 0
+    for _ in range(500):
+        out, cache = forward(X)
+        gW, gb = [None] * len(W), [None] * len(b)
+        delta = (2.0 / X.shape[0]) * (out - y).reshape(-1, 1)
+        gW[-1] = cache[-1].T @ delta
+        gb[-1] = delta.sum(axis=0)
+        back = delta @ W[-1].T
+        for layer in range(len(W) - 2, -1, -1):
+            back = back * (cache[layer + 1] > 0.0)
+            gW[layer] = cache[layer].T @ back
+            gb[layer] = back.sum(axis=0)
+            if layer > 0:
+                back = back @ W[layer].T
+        loss = float(np.mean((out - y) ** 2))
+        t += 1
+        for q, g, mi, vi in zip(params, gW + gb, m, v):
+            mi *= beta1
+            mi += (1 - beta1) * g
+            vi *= beta2
+            vi += (1 - beta2) * g * g
+            mhat = mi / (1 - beta1**t)
+            vhat = vi / (1 - beta2**t)
+            q -= lr * mhat / (np.sqrt(vhat) + eps)
+        if loss < best - min_improvement:
+            best, stall = loss, 0
+        else:
+            stall += 1
+            if stall >= patience:
+                break
+    return W, b, t, lambda Q: forward(Q)[0]
+
+
+@pytest.mark.parametrize(
+    "n, p, layers, hidden, scale",
+    [(60, 1, 1, 3, 1.0), (150, 2, 4, 10, 1.0), (400, 3, 2, 7, 1.0), (80, 2, 3, 5, 1e-3)],
+)
+def test_mlp_flat_adam_matches_per_parameter_reference(n, p, layers, hidden, scale):
+    # scale 1e-3 keeps the loss under the improvement threshold: early stop
+    rng = SeedSpec(60 + n).rng()
+    X = rng.normal(size=(n, p)) * scale
+    y = (np.sin(2.0 * X[:, 0] / scale) + 0.1 * rng.normal(size=n)) * scale
+    mlp = _MLP(p, layers, hidden, SeedSpec(61).rng())
+    epochs = mlp.train(X, y)
+    W, b, t, predict = _mlp_reference(X, y, layers, hidden, SeedSpec(61).rng())
+    assert epochs == t and (t < 500) == (scale < 1.0)
+    for got, want in zip(mlp.W + mlp.b, W + b):
+        assert got.tobytes() == want.tobytes()
+    Q = rng.normal(size=(50, p)) * scale
+    assert mlp.predict(Q).tobytes() == predict(Q).tobytes()
 
 
 def test_mlp_learns_linear_function():

@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset, sample_noise
+from scipy.special import erfi, ndtr
+
 from syndatum.densities import (
+    DensityModel,
     PiecewiseConstant1D,
+    TruncatedNormalDiag,
     chi_square_divergence,
     fidelity_tail_probability,
     lemma1_chi2_to_fidelity,
@@ -17,7 +21,7 @@ from syndatum.densities import (
 from syndatum.erm import fit_regression, make_model_class
 from syndatum.estimators import EstimatorSpec, fit_estimator, predict_mean
 from syndatum.metrics import SQUARED, RiskConfig, utility_metric
-from syndatum.densities import BoxSupport, UniformBox
+from syndatum.densities import BoxSupport, UniformBox, _Piecewise1D
 
 REG = TaskKind.REGRESSION
 
@@ -62,6 +66,68 @@ def test_chi2_piecewise_matches_closed_form_property(pair):
     hp, hq = np.asarray(pf.heights), np.asarray(qf.heights)
     expected = float(np.sum(widths * hp**2 / hq)) - 1.0
     assert chi_square_divergence(p, q) == pytest.approx(expected, rel=1e-9)
+
+
+@st.composite
+def nested_uniform_pair(draw):
+    """p uniform on a box inside q's uniform box, edges free to coincide, in
+    1-3 dimensions; returns (p, q, closed-form chi2(p || q)).  Each side of
+    p's box is a piecewise density that is 0 outside it."""
+    factors, lower, upper, ratio = [], [], [], 1.0
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.floats(-5.0, 5.0))
+        b = a + draw(st.floats(0.1, 10.0))
+        c = a + draw(st.floats(0.0, 0.999)) * (b - a)
+        d = min(b, c + draw(st.floats(1e-3, 1.0)) * (b - a))
+        breaks = [a] + [c] * (c > a) + [d] * (d < b) + [b]
+        heights = [1.0 / (d - c) if c <= lo and hi <= d else 0.0 for lo, hi in zip(breaks[:-1], breaks[1:])]
+        factors.append(_Piecewise1D(tuple(breaks), tuple(heights)))
+        lower.append(a)
+        upper.append(b)
+        ratio *= (b - a) / (d - c)
+    return DensityModel(factors, "nested"), UniformBox(BoxSupport(tuple(lower), tuple(upper))), ratio - 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=nested_uniform_pair())
+def test_chi2_nested_uniform_boxes_match_closed_form_property(case):
+    # chi2(p || q) = |q's box| / |p's box| - 1, wherever p's box sits
+    p, q, expected = case
+    assert chi_square_divergence(p, q) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def trunc_normal_uniform_pair(draw):
+    """A truncated normal and the uniform density on one box, 1-3 dims."""
+    lower, upper, mean, var = [], [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.floats(-5.0, 5.0))
+        w = draw(st.floats(0.1, 10.0))
+        lower.append(a)
+        upper.append(a + w)
+        mean.append(a + w * draw(st.floats(-0.5, 1.5)))
+        var.append((w * draw(st.floats(0.25, 3.0))) ** 2)
+    support = BoxSupport(tuple(lower), tuple(upper))
+    return TruncatedNormalDiag(support, mean, var), UniformBox(support)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=trunc_normal_uniform_pair())
+def test_chi2_trunc_normal_vs_uniform_match_closed_form_property(pair):
+    # per side of width w, with z = (x - m) / s running over [al, be] and
+    # Z = Phi(be) - Phi(al):
+    #   chi2(N || U) + 1 = prod w (Phi(sqrt2 be) - Phi(sqrt2 al)) / (2 sqrt(pi) s Z^2)
+    #   chi2(U || N) + 1 = prod s^2 pi Z (erfi(be / sqrt2) - erfi(al / sqrt2)) / w^2
+    normal, uniform = pair
+    forward = backward = 1.0
+    for f in normal.factors():
+        s, w = math.sqrt(f.var), f.b - f.a
+        al, be = (f.a - f.m) / s, (f.b - f.m) / s
+        Z = ndtr(be) - ndtr(al)
+        forward *= w * (ndtr(math.sqrt(2.0) * be) - ndtr(math.sqrt(2.0) * al)) / (2.0 * math.sqrt(math.pi) * s * Z**2)
+        backward *= s**2 * math.pi * Z * (erfi(be / math.sqrt(2.0)) - erfi(al / math.sqrt(2.0))) / w**2
+    assert chi_square_divergence(normal, uniform) == pytest.approx(forward - 1.0, rel=1e-6, abs=1e-8)
+    assert chi_square_divergence(uniform, normal) == pytest.approx(backward - 1.0, rel=1e-6, abs=1e-8)
 
 
 @settings(max_examples=20, deadline=None)
