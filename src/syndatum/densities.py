@@ -139,6 +139,9 @@ class _TruncNormal1D(Marginal1D):
 
     def _mass(self):
         alpha, beta = self._std_bounds()
+        if alpha > 0.0:
+            # both bounds in the upper tail: ndtr(beta) - ndtr(alpha) cancels
+            return float(ndtr(-alpha) - ndtr(-beta))
         return float(ndtr(beta) - ndtr(alpha))
 
     def pdf1(self, x):
@@ -151,7 +154,8 @@ class _TruncNormal1D(Marginal1D):
         x = np.asarray(x, dtype=float)
         alpha, _ = self._std_bounds()
         z = (x - self.m) / self._s
-        val = (ndtr(z) - ndtr(alpha)) / self._mass()
+        below = ndtr(-alpha) - ndtr(-z) if alpha > 0.0 else ndtr(z) - ndtr(alpha)
+        val = below / self._mass()
         return np.clip(val, 0.0, 1.0)
 
     def mean(self):
@@ -464,7 +468,13 @@ def _chi2_1d(pf: Marginal1D, qf: Marginal1D) -> float:
     pv = pf.pdf1(probe)
     qv = qf.pdf1(probe)
     interior = (probe > a + 1e-6 * width) & (probe < b - 1e-6 * width)
-    if np.any(interior & (qv <= 1e-300) & (pv > 1e-12)):
+    # a segment between knots, ends included, thinner than the probe spacing
+    # shows its zero only at its midpoint
+    edges = np.unique(np.clip([a, b, *pf.knots(), *qf.knots()], a, b))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    if np.any(interior & (qv <= 1e-300) & (pv > 1e-12)) or np.any(
+        (qf.pdf1(mids) <= 1e-300) & (pf.pdf1(mids) > 1e-12)
+    ):
         return math.inf
 
     # every density here is bounded and continuous up to its ends, so p^2/q

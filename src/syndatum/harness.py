@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 from itertools import chain, product, repeat
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,14 +147,9 @@ class TruthSpec:
         if self.name not in _TRUTHS:
             raise ConfigError(f"unknown truth {self.name!r}")
 
-    def resolve(self) -> Callable:
-        fn = _TRUTHS[self.name]
-        beta = self.beta
-
-        def call(X):
-            return fn(np.atleast_2d(np.asarray(X, dtype=float)), beta)
-
-        return call
+    def __call__(self, X) -> np.ndarray:
+        # truths hash by value, so risk quadrature shares its memo across units
+        return _TRUTHS[self.name](np.atleast_2d(np.asarray(X, dtype=float)), self.beta)
 
 
 def parse_truth(text: str) -> TruthSpec:
@@ -332,7 +327,7 @@ def summarize(rows: Sequence[ResultRow]) -> List[dict]:
 
 def _draw_original(config: ScenarioConfig, n: int, seed: SeedSpec) -> Dataset:
     X = config.real_density.sample(n, seed.child(1))
-    y = draw_responses(config.task, config.truth.resolve()(X), config.noise, seed.child(2))
+    y = draw_responses(config.task, config.truth(X), config.noise, seed.child(2))
     return make_dataset(X, y, config.task)
 
 
@@ -341,7 +336,7 @@ def _fitted_estimator(truth: TruthSpec, text: str, data: Dataset, seed: SeedSpec
     truth."""
     spec = parse_estimator(text)
     if spec.kind == "oracle":
-        spec = replace(spec, oracle_fn=truth.resolve())
+        spec = replace(spec, oracle_fn=truth)
     return fit_estimator(spec, data, seed)
 
 
@@ -359,7 +354,7 @@ def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
     regression = config.task is TaskKind.REGRESSION
     return RiskConfig(
         density=config.real_density,
-        truth=config.truth.resolve(),
+        truth=config.truth,
         loss=SQUARED if regression else ZERO_ONE,
         noise=config.noise if regression else None,
         n_test=config.n_test,
@@ -389,7 +384,7 @@ def _bound_report(config: ScenarioConfig, mc, est, synth_noise: Optional[NoiseMo
     population optima and the bound's own risk draws; ``chi2`` (None =
     compute) lets a sweep share one divergence across its units."""
     star_seed, tilde_seed, bound_seed = seeds
-    truth = config.truth.resolve()
+    truth = config.truth
     fitted = FittedQuad(
         f_orig,
         f_synth,
@@ -447,7 +442,7 @@ def _compare(config: ScenarioConfig, est, risk_seed: SeedSpec):
     dim = config.real_density.dim
     c1, c2 = (parse_model_class(text, dim, config.task) for text in config.model_classes)
     return compare_models(
-        c1, c2, config.real_density, config.synth_density, config.truth.resolve(), est,
+        c1, c2, config.real_density, config.synth_density, config.truth, est,
         _risk_config(config, risk_seed),
     )
 
@@ -699,7 +694,7 @@ _TOY_M = 200_000
 
 def _run_toy51(master_seed: int) -> List[ResultRow]:
     rows = []
-    truth = TruthSpec("abs").resolve()
+    truth = TruthSpec("abs")
     wrong = make_model_class("linear", 1, TaskKind.REGRESSION)
     for ai, alpha in enumerate(_TOY_ALPHAS):
         seed = SeedSpec(master_seed, ai)
@@ -717,7 +712,7 @@ def _run_toy51(master_seed: int) -> List[ResultRow]:
 
 def _run_toy_s1(master_seed: int) -> List[ResultRow]:
     rows = []
-    truth = TruthSpec("step-pos").resolve()
+    truth = TruthSpec("step-pos")
     cls = make_model_class("sign-abs", 1, TaskKind.CLASSIFICATION)
     for ai, alpha in enumerate(_TOY_ALPHAS):
         seed = SeedSpec(master_seed, ai)
@@ -731,25 +726,25 @@ def _run_toy_s1(master_seed: int) -> List[ResultRow]:
     return _sort_rows(rows)
 
 
-def _oracle_estimator(truth_spec: TruthSpec, task: TaskKind) -> "FittedEstimator":
+def _oracle_estimator(truth: TruthSpec, task: TaskKind) -> "FittedEstimator":
     # the oracle ignores its training data; +1 is a valid response for either task
     data = make_dataset([[0.0]], [1.0], task)
-    return _fitted_estimator(truth_spec, "oracle", data, SeedSpec(0))
+    return _fitted_estimator(truth, "oracle", data, SeedSpec(0))
 
 
-def _toy61_part(name, alpha, truth_spec, task, class_name, boxes, labels, seed) -> List[ResultRow]:
+def _toy61_part(name, alpha, truth, task, class_name, boxes, labels, seed) -> List[ResultRow]:
     real, synth = _mass_neg(alpha), _mass_neg(1 - alpha)
     classes = [make_model_class(class_name, 1, task, box=box) for box in boxes]
     cfg = RiskConfig(
         density=real,
-        truth=truth_spec.resolve(),
+        truth=truth,
         loss=SQUARED if task is TaskKind.REGRESSION else ZERO_ONE,
         method="quadrature",
         population_m=_TOY_M,
         seed=seed,
     )
     report = compare_models(
-        *classes, real, synth, truth_spec.resolve(), _oracle_estimator(truth_spec, task), cfg
+        *classes, real, synth, truth, _oracle_estimator(truth, task), cfg
     )
     rows = _comparison_rows(name, 0, 0, "oracle", labels, report)
     for which in ("real", "synth"):
@@ -924,11 +919,10 @@ def run_consistency_validation(
     replication."""
     real = _uniform_pm1()
     synth = _mass_pos(0.75)
-    truth_spec = TruthSpec("identity")
-    truth = truth_spec.resolve()
+    truth = TruthSpec("identity")
     f1 = make_model_class("constant", 1, TaskKind.REGRESSION, box=(-1.0, 1.0))
     f2 = make_model_class("linear", 1, TaskKind.REGRESSION, box=(-2.0, 2.0))
-    mu_hat = _oracle_estimator(truth_spec, TaskKind.REGRESSION)
+    mu_hat = _oracle_estimator(truth, TaskKind.REGRESSION)
 
     cert = certify_fidelity_level(real, synth, d=2.0)
     U = assumption4_sup_U(f2, mu_hat, real, m=200_000, seed=SeedSpec(master_seed, 4001))

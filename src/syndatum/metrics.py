@@ -9,6 +9,7 @@ standard error of a difference reflects the coupled draws.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .datamodel import (
     draw_responses,
 )
 from .densities import DensityModel
-from .erm import FittedModel, ModelClass, population_optimum
+from .erm import BasisFunctionClass, FittedModel, ModelClass, population_optimum
 from .errors import Indeterminate, TaskMismatch, UnsupportedQuadrature
 from .estimators import FittedEstimator
 
@@ -141,41 +142,97 @@ def _excess_vector(scores: np.ndarray, truth: np.ndarray, loss: str) -> np.ndarr
     return (_sign_pred(scores) != bayes) * np.abs(2.0 * truth - 1.0)
 
 
+# Risk quadrature evaluates every integral over a density's factor on the
+# same nodes: QUADPACK bisects one interval the same way whatever the model.
+# The density and the truth at a node, and a basis model's feature row, do not
+# depend on the fitted model, so they are kept per node in memos keyed by
+# (factor, truth) and by feature map.  At most _MEMO_KEYS keys are kept, each
+# with at most _MEMO_NODES nodes.
+_MEMO_KEYS = 32
+_MEMO_NODES = 2048
+
+
+@functools.lru_cache(maxsize=_MEMO_KEYS)
+def _shared_memo(*key) -> dict:
+    return {}
+
+
+def _node_memo(*key) -> dict:
+    """The node memo of ``key``, or a fresh one for this integral alone when
+    a part of the key is unhashable (a plug-in FittedEstimator)."""
+    try:
+        return _shared_memo(*key)
+    except TypeError:
+        return {}
+
+
+def _memo_get(memo: dict, key, compute, x: float):
+    hit = memo.get(key)
+    if hit is None:
+        hit = compute(x)
+        if len(memo) < _MEMO_NODES:
+            memo[key] = hit
+    return hit
+
+
+def _node_score(model: Predictor, loss: str) -> Callable:
+    """score(x, key): the predictor's scalar score at node x.  A basis
+    model reads its feature row from the memo and computes ``row @
+    coefficients``, as its predict does."""
+    if isinstance(model, FittedModel) and isinstance(model.model_class, BasisFunctionClass):
+        mc, beta = model.model_class, model.coefficients
+        rows = _node_memo("features", mc.feature_map)
+
+        def feature_row(x):
+            row = mc.features(np.array([[x]]))
+            row.flags.writeable = False
+            return row
+
+        return lambda x, key: float((_memo_get(rows, key, feature_row, x) @ beta)[0])
+    fn = _score_fn(model, loss)
+    return lambda x, key: float(fn(np.array([[x]]))[0])
+
+
 def _quadrature(model: Predictor, density: DensityModel, truth, loss: str, excess: bool) -> float:
     """One-dimensional quadrature of a predictor's pointwise loss against the
     noise-free truth (excess=False) or of its pointwise excess risk."""
-    score = _score_fn(model, loss)
+    score = _node_score(model, loss)
     truth_fn = _truth_fn(truth, loss)
     if density.dim != 1:
         raise UnsupportedQuadrature("quadrature risks require one-dimensional features")
     if loss == SQUARED:
 
-        def integrand(x):
-            pt = np.array([[x]])
-            return (float(score(pt)[0]) - float(truth_fn(pt)[0])) ** 2
+        def integrand(x, key, eta):
+            return (score(x, key) - eta) ** 2
 
     elif excess:
 
-        def integrand(x):
-            pt = np.array([[x]])
-            eta = float(truth_fn(pt)[0])
+        def integrand(x, key, eta):
             # weight |2 eta - 1| where the sign disagrees with the Bayes rule
-            return abs(2.0 * eta - 1.0) if (float(score(pt)[0]) >= 0.0) != (eta >= 0.5) else 0.0
+            return abs(2.0 * eta - 1.0) if (score(x, key) >= 0.0) != (eta >= 0.5) else 0.0
 
     else:
 
-        def integrand(x):
-            pt = np.array([[x]])
-            eta = float(truth_fn(pt)[0])
-            return eta if float(score(pt)[0]) < 0.0 else 1.0 - eta
+        def integrand(x, key, eta):
+            return eta if score(x, key) < 0.0 else 1.0 - eta
 
     f = density.factors()[0]
+    # keyed on ``truth``, not ``truth_fn``: a plug-in estimator's bound method
+    # hashes by identity and would keep the estimator alive in the memo
+    nodes = _node_memo("pdf-truth", f, truth)
+
+    def pdf_and_truth(x):
+        return float(f.pdf1(x)), float(truth_fn(np.array([[x]]))[0])
+
+    def weighted(x):
+        key = (x, math.copysign(1.0, x))  # 0.0 and -0.0 may evaluate apart
+        pdf, eta = _memo_get(nodes, key, pdf_and_truth, x)
+        return pdf * integrand(x, key, eta)
+
     pts = sorted({k for k in (*f.knots(), *_model_knots(model)) if f.a < k < f.b})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(
-            lambda x: float(f.pdf1(x)) * integrand(x), f.a, f.b, points=pts or None, limit=200
-        )
+        val, _ = quad(weighted, f.a, f.b, points=pts or None, limit=200)
     return val
 
 

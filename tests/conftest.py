@@ -1,12 +1,26 @@
+import os
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "syndatum"
 
 
+def pytest_report_header(config):
+    """The versions and BLAS thread settings the byte pins depend on: the
+    toy-6.1 pin holds only at the default BLAS thread count."""
+    threads = ", ".join(
+        f"{name}={os.environ.get(name, 'unset')}" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    )
+    return f"numpy {numpy.__version__}, scipy {scipy.__version__}, {threads}"
+
+
 @pytest.hookimpl(trylast=True)
-def pytest_terminal_summary(terminalreporter):
-    """Report the size of the package, the line count ROADMAP.md tracks."""
+def pytest_terminal_summary(terminalreporter, config):
+    """Report the size of the package, the line count ROADMAP.md tracks, and
+    repeat the header line, which ``-q`` hides."""
     lines = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
     terminalreporter.write_line(f"src/syndatum/*.py: {lines} lines")
+    terminalreporter.write_line(pytest_report_header(config))

@@ -91,6 +91,17 @@ def test_densities_integrate_to_one():
 # ---------------------------------------------------------------------------
 
 
+def test_trunc_normal_upper_tail_keeps_its_mass():
+    # both bounds ten or more standard deviations above the mean
+    box = BoxSupport((0.0,), (1.0,))
+    f = TruncatedNormalDiag(box, [-1.0], [0.01]).factors()[0]
+    assert f._mass() > 0.0
+    assert math.isfinite(float(f.pdf1(0.5)))
+    assert quad(lambda x: float(f.pdf1(x)), 0.0, 1.0)[0] == pytest.approx(1.0, abs=1e-9)
+    cdf = f.cdf1(np.array([0.0, 0.02, 1.0]))
+    assert cdf[0] == 0.0 and 0.8 < cdf[1] < 0.9 and cdf[2] == 1.0
+
+
 def test_sample_uniform_mean():
     d = UniformBox(BoxSupport((0.0,), (2.0,)))
     x = d.sample(10**5, SeedSpec(10))
@@ -175,6 +186,16 @@ def test_chi2_triangular_pair_infinite():
 def test_chi2_interior_zero_detected():
     degenerate = PiecewiseConstant1D([-1.0, 0.0, 1.0], [0.0, 1.0])
     assert math.isinf(chi_square_divergence(uniform_pm1(), degenerate))
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-3])
+def test_chi2_thin_zero_end_segment_detected(gap):
+    # q is 0 on an end segment thinner than the interior probe's margin
+    p = UniformBox(BoxSupport((0.0,), (1.0,)))
+    low = PiecewiseConstant1D([0.0, gap, 1.0], [0.0, 1.0 / (1.0 - gap)])
+    high = PiecewiseConstant1D([0.0, 1.0 - gap, 1.0], [1.0 / (1.0 - gap), 0.0])
+    assert math.isinf(chi_square_divergence(p, low))
+    assert math.isinf(chi_square_divergence(p, high))
 
 
 def test_chi2_support_mismatch():

@@ -269,6 +269,20 @@ def test_toy61_rows_pinned(tmp_path):
     assert _rows_sha(run_builtin("toy-6.1"), tmp_path) == "6ae18d25d186da10063c49f80f986d9244a850e54be52400207b1d63dfaa8868"
 
 
+@pytest.mark.parametrize(
+    "name, scale, digest",
+    [
+        # squared-loss quadrature risks
+        ("fig5", 20, "9f780d95cde9ff243a9071cf956a80680097577878472751d20ee7be2e2ba6a0"),
+        ("toy-5.1", 1, "f0127272a74573cc2d2273e059741a1764bbefb79dd108b11b0a844408405ff6"),
+        # zero-one quadrature risks
+        ("toy-S.1", 1, "29b6a26cee534f2d1daaa700574f9a0c7ec49f5a3366d31a0365786fa7b3abe4"),
+    ],
+)
+def test_quadrature_builtin_rows_pinned(name, scale, digest, tmp_path):
+    assert _rows_sha(run_builtin(name, scale), tmp_path) == digest
+
+
 def test_bound_suite_slice_pinned():
     # every regression estimator, every classification class and three LR cases
     cases = (
@@ -331,8 +345,7 @@ def test_workers_env_override(monkeypatch):
 def test_parse_truth_and_noise():
     t = parse_truth("linear beta=1,-1,0.5")
     assert t.name == "linear" and t.beta == (1.0, -1.0, 0.5)
-    fn = t.resolve()
-    assert fn(np.array([[1.0, 1.0, 2.0]]))[0] == pytest.approx(1.0)
+    assert t(np.array([[1.0, 1.0, 2.0]]))[0] == pytest.approx(1.0)
     with pytest.raises(ConfigError):
         parse_truth("mystery")
     assert parse_noise("default") is None

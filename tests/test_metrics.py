@@ -1,15 +1,34 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
+
+from syndatum import metrics
 
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset
-from syndatum.densities import BoxSupport, PiecewiseConstant1D, UniformBox
-from syndatum.erm import fit_regression, make_model_class, population_optimum
+from syndatum.densities import BoxSupport, LinearTilt1D, PiecewiseConstant1D, UniformBox
+from syndatum.erm import (
+    BasisFunctionClass,
+    SignScaleClass,
+    _basis_model,
+    _sign_model,
+    _threshold_model,
+    fit_regression,
+    make_model_class,
+    population_optimum,
+)
 from syndatum.errors import Indeterminate, UnsupportedQuadrature
 from syndatum.estimators import EstimatorSpec, fit_estimator
+from syndatum.harness import TruthSpec
 from syndatum.metrics import (
     SQUARED,
     ZERO_ONE,
     RiskConfig,
+    _model_knots,
+    _quadrature,
+    _score_fn,
+    _truth_fn,
     compare_models,
     estimate_risk,
     excess_risk,
@@ -333,3 +352,134 @@ def test_estimate_risk_equals_common_draw_risk(method, loss):
     )
     single = estimate_risk(model, uniform_pm1(), truth, noise, loss, 3_000, SeedSpec(23), method)
     assert single == risks_common_draws([model], cfg)[0][0]
+
+
+def _reference_weighted(model, density, truth, loss, excess):
+    """The uncached scalar integrand: density, truth and score evaluated
+    afresh at every node.  Returns (weighted integrand, factor, breakpoints)."""
+    score = _score_fn(model, loss)
+    truth_fn = _truth_fn(truth, loss)
+    if loss == SQUARED:
+
+        def integrand(x):
+            pt = np.array([[x]])
+            return (float(score(pt)[0]) - float(truth_fn(pt)[0])) ** 2
+
+    elif excess:
+
+        def integrand(x):
+            pt = np.array([[x]])
+            eta = float(truth_fn(pt)[0])
+            return abs(2.0 * eta - 1.0) if (float(score(pt)[0]) >= 0.0) != (eta >= 0.5) else 0.0
+
+    else:
+
+        def integrand(x):
+            pt = np.array([[x]])
+            eta = float(truth_fn(pt)[0])
+            return eta if float(score(pt)[0]) < 0.0 else 1.0 - eta
+
+    f = density.factors()[0]
+    pts = sorted({k for k in (*f.knots(), *_model_knots(model)) if f.a < k < f.b})
+    return (lambda x: float(f.pdf1(x)) * integrand(x)), f, pts
+
+
+def _reference_quadrature(model, density, truth, loss, excess):
+    weighted, f, pts = _reference_weighted(model, density, truth, loss, excess)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(weighted, f.a, f.b, points=pts or None, limit=200)
+    return val
+
+
+def _box(lo, hi):
+    return UniformBox(BoxSupport((lo,), (hi,)))
+
+
+def _memo_cases():
+    """(loss, models, truths): basis classes (abs has a map knot), threshold
+    and sign models and plug-in estimators, against a by-value truth, a plain
+    lambda and a plug-in estimator."""
+    reg_models = [
+        _basis_model(make_model_class(name, 1, REG), beta)
+        for name, beta in (
+            ("linear", [0.7]),
+            ("quadratic", [0.4, -0.3]),
+            ("abs", [1.2]),
+            ("recip-cubic-3", [0.05, -1.5, -1.8, 0.9]),
+        )
+    ] + [_oracle_est(lambda X: 0.5 - X[:, 0], REG)]
+    reg_truths = [
+        TruthSpec("cubicmix"),
+        lambda X: np.sin(3.0 * X[:, 0]),
+        _oracle_est(lambda X: X[:, 0] ** 2, REG),
+    ]
+    cls_models = [
+        _basis_model(make_model_class("logistic-linear", 1, CLS), [-1.3]),
+        _basis_model(make_model_class("abs", 1, CLS), [0.8]),
+        _threshold_model(make_model_class("threshold-abs", 1, CLS, box=(0.0, 2.0)), 0.9),
+        _sign_model(SignScaleClass("linear"), -1.0),
+        _sign_model(SignScaleClass("abs"), 1.0),
+        _oracle_est(lambda X: (X[:, 0] < 1.2).astype(float), CLS),
+    ]
+    cls_truths = [
+        TruthSpec("logistic", (2.0,)),
+        lambda X: 1.0 / (1.0 + np.exp(-4.0 * (X[:, 0] - 1.0))),
+        _oracle_est(lambda X: (np.abs(X[:, 0] - 0.7) < 0.5).astype(float), CLS),
+    ]
+    return [(SQUARED, reg_models, reg_truths), (ZERO_ONE, cls_models, cls_truths)]
+
+
+def test_quadrature_memo_matches_uncached_reference():
+    # Unif[0, 2] and a tilt on [0, 2] share every node, so the memo must tell
+    # their pdf values apart; integrals on the two are interleaved
+    shared_nodes = (_box(0.0, 2.0), LinearTilt1D(0.6))
+    checked = 0
+    for loss, models, truths in _memo_cases():
+        for excess in (False, True):
+            for truth in truths:
+                for model in models:
+                    for density in shared_nodes:
+                        assert _quadrature(model, density, truth, loss, excess) == (
+                            _reference_quadrature(model, density, truth, loss, excess)
+                        )
+                        checked += 1
+    assert checked == 2 * 3 * 2 * (5 + 6)
+
+
+def test_quadrature_memo_on_interval_ending_at_negative_zero():
+    density = _box(-1.0, -0.0)
+    reg_truth = lambda X: np.abs(X[:, 0]) - X[:, 0] ** 3
+    cls_truth = TruthSpec("step-pos")
+    for loss, model, truth in (
+        (SQUARED, _basis_model(make_model_class("abs", 1, REG), [0.6]), reg_truth),
+        (SQUARED, _basis_model(make_model_class("linear", 1, REG), [-0.6]), TruthSpec("abs")),
+        (ZERO_ONE, _sign_model(SignScaleClass("linear"), 1.0), cls_truth),
+        (ZERO_ONE, _basis_model(make_model_class("logistic-linear", 1, CLS), [2.0]), cls_truth),
+    ):
+        for excess in (False, True):
+            assert _quadrature(model, density, truth, loss, excess) == (
+                _reference_quadrature(model, density, truth, loss, excess)
+            )
+
+
+def test_quadrature_memo_keeps_signed_zeros_apart(monkeypatch):
+    # 0.0 == -0.0, so a memo keyed on the value alone would mix them.  A truth
+    # and models that see the sign of zero; the stand-in for quad evaluates
+    # the integrand at 0.0 and then at -0.0, and the reverse
+    truth = lambda X: 0.5 + np.copysign(0.25, X[:, 0])
+    signs = BasisFunctionClass("sign", lambda X: np.copysign(1.0, X), 1, CLS)
+    density = _box(-1.0, 1.0)
+    for order in ((0.0, -0.0, 0.5), (-0.0, 0.0, -0.5)):
+        seen = []
+
+        def probe(func, a, b, **kwargs):
+            seen.append([func(x) for x in order])
+            return 0.0, 0.0
+
+        monkeypatch.setattr(metrics, "quad", probe)
+        for model in (lambda X: np.copysign(1.0, X[:, 0]), _basis_model(signs, [-1.0])):
+            for excess in (False, True):
+                _quadrature(model, density, truth, ZERO_ONE, excess)
+                weighted, _, _ = _reference_weighted(model, density, truth, ZERO_ONE, excess)
+                assert seen.pop() == [weighted(x) for x in order]
