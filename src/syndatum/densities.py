@@ -129,6 +129,10 @@ class _TruncNormal1D(Marginal1D):
     def __post_init__(self):
         if self.var <= 0:
             raise ValueError("variance must be positive")
+        # far enough into a tail, ndtr underflows and the density has no scale
+        if not self._mass() >= np.finfo(float).tiny:
+            raise ValueError(f"truncated normal N({self.m}, {self.var}) has no representable mass on "
+                             f"[{self.a}, {self.b}]")
 
     @property
     def _s(self):

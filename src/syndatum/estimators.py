@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .datamodel import Dataset, SeedSpec, TaskKind, parse_spec
 from .errors import NonConvergence, SingularDesign, TaskMismatch
@@ -180,31 +181,49 @@ def fit_logistic_mle(
 
 
 class _KNN:
-    """Brute-force Euclidean KNN with exact lowest-index tie breaking.  With one
-    feature, a query whose k nearest provably form a window of the sorted
-    training values is answered from that window with the kernel's bytes."""
+    """Brute-force Euclidean KNN with exact lowest-index tie breaking.  The
+    kernel's distances are ``|x|^2 - 2 q.x``; a query's neighbours are its k
+    smallest, ties going to the lowest index.  Two fast paths answer a query
+    with the kernel's bytes when they can prove which rows the kernel picks:
+
+    - one feature: the k nearest form a window of the sorted training values
+      (``_window_predict``);
+    - two or more features: the k + 1 nearest from a ``cKDTree`` built on a
+      finite training set, when their distances leave gaps wider than the
+      rounding of both computations (``_tree_predict``).
+
+    Rows neither can prove (ties, near-ties, non-finite queries, training
+    sets that are not finite) go to the kernel."""
 
     def __init__(self, X, y, k):
         self.X = X
         self.y = y
         self.k = int(k)
         self._sq = np.einsum("ij,ij->i", X, X)
-        self._sorted = None
+        self._sorted = self._tree = None
         if X.shape[1] == 1 and np.all(np.isfinite(X)):
             order = np.argsort(X[:, 0], kind="stable")
             self._sorted = (order, X[order, 0], self._sq[order], float(np.max(np.abs(X))))
+        elif np.all(np.isfinite(X)):
+            self._tree = (cKDTree(X), float(np.sqrt(np.max(self._sq))))
 
     def predict(self, Q: np.ndarray) -> np.ndarray:
         n = self.X.shape[0]
         k = min(self.k, n)
         if k >= n:
             out = np.full(Q.shape[0], self.y.mean())
-        elif self._sorted is None:
-            out = self._kernel(Q, k)
         else:
-            out, rest = self._window_predict(Q[:, 0], k)
+            if self._sorted is not None:
+                out, rest = self._window_predict(Q[:, 0], k)
+            elif self._tree is not None:
+                out, rest = self._tree_predict(Q, k)
+            else:
+                out, rest = np.empty(Q.shape[0]), np.arange(Q.shape[0])
             if rest.size:
-                out[rest] = self._kernel(Q[rest], k)
+                # numpy sends a one-row product to gemv, whose dot products may
+                # round unlike those of a longer block: a lone row goes twice
+                twice = rest.size == 1 < Q.shape[0]
+                out[rest] = self._kernel(Q[np.repeat(rest, 1 + twice)], k)[: rest.size]
         # a query with a NaN feature has no nearest neighbours
         out[np.isnan(Q).any(axis=1)] = np.nan
         return out
@@ -237,15 +256,17 @@ class _KNN:
         """One-feature fast path.  Each query's k nearest are taken as the
         window [lo, lo + k) of the sorted training values; a row is kept only
         when no other training value lies within the window's radius plus the
-        rounding bound of the kernel's distances, and the window's largest
-        distance is unique.  The kernel then takes its unique branch on these
-        very rows, so the sum below repeats it.  Returns the predictions and
-        the rows left for the kernel."""
+        rounding bound of the kernel's distances, and one end of the window is
+        provably its unique farthest member.  The kernel then takes its unique
+        branch on these very rows, so the sum below repeats it.  Returns the
+        predictions and the rows left for the kernel."""
         order, xs, sqs, M = self._sorted
         n = xs.shape[0]
         out = np.empty(q.shape[0])
         proven = np.empty(q.shape[0], dtype=bool)
         span = np.arange(k)
+        # the two ends of a window and their inner neighbours
+        probe = np.array([0, min(1, k - 1), max(k - 2, 0), k - 1])
         chunk = max(1, 1_000_000 // k)
         for s in range(0, q.shape[0], chunk):
             finite = np.isfinite(q[s : s + chunk])
@@ -257,27 +278,67 @@ class _KNN:
                 right = (lo < hi) & (qc - xs[mid] > xs[np.minimum(mid + k, n - 1)] - qc)
                 lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
             with np.errstate(over="ignore", invalid="ignore"):
-                cols = lo[:, None] + span
+                cols = lo[:, None] + probe
                 # the kernel's D elementwise: with one feature the matmul is q * x
                 D = sqs[cols] - 2.0 * (qc[:, None] * xs[cols])
-                at = np.argmax(D, axis=1)
-                kth = D[np.arange(D.shape[0]), at]
-                # fl(x * x) - 2 fl(q * x) is within delta / 2 of x^2 - 2 q x
-                delta = 4.0 * 2.0**-53 * (M * M + 2.0 * np.abs(qc) * M)
+                # fl(x * x) - 2 fl(q * x) is within delta / 2 of x^2 - 2 q x, to
+                # first order in 2^-53 (twice delta covers the rest); 2^-1000
+                # covers products that underflow
+                delta = 4.0 * 2.0**-53 * (M * M + 2.0 * np.abs(qc) * M) + 2.0**-1000
+                # x^2 - 2 q x is convex, so every member of the window lies
+                # below the near end or the far end's inner neighbour
+                far_right = D[:, 3] - np.maximum(D[:, 0], D[:, 2]) > 2.0 * delta
+                far_left = D[:, 0] - np.maximum(D[:, 3], D[:, 1]) > 2.0 * delta
                 r = np.maximum(qc - xs[lo], xs[lo + k - 1] - qc)
                 R = np.sqrt(r * r + 2.0 * delta) * (1.0 + 1e-12) + 1e-12 * (np.abs(qc) + 1.0)
                 count = np.searchsorted(xs, qc + R, side="right") - np.searchsorted(xs, qc - R)
-            ok = finite & (count == k) & (np.count_nonzero(D == kth[:, None], axis=1) == 1)
+            ok = finite & (count == k) & (far_left | far_right | (k == 1))
             proven[s : s + chunk] = ok
             # rows sharing a window and its farthest member share a sum: the
             # other k - 1 members in index order, then the farthest
-            keys, inv = np.unique((lo * k + at)[ok], return_inverse=True)
+            keys, inv = np.unique((lo * k + np.where(far_right, k - 1, 0))[ok], return_inverse=True)
             members = order[(keys // k)[:, None] + span]
             far = members[np.arange(keys.shape[0]), keys % k]
             ranked = np.sort(members, axis=1)
             nearer = ranked[ranked != far[:, None]].reshape(keys.shape[0], k - 1)
             total = self.y[nearer].sum(axis=1) + self.y[far[:, None]].sum(axis=1)
             out[s : s + chunk][ok] = (total / k)[inv]
+        return out, np.flatnonzero(~proven)
+
+    def _tree_predict(self, Q: np.ndarray, k: int):
+        """Fast path for two or more features.  The tree returns each query's
+        k + 1 nearest training rows by its own squared distances r^2.  A row
+        is kept only when r^2 rises by more than ``slack`` from the (k-1)-th
+        to the k-th and from the k-th to the (k+1)-th nearest: ``slack``
+        covers the kernel's rounding of both distances compared and the
+        tree's own arithmetic, its pruning included.  The kernel's k nearest
+        are then the tree's, the k-th its unique farthest, and the sum below
+        repeats the kernel's unique branch.  Returns the predictions and the
+        rows left for the kernel."""
+        tree, M = self._tree
+        p = Q.shape[1]
+        out = np.empty(Q.shape[0])
+        proven = np.empty(Q.shape[0], dtype=bool)
+        chunk = max(1, 1_000_000 // (k + 1))
+        for s in range(0, Q.shape[0], chunk):
+            q = Q[s : s + chunk]
+            finite = np.isfinite(q).all(axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm = np.sqrt(np.einsum("ij,ij->i", q, q))
+                r2, near = tree.query(np.where(finite[:, None], q, 0.0), k + 1)
+                r2 *= r2
+                # the kernel's |x|^2 - 2 q.x is within (3p + 2) 2^-53 (M^2 + 2 |q| M)
+                # of its exact value, the tree's r^2 within 1e-12 (M + |q|)^2 of
+                # |q - x|^2, and 2^-1000 covers products that underflow
+                slack = 2.0 * ((3 * p + 2) * 2.0**-53 * (M * M + 2.0 * norm * M) + 1e-12 * (M + norm) ** 2
+                               + 2.0**-1000)
+                ok = finite & (r2[:, k] - r2[:, k - 1] > slack)
+                if k > 1:
+                    ok &= r2[:, k - 1] - r2[:, k - 2] > slack
+            proven[s : s + chunk] = ok
+            near = near[ok]
+            total = self.y[np.sort(near[:, : k - 1], axis=1)].sum(axis=1) + self.y[near[:, k - 1 : k]].sum(axis=1)
+            out[s : s + chunk][ok] = total / k
         return out, np.flatnonzero(~proven)
 
 
@@ -444,6 +505,17 @@ def _grow_trees(X, y, ranks, boots, max_depth):
 
 
 class _Forest:
+    """Bootstrap CART trees whose predictions are averaged in tree order.
+
+    A 1-d forest is a step function, tabulated at fit (``_steps``).  With two
+    or more features, each tree's own thresholds cut the inputs into a grid of
+    cells, and within a cell every comparison the tree makes comes out the
+    same.  ``_cells`` tabulates each tree's leaf value per cell, read through
+    one lookup per feature into the forest's cuts; it is built on the first
+    call with at least as many rows as the forest has cells, and calls before
+    that walk the trees.  A forest with a non-finite threshold always walks
+    (its cell count is inf)."""
+
     def __init__(self, X, y, n_trees, max_depth, rng):
         n = X.shape[0]
         per_batch = max(1, _BATCH_ROWS // n)
@@ -455,7 +527,7 @@ class _Forest:
             else:  # growth draws nothing, so the draws keep their order
                 boots = np.stack([rng.integers(0, n, size=n) for _ in range(min(per_batch, n_trees - s))])
             self.trees.extend(_grow_trees(X, y, ranks, boots, max_depth))
-        self._steps = None
+        self._steps = self._cells = self._cell_count = None
         if X.shape[1] == 1:
             # a 1-d forest is a step function: every query in (cuts[i-1], cuts[i]]
             # reaches the leaves cuts[i] reaches, and any query above the last
@@ -469,11 +541,53 @@ class _Forest:
             out += tree.predict(Q)
         return out / len(self.trees)
 
+    def _count_cells(self, p):
+        """Keeps each tree's distinct thresholds per feature and returns the
+        forest's cell count, inf when a threshold is not finite."""
+        self._tree_cuts = [[np.unique(t.threshold[t.feature == j]) for j in range(p)] for t in self.trees]
+        if not all(np.isfinite(c).all() for cuts in self._tree_cuts for c in cuts):
+            return math.inf
+        return sum(math.prod(c.size + 1 for c in cuts) for cuts in self._tree_cuts)
+
+    def _build_cells(self):
+        """Per feature, the forest's cuts; per tree, the leaf value of each of
+        its cells and, per feature, the offset of the cell that each forest
+        cut index falls in.  A query in (cuts[g-1], cuts[g]] compares with
+        every threshold of the tree as cuts[g] does, so it shares the cell of
+        the tree's first cut at or above cuts[g]; past the last cut, as NaN,
+        it goes right at every node.  Each cell is walked once, at its upper
+        cut (NaN for the top cell)."""
+        p = len(self._tree_cuts[0])
+        cuts = [np.unique(np.concatenate([tc[j] for tc in self._tree_cuts])) for j in range(p)]
+        tables = []
+        for tree, tree_cuts in zip(self.trees, self._tree_cuts):
+            sizes = [c.size + 1 for c in tree_cuts]
+            strides = [math.prod(sizes[j + 1 :]) for j in range(p)]
+            offsets = [np.append(np.searchsorted(tc, c), tc.size) * stride
+                       for tc, c, stride in zip(tree_cuts, cuts, strides)]
+            grid = np.meshgrid(*(np.append(tc, np.nan) for tc in tree_cuts), indexing="ij")
+            tables.append((offsets, tree.predict(np.stack([g.ravel() for g in grid], axis=1))))
+        return cuts, tables
+
     def predict(self, Q: np.ndarray) -> np.ndarray:
-        if self._steps is None:
-            return self._average(Q)
-        cuts, values = self._steps
-        return values[np.searchsorted(cuts, Q[:, 0])]
+        if self._steps is not None:
+            cuts, values = self._steps
+            return values[np.searchsorted(cuts, Q[:, 0])]
+        if self._cells is None:
+            if self._cell_count is None:
+                self._cell_count = self._count_cells(Q.shape[1])
+            if Q.shape[0] < self._cell_count:
+                return self._average(Q)
+            self._cells = self._build_cells()
+        cuts, tables = self._cells
+        at = [np.searchsorted(c, Q[:, j]) for j, c in enumerate(cuts)]
+        out = np.zeros(Q.shape[0])
+        for offsets, values in tables:  # in tree order, as _average adds
+            cell = offsets[0][at[0]]
+            for offset, g in zip(offsets[1:], at[1:]):
+                cell += offset[g]
+            out += values[cell]
+        return out / len(self.trees)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,7 @@ def fig4_rows():
     return _timed(run_builtin, "fig4", scale=4, workers=WORKERS)
 
 
+@pytest.mark.slow
 def test_criterion_5_fig3_convergence_trend(fig3_rows):
     rows, elapsed = fig3_rows
     means = _means(rows, "utility")
@@ -189,6 +190,7 @@ def test_criterion_5_fig3_convergence_trend(fig3_rows):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_fig4_plateau(fig4_rows):
     rows, elapsed = fig4_rows
     means = _means(rows, "utility")

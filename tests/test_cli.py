@@ -105,6 +105,18 @@ def test_experiment_bad_outputs_fail_before_any_unit(tmp_path, reg_config, monke
     assert not (tmp_path / "o").exists()
 
 
+def test_experiment_trunc_normal_without_mass_fails_at_load(tmp_path, reg_config, capsys):
+    path = tmp_path / "tail.ini"
+    text = reg_config.read_text()
+    start = text.index("real_density = ")
+    end = text.index("\n", start)
+    path.write_text(text[:start] + "real_density = trunc-normal lower=0 upper=1 mean=-1 var=0.0004" + text[end:])
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "no representable mass" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_experiment_reports_row_errors_in_exit_code(tmp_path):
     # ols cannot fit a classification task: every row errors, exit code 2
     path = tmp_path / "bad.ini"

@@ -102,6 +102,18 @@ def test_trunc_normal_upper_tail_keeps_its_mass():
     assert cdf[0] == 0.0 and 0.8 < cdf[1] < 0.9 and cdf[2] == 1.0
 
 
+def test_trunc_normal_without_representable_mass_is_rejected():
+    # 50 standard deviations above the mean ndtr underflows to 0; at 25 the
+    # mass is about 3e-138 and still usable
+    box = BoxSupport((0.0,), (1.0,))
+    with pytest.raises(ValueError, match="no representable mass"):
+        TruncatedNormalDiag(box, [-1.0], [0.0004])
+    f = TruncatedNormalDiag(box, [-1.0], [0.0016]).factors()[0]
+    assert 1e-139 < f._mass() < 1e-137
+    assert math.isfinite(f.mean()) and 0.0 < f.mean() < 0.01
+    assert math.isfinite(float(f.pdf1(0.0))) and f.cdf1(np.array([1.0]))[0] == 1.0
+
+
 def test_sample_uniform_mean():
     d = UniformBox(BoxSupport((0.0,), (2.0,)))
     x = d.sample(10**5, SeedSpec(10))

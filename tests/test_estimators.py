@@ -148,6 +148,102 @@ def test_knn_one_feature_matches_per_query_reference(features, labels):
         assert model.predict(np.empty((0, 1))).shape == (0,)
 
 
+def _spread_features(rng, n, p, features):
+    """n rows of p features: continuous, rounded to one decimal (ties in
+    distance), or repeats of 30 distinct rows (ties in position)."""
+    X = rng.normal(size=(n, p))
+    if features == "rounded":
+        X = np.round(X, 1)
+    elif features == "duplicated":
+        X = X[rng.integers(0, 30, size=n)]
+    return X
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("features", ["continuous", "rounded", "duplicated"])
+@pytest.mark.parametrize("labels", [False, True])
+def test_knn_several_features_match_per_query_reference(monkeypatch, p, features, labels):
+    # two or more features take the k-d tree path; rows it cannot prove
+    # (ties, near-ties, non-finite queries) take the brute-force kernel
+    from syndatum.estimators import _KNN
+
+    rng = SeedSpec(35 + p).rng()
+    n = 150
+    X = _spread_features(rng, n, p, features)
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0) if labels else rng.normal(size=n) * 1e3
+    far = rng.uniform(3.0, 50.0, size=(20, p)) * rng.choice([-1.0, 1.0], (20, p))
+    inside = rng.normal(size=(300, p))
+    if features != "continuous":
+        inside[:150] = np.round(inside[:150], 1)
+    odd = np.zeros((5, p))
+    odd[0], odd[1], odd[2, 0], odd[3, 1], odd[4, -1] = np.inf, -np.inf, np.nan, np.nan, np.inf
+    Q = np.vstack([X, inside, far, odd])
+    seen = []
+    kernel = _KNN._kernel
+    monkeypatch.setattr(_KNN, "_kernel", lambda self, Q, k: seen.append(Q.copy()) or kernel(self, Q, k))
+    for k in (1, 2, 7, 40, n - 1, n):
+        model = _KNN(X, y, k)
+        seen.clear()
+        with np.errstate(invalid="ignore"):  # inf * 0 in the distances of an infinite query
+            got = model.predict(Q)
+            # k = n is the global mean for every query but NaN
+            want = _knn_reference(X, y, k, Q) if k < n else np.where(np.isnan(Q).any(axis=1), np.nan, y.mean())
+        assert got.tobytes() == want.tobytes(), k
+        if features == "continuous" and k < n:  # only the non-finite rows need the kernel
+            assert len(seen) == 1 and seen[0].tobytes() == odd.tobytes(), k
+        assert model.predict(np.empty((0, p))).shape == (0,)
+
+
+def test_knn_lone_unproven_row_keeps_the_block_product():
+    # numpy takes a one-row product to gemv, which can round a dot product
+    # unlike the block product of the reference; a tied row that is the only
+    # one left for the kernel must still get the block's answer
+    from syndatum.estimators import _KNN
+
+    rng = SeedSpec(37).rng()
+    X = np.round(rng.normal(size=(150, 2)), 1)
+    y = rng.normal(size=150) * 1e3
+    ties = np.round(rng.normal(size=(400, 2)), 1)
+    spread = rng.normal(size=(100, 2))
+    for k in (1, 2, 7, 40):
+        model = _KNN(X, y, k)
+        left = ties[model._tree_predict(ties, k)[1]]
+        proven = np.delete(spread, model._tree_predict(spread, k)[1], axis=0)[:3]
+        assert left.shape[0] > 0 and proven.shape[0] == 3
+        for row in left:
+            Q = np.vstack([row, proven])
+            assert model._tree_predict(Q, k)[1].tolist() == [0]
+            assert model.predict(Q).tobytes() == _knn_reference(X, y, k, Q).tobytes(), (k, row)
+
+
+def test_knn_training_set_at_one_point_takes_the_kernel():
+    # every distance ties at 0 with the query at that point: nothing is proven
+    # and the lowest indices win
+    from syndatum.estimators import _KNN
+
+    y = SeedSpec(38).rng().normal(size=20) * 1e3
+    for p in (1, 2):
+        X, Q = np.zeros((20, p)), np.zeros((4, p))
+        for k in (1, 3, 19):
+            model = _KNN(X, y, k)
+            assert model.predict(Q).tobytes() == _knn_reference(X, y, k, Q).tobytes()
+            assert np.all(model.predict(Q) == float(y[:k].sum()) / k)
+
+
+def test_knn_training_set_not_finite_takes_the_kernel():
+    from syndatum.estimators import _KNN
+
+    rng = SeedSpec(39).rng()
+    X = rng.normal(size=(60, 2))
+    X[7, 1] = np.inf
+    y = rng.normal(size=60)
+    Q = rng.normal(size=(50, 2))
+    model = _KNN(X, y, 5)
+    assert model._tree is None and model._sorted is None
+    with np.errstate(invalid="ignore"):
+        assert model.predict(Q).tobytes() == _knn_reference(X, y, 5, Q).tobytes()
+
+
 def test_knn_classification_prob_in_unit_interval():
     rng = SeedSpec(3).rng()
     X = rng.normal(size=(200, 2))
@@ -327,6 +423,68 @@ def test_rf_one_feature_step_table_matches_tree_sum(depth):
     for tree in forest.trees:
         want += tree.predict(Q)
     assert forest.predict(Q).tobytes() == (want / len(forest.trees)).tobytes()
+
+
+def _tree_order_walk(forest, Q):
+    out = np.zeros(Q.shape[0])
+    for tree in forest.trees:
+        out += tree.predict(Q)
+    return out / len(forest.trees)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("depth", [0, 4, 7])
+def test_rf_cell_table_matches_tree_walk(monkeypatch, p, depth):
+    import syndatum.estimators as estimators
+
+    rng = SeedSpec(36 + p).rng()
+    X = np.round(rng.normal(size=(150, p)), 1)
+    y = np.sin(3.0 * X[:, 0]) * X[:, -1] + rng.normal(size=150)
+    forest = estimators._Forest(X, y, 5, depth, SeedSpec(7).rng())
+    # at, just below and just above every threshold of each feature, with the
+    # other features at random; then the non-finite values and both zeros
+    probes = []
+    for j in range(p):
+        cuts = np.unique(np.concatenate([t.threshold[t.feature == j] for t in forest.trees]))
+        at = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)])
+        rows = rng.normal(size=(at.size, p)) * 2.0
+        rows[:, j] = at
+        probes.append(rows)
+    special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0])
+    grid = np.stack(np.meshgrid(*[special] * p, indexing="ij"), axis=-1).reshape(-1, p)
+    Q = np.vstack(probes + [grid])
+    assert forest.predict(Q[:0]).shape == (0,)
+    cells = forest._cell_count
+    Q = np.vstack([Q, rng.normal(size=(max(0, cells - Q.shape[0]), p)) * 2.0])
+    want = _tree_order_walk(forest, Q)
+
+    walked = []
+    walk = estimators._Tree.predict
+    monkeypatch.setattr(estimators._Tree, "predict", lambda self, Q: walked.append(Q.shape[0]) or walk(self, Q))
+    # fewer rows than cells: the trees are walked
+    assert forest.predict(Q[: cells - 1]).tobytes() == want[: cells - 1].tobytes()
+    assert forest._cells is None and walked == [cells - 1] * 5
+    # as many rows as cells: each cell is walked once, then looked up
+    walked.clear()
+    assert forest.predict(Q).tobytes() == want.tobytes()
+    assert forest._cells is not None and sum(walked) == cells
+    walked.clear()
+    assert forest.predict(Q[::-1]).tobytes() == want[::-1].tobytes()
+    assert forest.predict(np.empty((0, p))).shape == (0,)
+    assert walked == []
+
+
+def test_rf_non_finite_threshold_keeps_the_walk():
+    # a split between -inf and inf has a NaN midpoint: the cells do not hold
+    from syndatum.estimators import _Forest
+
+    X = np.array([[-np.inf, 0.0], [np.inf, 1.0], [0.5, 2.0], [0.25, 3.0]] * 5)
+    y = np.arange(20.0)
+    with np.errstate(invalid="ignore"):
+        forest = _Forest(X, y, 3, 3, SeedSpec(9).rng())
+    Q = np.vstack([X, [[np.nan, 0.0], [0.0, np.nan]]] * 50)
+    assert forest.predict(Q).tobytes() == _tree_order_walk(forest, Q).tobytes()
+    assert forest._cell_count == math.inf and forest._cells is None
 
 
 def _forest_reference(X, y, n_trees, depth, seed, Q):

@@ -185,3 +185,61 @@ def test_knn_k1_interpolates_training_points_property(seed, idx):
         EstimatorSpec("knn", k=1), make_dataset(X, y, REG), SeedSpec(0)
     )
     assert predict_mean(est, X[idx]) == pytest.approx(y[idx])
+
+
+@st.composite
+def coarse_dataset(draw):
+    """Few rows of 1-3 features on a grid of step 0.5, so that distances and
+    split candidates tie often; continuous or +-1 responses; queries on and
+    off the grid, with the non-finite values."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 24))
+    grid = st.integers(-3, 3).map(lambda v: v / 2.0)
+    X = np.array(draw(st.lists(st.lists(grid, min_size=p, max_size=p), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    else:
+        y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    off = st.floats(-4.0, 4.0) | grid | st.sampled_from([np.inf, -np.inf, np.nan, -0.0])
+    Q = np.array(draw(st.lists(st.lists(off, min_size=p, max_size=p), min_size=1, max_size=40)))
+    return X, y, np.vstack([X, Q])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=coarse_dataset(), k=st.integers(1, 24))
+def test_knn_matches_per_query_reference_property(data, k):
+    from test_estimators import _knn_reference
+
+    from syndatum.estimators import _KNN
+
+    X, y, Q = data
+    k = min(k, X.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _KNN(X, y, k).predict(Q)
+        want = _knn_reference(X, y, k, Q) if k < X.shape[0] else np.where(np.isnan(Q).any(axis=1), np.nan, y.mean())
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=coarse_dataset(), trees=st.integers(1, 4), depth=st.integers(0, 4), seed=st.integers(0, 1000))
+def test_forest_matches_tree_order_walk_property(data, trees, depth, seed):
+    from syndatum.estimators import _Forest
+
+    X, y, Q = data
+    forest = _Forest(X, y, trees, depth, SeedSpec(seed).rng())
+    # every feature at a threshold of some tree, where the lookup side matters
+    cuts = np.concatenate([t.threshold[t.feature >= 0] for t in forest.trees])
+    Q = np.vstack([Q, np.repeat(cuts[:, None], X.shape[1], axis=1)])
+
+    def walk(Q):
+        out = np.zeros(Q.shape[0])
+        for tree in forest.trees:
+            out += tree.predict(Q)
+        return out / trees
+
+    # a short call walks the trees; one with a row per cell builds the table
+    assert forest.predict(Q[:1]).tobytes() == walk(Q[:1]).tobytes()
+    big = np.tile(Q, (1 + (forest._cell_count or 0) // Q.shape[0], 1))
+    assert forest._steps is not None or forest._cell_count <= big.shape[0]
+    assert forest.predict(big).tobytes() == walk(big).tobytes()
+    assert forest.predict(Q).tobytes() == walk(Q).tobytes()
