@@ -44,10 +44,10 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        for name in ("k", "trees", "depth"):
+        for name in ("k", "trees", "depth", "hidden", "layers"):
             v = getattr(self, name)
             if v is not None and (int(v) != v or v < 1):
-                raise ValueError(f"{name} override must be a positive integer, got {v}")
+                raise ValueError(f"{name} must be a positive integer, got {v}")
 
 
 @dataclass(frozen=True)
@@ -602,12 +602,28 @@ def _views(flat, shapes):
 
 
 class _MLP:
+    """A ReLU network fit by full-batch Adam with early stopping.
+
+    W and b are views of one flat parameter vector, and their gradients views
+    of one flat gradient vector, so one Adam step updates them all.
+
+    An epoch writes its per-row arrays into scratch that `train` allocates
+    once and drops when it returns (`_scratch`): each hidden layer's
+    activation (n, hidden); two (n, hidden) arrays that take turns holding the
+    error propagated to a layer and its ReLU mask (1.0 where the activation
+    is positive); and the output and its error (n,).
+
+    A hidden bias gradient is the column sum of its layer's masked error.
+    With two or more columns, `np.add.reduce(axis=0)` adds the rows in order
+    to 0.0, and `np.einsum("ij->j")` makes the same additions in the same
+    order with less work per row.  A single column is summed pairwise by the
+    reduce and otherwise by the einsum, so with hidden = 1 the reduce stays.
+    """
+
     def __init__(self, p, layers, hidden, rng):
         sizes = [p] + [hidden] * layers + [1]
         shapes = [(sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
         shapes += [(size,) for size in sizes[1:]]
-        # W and b are views of one flat parameter vector, and their gradients
-        # views of one flat gradient vector, so one Adam step updates them all
         self._theta = np.zeros(sum(math.prod(shape) for shape in shapes))
         self._grad = np.zeros_like(self._theta)
         params, grads = _views(self._theta, shapes), _views(self._grad, shapes)
@@ -616,54 +632,80 @@ class _MLP:
         for i, W in enumerate(self.W):
             W[...] = rng.normal(0.0, math.sqrt(2.0 / sizes[i]), size=W.shape)
 
-    def forward(self, X):
-        h = X
-        cache = [h]
-        for W, b in zip(self.W[:-1], self.b[:-1]):
-            h = np.maximum(h @ W + b, 0.0)
-            cache.append(h)
-        out = (cache[-1] @ self.W[-1] + self.b[-1]).ravel()
-        return out, cache
+    def _scratch(self, n):
+        """(acts, spread, spare, out, err) for epochs on n rows; see the
+        class docstring."""
+        layers, hidden = len(self.W) - 1, self.W[0].shape[1]
+        acts = [np.empty((n, hidden)) for _ in range(layers)]
+        return acts, np.empty((n, hidden)), np.empty((n, hidden)), np.empty(n), np.empty(n)
 
-    def gradients(self, X, y):
+    def _forward(self, X, acts, out):
+        """The output at the rows of X, written into out; hidden layer l's
+        activation is left in acts[l]."""
+        h = X
+        for W, b, a in zip(self.W, self.b, acts):
+            np.matmul(h, W, out=a)
+            a += b
+            np.maximum(a, 0.0, out=a)
+            h = a
+        np.matmul(h, self.W[-1], out=out.reshape(-1, 1))
+        out += self.b[-1]
+        return out
+
+    def gradients(self, X, y, scratch=None):
         """Loss gradients, written into views of the flat gradient vector;
         returns (gW, gb, loss)."""
-        out, cache = self.forward(X)
         n = X.shape[0]
+        acts, spread, spare, out, err = scratch or self._scratch(n)
         gW, gb = self._gW, self._gb
-        err = out - y
-        delta = (2.0 / n) * err.reshape(-1, 1)
-        np.matmul(cache[-1].T, delta, out=gW[-1])
+        self._forward(X, acts, out)
+        np.subtract(out, y, out=err)
+        loss = float(np.add.reduce(np.multiply(err, err, out=out)) / n)
+        delta = np.multiply(err, 2.0 / n, out=err).reshape(-1, 1)
+        np.matmul(acts[-1].T, delta, out=gW[-1])
         np.add.reduce(delta, axis=0, out=gb[-1])
-        back = delta @ self.W[-1].T
-        for layer in range(len(self.W) - 2, -1, -1):
-            back = back * (cache[layer + 1] > 0.0)
-            np.matmul(cache[layer].T, back, out=gW[layer])
-            np.add.reduce(back, axis=0, out=gb[layer])
+        # delta @ W[-1].T, which numpy forms as 0.0 + delta * w; the products
+        # go into spare laid out (hidden, n), where their rows are contiguous
+        hidden = spread.shape[1]
+        outer = spare.reshape(hidden, n)
+        np.add(np.multiply(self.W[-1], err, out=outer).T, 0.0, out=spread)
+        for layer in range(len(acts) - 1, -1, -1):
+            spread *= np.greater(acts[layer], 0.0, out=spare)
+            np.matmul((acts[layer - 1] if layer else X).T, spread, out=gW[layer])
+            if hidden == 1:
+                np.add.reduce(spread, axis=0, out=gb[layer])
+            else:
+                np.einsum("ij->j", spread, out=gb[layer])
             if layer > 0:
-                back = back @ self.W[layer].T
-        return gW, gb, float(np.mean(err**2))
+                np.matmul(spread, self.W[layer].T, out=spare)
+                spread, spare = spare, spread
+        return gW, gb, loss
 
     def train(self, X, y):
         """Full-batch Adam with early stopping; returns the epochs run."""
         lr, epochs, patience, min_improvement = 1e-3, 500, 20, 1e-6
         q, g = self._theta, self._grad
-        m = np.zeros_like(q)
-        v = np.zeros_like(q)
+        m, v, step, denom = (np.zeros_like(q) for _ in range(4))
         beta1, beta2, eps = 0.9, 0.999, 1e-8
+        scratch = self._scratch(X.shape[0])
         best = math.inf
         stall = 0
         t = 0
         for _ in range(epochs):
-            loss = self.gradients(X, y)[2]
+            loss = self.gradients(X, y, scratch)[2]
             t += 1
+            # m, v are the moment estimates; q -= lr * mhat / (sqrt(vhat) + eps)
             m *= beta1
-            m += (1 - beta1) * g
+            m += np.multiply(g, 1 - beta1, out=step)
             v *= beta2
-            v += (1 - beta2) * g * g
-            mhat = m / (1 - beta1**t)
-            vhat = v / (1 - beta2**t)
-            q -= lr * mhat / (np.sqrt(vhat) + eps)
+            v += np.multiply(np.multiply(g, 1 - beta2, out=step), g, out=step)
+            np.divide(m, 1 - beta1**t, out=step)
+            step *= lr
+            np.divide(v, 1 - beta2**t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            q -= step
             if loss < best - min_improvement:
                 best = loss
                 stall = 0
@@ -674,7 +716,8 @@ class _MLP:
         return t
 
     def predict(self, Q):
-        return self.forward(Q)[0]
+        acts = [np.empty((Q.shape[0], b.size)) for b in self.b[:-1]]
+        return self._forward(Q, acts, np.empty(Q.shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -547,8 +547,10 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
     """Execute the full (n, replication) sweep.
 
     Rows are deterministic given master_seed: replication r uses stream r, so
-    dropping or reordering replications never changes other rows.  Workers
-    parallelize units; output order is schedule-independent.
+    dropping or reordering replications never changes other rows.  Units
+    run largest n first, so a pool's longest units do not start last; units
+    of equal n keep their grid order.  Workers parallelize units; rows are
+    sorted, so output order is schedule-independent.
     """
     rows: List[ResultRow] = []
     # once per scenario: the chi-square divergence (shared by every unit's
@@ -568,7 +570,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
             rows.append(ResultRow(config.name, 0, 0, "", "", "fidelity_V@d=1", cert.V, 0.0))
         except SyndatumError as exc:
             rows.append(_error_row(config.name, 0, 0, "", "", "fidelity_V@d=1", exc))
-    n_indices, reps = zip(*product(range(len(config.n_grid)), range(config.replications)))
+    units = product(range(len(config.n_grid)), range(config.replications))
+    n_indices, reps = zip(*sorted(units, key=lambda unit: -config.n_grid[unit[0]]))
     args = (repeat(config), n_indices, reps, repeat(chi2))
     if workers > 1 and len(reps) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

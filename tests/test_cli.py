@@ -117,6 +117,16 @@ def test_experiment_trunc_normal_without_mass_fails_at_load(tmp_path, reg_config
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("estimator", ["mlp hidden=0", "mlp layers=-1"])
+def test_experiment_bad_mlp_shape_fails_at_load(tmp_path, reg_config, capsys, estimator):
+    path = tmp_path / "mlp.ini"
+    path.write_text(reg_config.read_text().replace("estimators = oracle", f"estimators = {estimator}"))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "must be a positive integer" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_experiment_reports_row_errors_in_exit_code(tmp_path):
     # ols cannot fit a classification task: every row errors, exit code 2
     path = tmp_path / "bad.ini"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset, sample_noise
 from syndatum.densities import BoxSupport, TruncatedNormalDiag
@@ -667,23 +669,67 @@ def _mlp_reference(X, y, layers, hidden, rng):
     return W, b, t, lambda Q: forward(Q)[0]
 
 
-@pytest.mark.parametrize(
-    "n, p, layers, hidden, scale",
-    [(60, 1, 1, 3, 1.0), (150, 2, 4, 10, 1.0), (400, 3, 2, 7, 1.0), (80, 2, 3, 5, 1e-3)],
-)
-def test_mlp_flat_adam_matches_per_parameter_reference(n, p, layers, hidden, scale):
-    # scale 1e-3 keeps the loss under the improvement threshold: early stop
-    rng = SeedSpec(60 + n).rng()
+def _assert_mlp_matches_reference(n, p, layers, hidden, scale, seed, weights=61):
+    rng = SeedSpec(seed).rng()
     X = rng.normal(size=(n, p)) * scale
     y = (np.sin(2.0 * X[:, 0] / scale) + 0.1 * rng.normal(size=n)) * scale
-    mlp = _MLP(p, layers, hidden, SeedSpec(61).rng())
+    mlp = _MLP(p, layers, hidden, SeedSpec(weights).rng())
     epochs = mlp.train(X, y)
-    W, b, t, predict = _mlp_reference(X, y, layers, hidden, SeedSpec(61).rng())
-    assert epochs == t and (t < 500) == (scale < 1.0)
+    W, b, t, predict = _mlp_reference(X, y, layers, hidden, SeedSpec(weights).rng())
+    assert epochs == t
     for got, want in zip(mlp.W + mlp.b, W + b):
         assert got.tobytes() == want.tobytes()
     Q = rng.normal(size=(50, p)) * scale
     assert mlp.predict(Q).tobytes() == predict(Q).tobytes()
+    return t
+
+
+def _mlp_case(n, p, layers, hidden, scale, weights=61):
+    return pytest.param(n, p, layers, hidden, scale, weights, id=f"{n}-{p}-{layers}-{hidden}-{scale}")
+
+
+@pytest.mark.parametrize(
+    "n, p, layers, hidden, scale, weights",
+    [
+        _mlp_case(60, 1, 1, 3, 1.0),
+        _mlp_case(150, 2, 4, 10, 1.0),
+        _mlp_case(400, 3, 2, 7, 1.0),
+        _mlp_case(80, 2, 3, 5, 1e-3),
+        # hidden = 1, with weight seeds whose single-unit layers are not dead
+        # from the start: each bias gradient is a one-column sum
+        _mlp_case(90, 2, 3, 1, 1.0, weights=6),
+        _mlp_case(70, 1, 2, 1, 1e-3, weights=1),
+        _mlp_case(1600, 2, 4, 10, 1.0),  # a fig3 unit's size and default shape
+    ],
+)
+def test_mlp_flat_adam_matches_per_parameter_reference(n, p, layers, hidden, scale, weights):
+    # scale 1e-3 keeps the loss under the improvement threshold: early stop
+    t = _assert_mlp_matches_reference(n, p, layers, hidden, scale, 60 + n, weights)
+    assert (t < 500) == (scale < 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    p=st.integers(1, 3),
+    layers=st.integers(1, 4),
+    hidden=st.integers(1, 6),
+    scale=st.sampled_from([1.0, 1e-3]),
+    seed=st.integers(0, 2**16),
+    weights=st.integers(0, 2**16),
+)
+def test_mlp_train_matches_reference_property(n, p, layers, hidden, scale, seed, weights):
+    _assert_mlp_matches_reference(n, p, layers, hidden, scale, seed, weights)
+
+
+def test_mlp_keeps_no_training_scratch():
+    # a fitted network holds its parameters and gradients, no n-row arrays
+    n = 137
+    ds = _regression_data(n, 2, lambda X: X[:, 0], 0.1, seed=28)
+    mlp = fit_estimator(EstimatorSpec("mlp"), ds, SeedSpec(3))._mean_fn.__self__
+    arrays = [a for v in vars(mlp).values() for a in (v if isinstance(v, list) else [v])]
+    assert all(isinstance(a, np.ndarray) for a in arrays)
+    assert not [a.shape for a in arrays if n in a.shape]
 
 
 def test_mlp_learns_linear_function():
@@ -706,4 +752,7 @@ def test_parse_estimator():
     # a kind takes only the parameters it reads
     for text in ("knn depth=3", "knn trees=5 box=2", "rf k=3", "mlp box=1", "logistic k=2", "ols k=1"):
         with pytest.raises(ValueError, match="bad parameter"):
+            parse_estimator(text)
+    for text in ("knn k=0", "rf depth=0", "mlp hidden=0", "mlp hidden=-2", "mlp layers=0", "mlp layers=-1"):
+        with pytest.raises(ValueError, match="must be a positive integer"):
             parse_estimator(text)

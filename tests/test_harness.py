@@ -17,6 +17,8 @@ from syndatum.harness import (
     TruthSpec,
     _fig34_config,
     _figs1_config,
+    _run_unit,
+    _sort_rows,
     _suite_case,
     _suite_lr_case,
     load_scenarios,
@@ -213,10 +215,17 @@ def test_full_run_determinism_byte_identical_csv(tmp_path):
 
 
 def test_schedule_independence_with_workers(tmp_path):
-    config = _tiny_config(replications=3, n_grid=(32, 64))
-    serial = run_scenario(config, workers=1)
-    parallel = run_scenario(config, workers=2)
-    assert serial == parallel
+    # a repeated n gives units with equal (n, replication) row keys, which
+    # keep their grid order however the units are dispatched
+    for estimators, n_grid in [(("oracle",), (32, 64)), (("oracle", "mlp"), (16, 16, 32))]:
+        config = _tiny_config(replications=3, n_grid=n_grid, estimators=estimators)
+        serial = run_scenario(config, workers=1)
+        parallel = run_scenario(config, workers=2)
+        in_grid_order = [row for i in range(len(n_grid)) for r in range(3) for row in _run_unit(config, i, r, None)]
+        assert serial == parallel == _sort_rows(in_grid_order)
+        write_rows_csv(serial, tmp_path / "serial.csv")
+        write_rows_csv(parallel, tmp_path / "parallel.csv")
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
 
 
 def test_per_replication_independence():
