@@ -23,16 +23,15 @@ from dataclasses import replace
 
 from .datamodel import NoiseModel, SeedSpec, TaskKind, write_csv
 from .densities import certify_fidelity_level, chi_square_divergence
-from .erm import fit_downstream, parse_model_class
+from .erm import fit_downstream
 from .errors import ConfigError, SyndatumError
+from .estimators import fit_estimator
 from .harness import (
     BUILTIN_NAMES,
     DEFAULT_MASTER_SEED,
     ScenarioConfig,
     _bound_case,
-    _compare,
     _draw_original,
-    _fitted_estimator,
     _lr_case,
     _risk_config,
     _synthesize,
@@ -43,7 +42,7 @@ from .harness import (
     summarize,
     write_rows_csv,
 )
-from .metrics import utility_metric
+from .metrics import compare_models, utility_metric
 
 
 def _write_json(payload, out):
@@ -91,7 +90,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_synth(args) -> int:
     config, seed = _first_scenario(args)
     original = _draw_original(config, config.n_grid[0], seed.child(0))
-    est = _fitted_estimator(config.truth, config.estimators[0], original, seed.child(1))
+    est = fit_estimator(config.estimator_specs[0], original, seed.child(1))
     synthetic, _ = _synthesize(config, est, original, seed.child(2))
     write_csv(synthetic, args.out)
     print(f"wrote synthetic dataset ({synthetic.n} x {synthetic.p}) to {args.out}")
@@ -117,14 +116,13 @@ def _cmd_utility(args) -> int:
     config, seed = _first_scenario(args)
     n = config.n_grid[-1]
     original = _draw_original(config, n, seed.child(0))
-    classes = [parse_model_class(text, original.p, config.task) for text in config.model_classes]
-    f_origs = [fit_downstream(mc, original) for mc in classes]
+    f_origs = [fit_downstream(mc, original) for mc in config.classes]
     risk_cfg = _risk_config(config, seed.child(9))
     reports = []
-    for est_text in config.estimators:
-        est = _fitted_estimator(config.truth, est_text, original, seed.child(1))
+    for est_text, spec in zip(config.estimators, config.estimator_specs):
+        est = fit_estimator(spec, original, seed.child(1))
         synthetic, _ = _synthesize(config, est, original, seed.child(2))
-        for class_text, mc, f_orig in zip(config.model_classes, classes, f_origs):
+        for class_text, mc, f_orig in zip(config.model_classes, config.classes, f_origs):
             report = utility_metric(fit_downstream(mc, synthetic), f_orig, risk_cfg)
             reports.append(
                 {
@@ -179,8 +177,9 @@ def _cmd_compare(args) -> int:
     if len(config.model_classes) != 2:
         raise ConfigError("compare requires exactly two entries in model_classes")
     original = _draw_original(config, config.n_grid[0], seed.child(0))
-    est = _fitted_estimator(config.truth, config.estimators[0], original, seed.child(1))
-    report = _compare(config, est, seed.child(2))
+    est = fit_estimator(config.estimator_specs[0], original, seed.child(1))
+    report = compare_models(*config.classes, config.real_density, config.synth_density,
+                            config.truth, est, _risk_config(config, seed.child(2)))
     _write_json(report.to_json_dict(), args.out)
     return 0
 

@@ -23,7 +23,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 from itertools import chain, product, repeat
 from typing import List, Optional, Sequence, Tuple
@@ -201,6 +201,10 @@ class ScenarioConfig:
     synthetic_n_rule: str = "equal"
     outputs: tuple = ("utility",)
     risk_method: str = "monte-carlo"
+    # resolved once from the text fields above: the EstimatorSpecs, each
+    # oracle bound to the truth, and the model classes on real_density.dim
+    estimator_specs: tuple = field(init=False, repr=False, compare=False)
+    classes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.n_grid or list(self.n_grid) != sorted(self.n_grid) or self.n_grid[0] < 1:
@@ -223,13 +227,17 @@ class ScenarioConfig:
             raise ConfigError(f"risk_method must be monte-carlo or quadrature, got {self.risk_method!r}")
         if self.risk_method == "quadrature" and self.real_density.dim != 1:
             raise ConfigError("risk_method quadrature requires a one-dimensional real_density")
+        specs, classes = [], []
         try:
             for text in self.estimators:
-                parse_estimator(text)
+                spec = parse_estimator(text)
+                specs.append(replace(spec, oracle_fn=self.truth) if spec.kind == "oracle" else spec)
             for text in self.model_classes:
-                parse_model_class(text, self.real_density.dim, self.task)
+                classes.append(parse_model_class(text, self.real_density.dim, self.task))
         except ValueError as exc:
             raise ConfigError(f"{text!r}: {exc}") from exc
+        object.__setattr__(self, "estimator_specs", tuple(specs))
+        object.__setattr__(self, "classes", tuple(classes))
 
     def synthetic_n(self, n: int) -> int:
         if self.synthetic_n_rule == "equal":
@@ -331,15 +339,6 @@ def _draw_original(config: ScenarioConfig, n: int, seed: SeedSpec) -> Dataset:
     return make_dataset(X, y, config.task)
 
 
-def _fitted_estimator(truth: TruthSpec, text: str, data: Dataset, seed: SeedSpec) -> "FittedEstimator":
-    """Parse an estimator entry and fit it on ``data``; an oracle wraps the
-    truth."""
-    spec = parse_estimator(text)
-    if spec.kind == "oracle":
-        spec = replace(spec, oracle_fn=truth)
-    return fit_estimator(spec, data, seed)
-
-
 def _error_row(name, n, rep, est_name, class_name, metric, exc) -> ResultRow:
     return ResultRow(name, n, rep, est_name, class_name, metric, float("nan"), float("nan"),
                      f"{type(exc).__name__}: {exc}")
@@ -408,9 +407,9 @@ def _bound_case(config: ScenarioConfig, n: int, seed: SeedSpec, streams: Tuple[i
     (bound report, utility report)."""
     draw, fit, synth, star, tilde, bound, utility = (seed.child(s) for s in streams)
     original = _draw_original(config, n, draw)
-    est = _fitted_estimator(config.truth, config.estimators[0], original, fit)
+    est = fit_estimator(config.estimator_specs[0], original, fit)
     synthetic, synth_noise = _synthesize(config, est, original, synth)
-    mc = parse_model_class(config.model_classes[0], original.p, config.task)
+    mc = config.classes[0]
     f_orig, f_synth = fit_downstream(mc, original), fit_downstream(mc, synthetic)
     report = _bound_report(config, mc, est, synth_noise, f_orig, f_synth, (star, tilde, bound))
     return report, utility_metric(f_synth, f_orig, _risk_config(config, utility))
@@ -435,16 +434,6 @@ def _lr_case(real: DensityModel, synth: DensityModel, beta, noise: NoiseModel,
         chi2, Y, Ys, real.support,
     )
     return report, chi2, beta_hat, beta_tilde
-
-
-def _compare(config: ScenarioConfig, est, risk_seed: SeedSpec):
-    """Model comparison of the two model classes under the fitted estimator."""
-    dim = config.real_density.dim
-    c1, c2 = (parse_model_class(text, dim, config.task) for text in config.model_classes)
-    return compare_models(
-        c1, c2, config.real_density, config.synth_density, config.truth, est,
-        _risk_config(config, risk_seed),
-    )
 
 
 def _comparison_rows(name, n, rep, est_name, labels, report) -> List[ResultRow]:
@@ -477,8 +466,7 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
     def fitted(ei):
         if ei not in fits:
             try:
-                fits[ei] = _fitted_estimator(config.truth, config.estimators[ei], original,
-                                             base.child(4, ei))
+                fits[ei] = fit_estimator(config.estimator_specs[ei], original, base.child(4, ei))
             except Exception as exc:
                 fits[ei] = exc
         if isinstance(fits[ei], Exception):
@@ -486,10 +474,11 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
         return fits[ei]
 
     if "comparison" in config.outputs:
-        est_name = config.estimators[0].split()[0]
+        est_name = config.estimator_specs[0].kind
         try:
-            report = _compare(config, fitted(0), base.child(8))
-            labels = tuple(text.split()[0] for text in config.model_classes)
+            report = compare_models(*config.classes, config.real_density, config.synth_density,
+                                    config.truth, fitted(0), _risk_config(config, base.child(8)))
+            labels = tuple(mc.name for mc in config.classes)
             rows.extend(_comparison_rows(config.name, n, rep, est_name, labels, report))
         except Exception as exc:
             rows.append(_error_row(config.name, n, rep, est_name, "pair", "consistent", exc))
@@ -497,12 +486,11 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
     # ERM is deterministic, so one original-data fit per class serves every
     # estimator
     @cache
-    def fit_original(class_text):
-        mc = parse_model_class(class_text, original.p, config.task)
-        return mc, fit_downstream(mc, original)
+    def fit_original(ci):
+        return fit_downstream(config.classes[ci], original)
 
-    for ei, est_text in enumerate(config.estimators):
-        est_name = est_text.split()[0]
+    for ei, spec in enumerate(config.estimator_specs):
+        est_name = spec.kind
         try:
             # common random numbers across estimators: same synthetic feature
             # and noise draws, so utilities differ only through the fitted
@@ -510,15 +498,13 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
             est = fitted(ei)
             synthetic, synth_noise = _synthesize(config, est, original, base.child(5))
         except Exception as exc:
-            rows.extend(
-                _error_row(config.name, n, rep, est_name, text.split()[0], "utility", exc)
-                for text in config.model_classes
-            )
+            rows.extend(_error_row(config.name, n, rep, est_name, mc.name, "utility", exc)
+                        for mc in config.classes)
             continue
-        for class_text in config.model_classes:
-            row = partial(ResultRow, config.name, n, rep, est_name, class_text.split()[0])
+        for ci, mc in enumerate(config.classes):
+            row = partial(ResultRow, config.name, n, rep, est_name, mc.name)
             try:
-                mc, f_orig = fit_original(class_text)
+                f_orig = fit_original(ci)
                 f_synth = fit_downstream(mc, synthetic)
                 report = utility_metric(f_synth, f_orig, cfg)
             except Exception as exc:
@@ -732,7 +718,7 @@ def _run_toy_s1(master_seed: int) -> List[ResultRow]:
 def _oracle_estimator(truth: TruthSpec, task: TaskKind) -> "FittedEstimator":
     # the oracle ignores its training data; +1 is a valid response for either task
     data = make_dataset([[0.0]], [1.0], task)
-    return _fitted_estimator(truth, "oracle", data, SeedSpec(0))
+    return fit_estimator(EstimatorSpec("oracle", oracle_fn=truth), data, SeedSpec(0))
 
 
 def _toy61_part(name, alpha, truth, task, class_name, boxes, labels, seed) -> List[ResultRow]:
@@ -1023,7 +1009,8 @@ def default_workers() -> int:
 # Config files: one INI section per scenario, flat key=value entries
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)} - {"name"}
+# init fields only: load_scenarios rejects every other key
+_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig) if f.init} - {"name"}
 
 _CONFIG_DEFAULTS = {
     "noise": "none",
