@@ -65,6 +65,8 @@ def _first_scenario(args):
 
 
 def _cmd_experiment(args) -> int:
+    if args.workers < 0:
+        raise ConfigError(f"--workers must be >= 0, got {args.workers}")
     # the environment variable takes precedence over the flag
     if os.environ.get("SYNDATUM_WORKERS"):
         workers = default_workers()

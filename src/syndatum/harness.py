@@ -211,6 +211,8 @@ class ScenarioConfig:
             raise ConfigError(f"n_grid must be non-empty, ascending and >= 1, got {self.n_grid}")
         if self.replications < 1 or self.n_test < 1:
             raise ConfigError("replications and n_test must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         unknown = sorted(set(self.outputs) - set(OUTPUT_NAMES))
         if unknown:
             raise ConfigError(f"unknown outputs {unknown}; choose from {OUTPUT_NAMES}")
@@ -236,6 +238,14 @@ class ScenarioConfig:
                 classes.append(parse_model_class(text, self.real_density.dim, self.task))
         except ValueError as exc:
             raise ConfigError(f"{text!r}: {exc}") from exc
+        try:
+            at_zero = self.truth(np.zeros((1, self.real_density.dim)))
+            finite = at_zero.shape == (1,) and bool(np.isfinite(at_zero[0]))
+        except (ValueError, TypeError, IndexError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"truth {self.truth.name!r} with beta {self.truth.beta} does not give one "
+                              f"finite value on a zero row of the {self.real_density.dim}-d real_density")
         object.__setattr__(self, "estimator_specs", tuple(specs))
         object.__setattr__(self, "classes", tuple(classes))
 
@@ -454,14 +464,17 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
     n = config.n_grid[n_index]
     base = SeedSpec(config.master_seed, rep).child(n_index)
     cfg = _risk_config(config, base.child(3))
-    original = _draw_original(config, n, base)
     rows: List[ResultRow] = []
 
     # one fit per estimator, shared by the comparison and the synthesis; a
-    # failed fit is kept and raised again, not repeated.  Any exception, a
-    # numpy LinAlgError as well as a SyndatumError, becomes a row error, so
-    # one failing unit does not end the sweep
-    fits = {}
+    # failed draw or fit is kept and raised again, not repeated.  Any
+    # exception, a numpy LinAlgError as well as a SyndatumError, becomes a
+    # row error, so one failing unit does not end the sweep
+    try:
+        original = _draw_original(config, n, base)
+        fits = {}
+    except Exception as exc:
+        fits = dict.fromkeys(range(len(config.estimator_specs)), exc)
 
     def fitted(ei):
         if ei not in fits:
@@ -990,6 +1003,8 @@ def run_builtin(
     """Run a preconfigured experiment; see the module docstring for the menu."""
     if scale < 1:
         raise ConfigError("scale must be >= 1")
+    if master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
     if name not in _BUILTINS:
         raise UnknownBuiltin(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
     return _BUILTINS[name](scale, master_seed, workers)

@@ -6,6 +6,8 @@ where they look for it."""
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -64,3 +66,13 @@ def test_bench_bound_names_exist():
         if name in span_names and not (inspect.isfunction(obj) and obj.__module__ == module):
             missing.append(name)
     assert not missing, f"names bench/ binds that syndatum no longer has: {missing}"
+
+
+def test_bench_selftest_passes():
+    # the names above can all exist while a unit no longer calls a traced
+    # function; the self-test runs the tracer on a small sweep and sees that
+    proc = subprocess.run(
+        [sys.executable, "bench/selftest.py"], cwd=BENCH.parent, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert any(line.startswith("ok:") for line in proc.stdout.splitlines()), proc.stdout

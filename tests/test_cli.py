@@ -127,6 +127,68 @@ def test_experiment_bad_mlp_shape_fails_at_load(tmp_path, reg_config, capsys, es
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "config, old, new",
+    [
+        (LR_CONFIG, "truth = linear beta=1,-1", "truth = linear beta=1,2,3"),
+        (LR_CONFIG, "truth = linear beta=1,-1", "truth = linear"),
+        (REG_CONFIG, "truth = abs", "truth = expdiff"),
+    ],
+    ids=["beta-too-long", "no-beta", "expdiff-on-1d"],
+)
+def test_experiment_truth_that_does_not_fit_the_density_fails_at_load(tmp_path, capsys, config, old, new):
+    path = tmp_path / "truth.ini"
+    path.write_text(config.replace(old, new))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "truth" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["toy-5.1", "--seed", "-1"],
+        ["--config", "{config}", "--seed", "-1"],
+        ["--config", "{seedless}"],
+        ["toy-5.1", "--workers", "-3"],
+    ],
+    ids=["builtin-seed", "config-seed-flag", "config-master-seed", "workers"],
+)
+def test_experiment_negative_seed_or_workers_fails(tmp_path, reg_config, capsys, args):
+    seedless = tmp_path / "seedless.ini"
+    seedless.write_text(REG_CONFIG.replace("master_seed = 5", "master_seed = -1"))
+    args = [a.format(config=reg_config, seedless=seedless) for a in args]
+    assert main(["experiment", *args, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_experiment_turns_a_failed_draw_into_row_errors(tmp_path, reg_config):
+    # acceptance 2.9e-7: the sampler refuses this density in every unit
+    path = tmp_path / "draw.ini"
+    path.write_text(
+        reg_config.read_text()
+        .replace("real_density = uniform-box lower=-1 upper=1",
+                 "real_density = trunc-normal lower=-1 upper=1 mean=6 var=1")
+        .replace("estimators = oracle", "estimators = oracle, knn")
+        + "outputs = utility, comparison\n"
+    )
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    lines = (out / "rows.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    # per replication: 2 estimators x 2 classes utility rows and one comparison row
+    assert len(rows) == 2 * (2 * 2 + 1)
+    assert {(r["estimator"], r["model_class"], r["metric_name"]) for r in rows} == {
+        *((e, c, "utility") for e in ("oracle", "knn") for c in ("linear", "abs")),
+        ("oracle", "pair", "consistent"),
+    }
+    assert all(r["error"].startswith("RejectionBudgetExceeded: ") for r in rows)
+
+
 def test_experiment_reports_row_errors_in_exit_code(tmp_path):
     # ols cannot fit a classification task: every row errors, exit code 2
     path = tmp_path / "bad.ini"

@@ -171,6 +171,25 @@ def test_unit_fits_each_estimator_and_residual_variance_once(monkeypatch):
     assert calls == {"fit_estimator": 1, "residual_variance": 1}
 
 
+def test_specs_are_parsed_once_when_the_config_is_built(monkeypatch):
+    import syndatum.erm
+    import syndatum.estimators
+
+    calls = _count_calls(monkeypatch, syndatum.estimators.parse_estimator, syndatum.erm.parse_model_class)
+    config = _tiny_config(
+        estimators=("oracle", "knn k=5"),
+        n_grid=(48, 64),
+        replications=2,
+        n_test=500,
+        outputs=("utility", "bound", "comparison"),
+    )
+    assert calls == {"parse_estimator": 2, "parse_model_class": 2}
+    rows = run_scenario(config)
+    assert {r.metric_name for r in rows} >= {"utility", "bound_total", "consistent"}
+    assert not any(r.error for r in rows)
+    assert calls == {"parse_estimator": 2, "parse_model_class": 2}
+
+
 def test_unit_keeps_a_failed_fit(monkeypatch):
     import syndatum.estimators
 
@@ -337,6 +356,8 @@ def test_builtin_scaling():
 def test_unknown_builtin():
     with pytest.raises(UnknownBuiltin):
         run_builtin("fig99")
+    with pytest.raises(ConfigError, match="master_seed"):
+        run_builtin("toy-5.1", master_seed=-1)
 
 
 def test_workers_env_override(monkeypatch):
@@ -463,6 +484,8 @@ def test_scenario_config_validation():
         _tiny_config(n_grid=(64, 32))
     with pytest.raises(ConfigError):
         _tiny_config(replications=0)
+    with pytest.raises(ConfigError, match="master_seed"):
+        _tiny_config(master_seed=-1)
     assert _tiny_config(synthetic_n_rule="fixed:17").synthetic_n(64) == 17
 
 
