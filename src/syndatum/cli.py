@@ -23,18 +23,15 @@ from dataclasses import replace
 
 from .datamodel import NoiseModel, SeedSpec, TaskKind, write_csv
 from .densities import certify_fidelity_level, chi_square_divergence
-from .erm import fit_downstream
 from .errors import ConfigError, SyndatumError
-from .estimators import fit_estimator
 from .harness import (
     BUILTIN_NAMES,
+    COMMAND_SEEDS,
     DEFAULT_MASTER_SEED,
+    UTILITY_COMMAND_SEEDS,
     ScenarioConfig,
-    _bound_case,
-    _draw_original,
     _lr_case,
-    _risk_config,
-    _synthesize,
+    _Unit,
     default_workers,
     load_scenarios,
     run_builtin,
@@ -42,11 +39,15 @@ from .harness import (
     summarize,
     write_rows_csv,
 )
-from .metrics import compare_models, utility_metric
+
+
+# JSON has no inf or nan: they are written as rows.csv writes them
+_NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 
 
 def _write_json(payload, out):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    plain = json.loads(json.dumps(payload), parse_constant=_NON_FINITE.get)
+    text = json.dumps(plain, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -58,20 +59,22 @@ def _seeded(config: ScenarioConfig, seed) -> ScenarioConfig:
     return config if seed is None else replace(config, master_seed=seed)
 
 
-def _first_scenario(args):
-    """The first --config scenario, seeded by --seed if given, and its seed stream 0."""
-    config = _seeded(load_scenarios(args.config)[0], getattr(args, "seed", None))
-    return config, SeedSpec(config.master_seed, 0)
+def _first_scenario(args) -> ScenarioConfig:
+    """The first --config scenario, seeded by --seed if given."""
+    return _seeded(load_scenarios(args.config)[0], getattr(args, "seed", None))
+
+
+def _first_unit(args, at: int = 0, layout=COMMAND_SEEDS) -> _Unit:
+    """A unit of the first --config scenario at n_grid[at], on seed stream 0."""
+    config = _first_scenario(args)
+    return _Unit(config, config.n_grid[at], SeedSpec(config.master_seed, 0), layout)
 
 
 def _cmd_experiment(args) -> int:
     if args.workers < 0:
         raise ConfigError(f"--workers must be >= 0, got {args.workers}")
     # the environment variable takes precedence over the flag
-    if os.environ.get("SYNDATUM_WORKERS"):
-        workers = default_workers()
-    else:
-        workers = args.workers if args.workers else 1
+    workers = default_workers() if os.environ.get("SYNDATUM_WORKERS") else max(1, args.workers)
     if args.config:
         rows = []
         for config in load_scenarios(args.config):
@@ -90,64 +93,46 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    config, seed = _first_scenario(args)
-    original = _draw_original(config, config.n_grid[0], seed.child(0))
-    est = fit_estimator(config.estimator_specs[0], original, seed.child(1))
-    synthetic, _ = _synthesize(config, est, original, seed.child(2))
+    synthetic, _ = _first_unit(args).synthetic(0)
     write_csv(synthetic, args.out)
     print(f"wrote synthetic dataset ({synthetic.n} x {synthetic.p}) to {args.out}")
     return 0
 
 
 def _cmd_fidelity(args) -> int:
-    config, _ = _first_scenario(args)
+    config = _first_scenario(args)
     p, q = config.real_density, config.synth_density
-    chi2_pq = chi_square_divergence(p, q)
-    chi2_qp = chi_square_divergence(q, p)
-    cert = certify_fidelity_level(p, q, d=args.d)
     payload = {
-        "chi2_real_vs_synth": "inf" if math.isinf(chi2_pq) else chi2_pq,
-        "chi2_synth_vs_real": "inf" if math.isinf(chi2_qp) else chi2_qp,
-        "certificate": cert.to_json_dict(),
+        "chi2_real_vs_synth": chi_square_divergence(p, q),
+        "chi2_synth_vs_real": chi_square_divergence(q, p),
+        "certificate": certify_fidelity_level(p, q, d=args.d).to_json_dict(),
     }
     _write_json(payload, args.out)
     return 0
 
 
 def _cmd_utility(args) -> int:
-    config, seed = _first_scenario(args)
-    n = config.n_grid[-1]
-    original = _draw_original(config, n, seed.child(0))
-    f_origs = [fit_downstream(mc, original) for mc in config.classes]
-    risk_cfg = _risk_config(config, seed.child(9))
-    reports = []
-    for est_text, spec in zip(config.estimators, config.estimator_specs):
-        est = fit_estimator(spec, original, seed.child(1))
-        synthetic, _ = _synthesize(config, est, original, seed.child(2))
-        for class_text, mc, f_orig in zip(config.model_classes, config.classes, f_origs):
-            report = utility_metric(fit_downstream(mc, synthetic), f_orig, risk_cfg)
-            reports.append(
-                {
-                    "estimator": est_text,
-                    "model_class": class_text,
-                    "n": n,
-                    "report": report.to_json_dict(),
-                }
-            )
+    unit = _first_unit(args, -1, UTILITY_COMMAND_SEEDS)
+    reports = [
+        {"estimator": est_text, "model_class": class_text, "n": unit.n,
+         "report": unit.utility(ei, ci).to_json_dict()}
+        for ei, est_text in enumerate(unit.config.estimators)
+        for ci, class_text in enumerate(unit.config.model_classes)
+    ]
     _write_json(reports, args.out)
     return 0
 
 
 def _cmd_bound(args) -> int:
-    config, seed = _first_scenario(args)
-    n = config.n_grid[0]
+    unit = _first_unit(args)
+    config, n = unit.config, unit.n
     if args.task == "lr":
         if config.task is not TaskKind.REGRESSION or config.truth.name != "linear":
             raise ConfigError("bound --task lr requires a regression scenario with truth 'linear'")
         synth_noise = config.synth_noise or NoiseModel.bounded_uniform(config.noise.variance)
         report, *_ = _lr_case(
             config.real_density, config.synth_density, config.truth.beta, config.noise,
-            synth_noise, n, config.synthetic_n(n), seed,
+            synth_noise, n, config.synthetic_n(n), unit.seed,
         )
         _write_json({"task": "lr", "n": n, "report": report.to_json_dict()}, args.out)
         return 0
@@ -155,7 +140,7 @@ def _cmd_bound(args) -> int:
     task = TaskKind.REGRESSION if args.task == "reg" else TaskKind.CLASSIFICATION
     if config.task is not task:
         raise ConfigError(f"bound --task {args.task} requires a {task.value} scenario")
-    report, u_report = _bound_case(config, n, seed, (0, 1, 2, 5, 6, 7, 8))
+    report, u_report = unit.bound(0, 0), unit.utility(0, 0)
     payload = {
         "task": args.task,
         "n": n,
@@ -166,23 +151,16 @@ def _cmd_bound(args) -> int:
         "measured_utility_std_error": u_report.combined_std_error,
     }
     if math.isinf(report.total):
-        payload["report"]["total"] = "inf"
         payload["vacuous"] = True
-    if math.isinf(payload["report"].get("chi2", 0.0)):
-        payload["report"]["chi2"] = "inf"
     _write_json(payload, args.out)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    config, seed = _first_scenario(args)
-    if len(config.model_classes) != 2:
+    unit = _first_unit(args)
+    if len(unit.config.model_classes) != 2:
         raise ConfigError("compare requires exactly two entries in model_classes")
-    original = _draw_original(config, config.n_grid[0], seed.child(0))
-    est = fit_estimator(config.estimator_specs[0], original, seed.child(1))
-    report = compare_models(*config.classes, config.real_density, config.synth_density,
-                            config.truth, est, _risk_config(config, seed.child(2)))
-    _write_json(report.to_json_dict(), args.out)
+    _write_json(unit.comparison().to_json_dict(), args.out)
     return 0
 
 

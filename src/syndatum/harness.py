@@ -24,9 +24,9 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, partial
+from functools import partial
 from itertools import chain, product, repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -211,6 +211,8 @@ class ScenarioConfig:
             raise ConfigError(f"n_grid must be non-empty, ascending and >= 1, got {self.n_grid}")
         if self.replications < 1 or self.n_test < 1:
             raise ConfigError("replications and n_test must be >= 1")
+        if not self.estimators or not self.model_classes:
+            raise ConfigError("estimators and model_classes must each name at least one entry")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         unknown = sorted(set(self.outputs) - set(OUTPUT_NAMES))
@@ -308,6 +310,7 @@ def _sort_rows(rows: List[ResultRow]) -> List[ResultRow]:
     )
 
 
+@np.errstate(invalid="ignore")  # an infinite value has a nan halfwidth
 def summarize(rows: Sequence[ResultRow]) -> List[dict]:
     """Mean and normal-approximation 95% confidence halfwidth per
     (scenario, n, estimator, model_class, metric) over replications."""
@@ -354,11 +357,6 @@ def _error_row(name, n, rep, est_name, class_name, metric, exc) -> ResultRow:
                      f"{type(exc).__name__}: {exc}")
 
 
-# The pipeline stages below are shared by sweep units, the bound suite and the
-# CLI.  Each caller passes its own SeedSpec streams, whose layout pins its
-# seeded outputs.
-
-
 def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
     regression = config.task is TaskKind.REGRESSION
     return RiskConfig(
@@ -372,57 +370,107 @@ def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
     )
 
 
-def _synthesize(config: ScenarioConfig, est, original: Dataset, seed: SeedSpec):
-    """Synthesize from the fitted estimation model.  Returns (synthetic
-    dataset, synthetic noise model), the model being None for
-    classification."""
-    noise = synthetic_noise(config.synth_noise, est, original)
-    syn_cfg = SynthesisConfig(
-        generator=FeatureGeneratorSpec.from_density(config.synth_density),
-        estimator=EstimatorSpec(est.kind),  # unused: the estimator is already fitted
-        synthetic_n=config.synthetic_n(original.n),
-        noise=noise,
-    )
-    return synthesize_from_fitted(est, syn_cfg, original, seed), noise
+# Seed layouts: the child path of a unit's SeedSpec that feeds each stage,
+# _EI standing for the estimator index.  A layout pins its callers' seeded
+# outputs.  Sweeps use SeedSpec(master_seed, rep).child(n_index), the bound
+# suite SeedSpec(master_seed, 1000 | 2000 + case) and the single-draw
+# commands SeedSpec(master_seed, 0).  star and tilde feed the real and the
+# synthetic population optima of the bound, bound its own risk draws.
+_EI = "ei"
+SWEEP_SEEDS = dict(draw=(), risk=(3,), fit=(4, _EI), synth=(5,), star=(6, _EI), tilde=(7, _EI),
+                   compare=(8,), bound=(9, _EI))
+SUITE_SEEDS = dict(draw=(1,), fit=(2,), synth=(3,), star=(4,), tilde=(5,), risk=(6,), bound=(7,))
+COMMAND_SEEDS = dict(draw=(0,), fit=(1,), synth=(2,), compare=(2,), star=(5,), tilde=(6,), bound=(7,),
+                     risk=(8,))
+UTILITY_COMMAND_SEEDS = {**COMMAND_SEEDS, "risk": (9,)}
 
 
-def _bound_report(config: ScenarioConfig, mc, est, synth_noise: Optional[NoiseModel], f_orig,
-                  f_synth, seeds: Tuple[SeedSpec, SeedSpec, SeedSpec], chi2: Optional[float] = None):
-    """The task's analytic utility bound.  ``synth_noise`` is the synthetic
-    noise model from _synthesize; ``seeds`` feed the real and the synthetic
-    population optima and the bound's own risk draws; ``chi2`` (None =
-    compute) lets a sweep share one divergence across its units."""
-    star_seed, tilde_seed, bound_seed = seeds
-    truth = config.truth
-    fitted = FittedQuad(
-        f_orig,
-        f_synth,
-        population_optimum(mc, config.real_density, truth, 100_000, star_seed),
-        population_optimum(mc, config.synth_density, est, 100_000, tilde_seed),
-    )
-    if config.task is TaskKind.REGRESSION:
-        scenario = RegressionScenario(
-            config.real_density, config.synth_density, truth, config.noise, est, synth_noise
-        )
-        return regression_bound(scenario, fitted, n_test=config.n_test, seed=bound_seed, chi2=chi2)
-    scenario = ClassificationScenario(config.real_density, config.synth_density, truth, est)
-    return classification_bound(scenario, fitted, n_test=config.n_test, seed=bound_seed, chi2=chi2)
+def _stage(method):
+    """Run a unit stage at most once per arguments; a stage that failed
+    raises its exception again instead of running again."""
+
+    def once(unit, *args):
+        key = (method.__name__, *args)
+        if key not in unit.done:
+            try:
+                unit.done[key] = method(unit, *args)
+            except Exception as exc:
+                unit.done[key] = exc
+        if isinstance(unit.done[key], Exception):
+            raise unit.done[key]
+        return unit.done[key]
+
+    return once
 
 
-def _bound_case(config: ScenarioConfig, n: int, seed: SeedSpec, streams: Tuple[int, ...]):
-    """The bound of the first estimator and model class on one draw of n
-    points.  ``streams`` are the children of ``seed`` for the draw, the
-    estimator fit, the synthesis, the real and the synthetic population
-    optima, the bound's risk draws and the utility's test draw.  Returns
-    (bound report, utility report)."""
-    draw, fit, synth, star, tilde, bound, utility = (seed.child(s) for s in streams)
-    original = _draw_original(config, n, draw)
-    est = fit_estimator(config.estimator_specs[0], original, fit)
-    synthetic, synth_noise = _synthesize(config, est, original, synth)
-    mc = config.classes[0]
-    f_orig, f_synth = fit_downstream(mc, original), fit_downstream(mc, synthetic)
-    report = _bound_report(config, mc, est, synth_noise, f_orig, f_synth, (star, tilde, bound))
-    return report, utility_metric(f_synth, f_orig, _risk_config(config, utility))
+class _Unit:
+    """One draw of n points and everything computed from it: the estimation
+    model fits, the synthetic data, the downstream ERM fits, the utilities,
+    the bounds and the model comparison.  Each stage runs on demand with the
+    seed ``layout`` gives it.  ``chi2`` (None = compute) lets a sweep share
+    one divergence across its units."""
+
+    def __init__(self, config: ScenarioConfig, n: int, seed: SeedSpec, layout: dict,
+                 chi2: Optional[float] = None):
+        self.config, self.n, self.seed, self.layout, self.chi2 = config, n, seed, layout, chi2
+        self.done = {}
+
+    def _seed(self, stage: str, ei: int = 0) -> SeedSpec:
+        return self.seed.child(*(ei if k == _EI else k for k in self.layout[stage]))
+
+    @_stage
+    def original(self) -> Dataset:
+        return _draw_original(self.config, self.n, self._seed("draw"))
+
+    @_stage
+    def fitted(self, ei: int):
+        return fit_estimator(self.config.estimator_specs[ei], self.original(), self._seed("fit", ei))
+
+    @_stage
+    def synthetic(self, ei: int):
+        """(synthetic dataset, synthetic noise model), the model None for
+        classification."""
+        config, est, original = self.config, self.fitted(ei), self.original()
+        noise = synthetic_noise(config.synth_noise, est, original)
+        # the EstimatorSpec goes unused: the estimator is already fitted
+        syn_cfg = SynthesisConfig(FeatureGeneratorSpec.from_density(config.synth_density),
+                                  EstimatorSpec(est.kind), config.synthetic_n(self.n), noise)
+        return synthesize_from_fitted(est, syn_cfg, original, self._seed("synth")), noise
+
+    @_stage
+    def erm(self, ei: Optional[int], ci: int):
+        """ERM of class ci on the synthetic data of estimator ei, or on the
+        original data when ei is None."""
+        data = self.original() if ei is None else self.synthetic(ei)[0]
+        return fit_downstream(self.config.classes[ci], data)
+
+    @_stage
+    def utility(self, ei: int, ci: int):
+        # the original-data fit goes first, so its failure is the one reported
+        f_orig = self.erm(None, ci)
+        return utility_metric(self.erm(ei, ci), f_orig, _risk_config(self.config, self._seed("risk")))
+
+    @_stage
+    def bound(self, ei: int, ci: int):
+        """The task's analytic utility bound, assuming the synthetic noise the
+        synthesis used."""
+        config, mc, est = self.config, self.config.classes[ci], self.fitted(ei)
+        real, synth, truth = config.real_density, config.synth_density, config.truth
+        fitted = FittedQuad(self.erm(None, ci), self.erm(ei, ci),
+                            population_optimum(mc, real, truth, 100_000, self._seed("star", ei)),
+                            population_optimum(mc, synth, est, 100_000, self._seed("tilde", ei)))
+        if config.task is TaskKind.REGRESSION:
+            scenario = RegressionScenario(real, synth, truth, config.noise, est, self.synthetic(ei)[1])
+            assemble = regression_bound
+        else:
+            scenario, assemble = ClassificationScenario(real, synth, truth, est), classification_bound
+        return assemble(scenario, fitted, n_test=config.n_test, seed=self._seed("bound", ei), chi2=self.chi2)
+
+    @_stage
+    def comparison(self):
+        config = self.config
+        return compare_models(*config.classes, config.real_density, config.synth_density, config.truth,
+                              self.fitted(0), _risk_config(config, self._seed("compare")))
 
 
 def _lr_case(real: DensityModel, synth: DensityModel, beta, noise: NoiseModel,
@@ -462,64 +510,32 @@ def _comparison_rows(name, n, rep, est_name, labels, report) -> List[ResultRow]:
 
 def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[float]) -> List[ResultRow]:
     n = config.n_grid[n_index]
-    base = SeedSpec(config.master_seed, rep).child(n_index)
-    cfg = _risk_config(config, base.child(3))
+    unit = _Unit(config, n, SeedSpec(config.master_seed, rep).child(n_index), SWEEP_SEEDS, chi2)
     rows: List[ResultRow] = []
-
-    # one fit per estimator, shared by the comparison and the synthesis; a
-    # failed draw or fit is kept and raised again, not repeated.  Any
-    # exception, a numpy LinAlgError as well as a SyndatumError, becomes a
+    # any exception, a numpy LinAlgError as well as a SyndatumError, becomes a
     # row error, so one failing unit does not end the sweep
-    try:
-        original = _draw_original(config, n, base)
-        fits = {}
-    except Exception as exc:
-        fits = dict.fromkeys(range(len(config.estimator_specs)), exc)
-
-    def fitted(ei):
-        if ei not in fits:
-            try:
-                fits[ei] = fit_estimator(config.estimator_specs[ei], original, base.child(4, ei))
-            except Exception as exc:
-                fits[ei] = exc
-        if isinstance(fits[ei], Exception):
-            raise fits[ei]
-        return fits[ei]
-
     if "comparison" in config.outputs:
         est_name = config.estimator_specs[0].kind
         try:
-            report = compare_models(*config.classes, config.real_density, config.synth_density,
-                                    config.truth, fitted(0), _risk_config(config, base.child(8)))
             labels = tuple(mc.name for mc in config.classes)
-            rows.extend(_comparison_rows(config.name, n, rep, est_name, labels, report))
+            rows.extend(_comparison_rows(config.name, n, rep, est_name, labels, unit.comparison()))
         except Exception as exc:
             rows.append(_error_row(config.name, n, rep, est_name, "pair", "consistent", exc))
 
-    # ERM is deterministic, so one original-data fit per class serves every
-    # estimator
-    @cache
-    def fit_original(ci):
-        return fit_downstream(config.classes[ci], original)
-
     for ei, spec in enumerate(config.estimator_specs):
-        est_name = spec.kind
         try:
             # common random numbers across estimators: same synthetic feature
             # and noise draws, so utilities differ only through the fitted
             # estimation model
-            est = fitted(ei)
-            synthetic, synth_noise = _synthesize(config, est, original, base.child(5))
+            unit.synthetic(ei)
         except Exception as exc:
-            rows.extend(_error_row(config.name, n, rep, est_name, mc.name, "utility", exc)
+            rows.extend(_error_row(config.name, n, rep, spec.kind, mc.name, "utility", exc)
                         for mc in config.classes)
             continue
         for ci, mc in enumerate(config.classes):
-            row = partial(ResultRow, config.name, n, rep, est_name, mc.name)
+            row = partial(ResultRow, config.name, n, rep, spec.kind, mc.name)
             try:
-                f_orig = fit_original(ci)
-                f_synth = fit_downstream(mc, synthetic)
-                report = utility_metric(f_synth, f_orig, cfg)
+                report = unit.utility(ei, ci)
             except Exception as exc:
                 rows.append(_error_row(*row.args, "utility", exc))
                 continue
@@ -530,10 +546,7 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
                             report.risk_original.std_error))
             if "bound" in config.outputs:
                 try:
-                    bound = _bound_report(
-                        config, mc, est, synth_noise, f_orig, f_synth,
-                        (base.child(6, ei), base.child(7, ei), base.child(9, ei)), chi2,
-                    )
+                    bound = unit.bound(ei, ci)
                 except Exception as exc:
                     rows.append(_error_row(*row.args, "bound_total", exc))
                     continue
@@ -839,7 +852,8 @@ def _suite_case(task: TaskKind, i: int, master_seed: int) -> dict:
         n_test=20_000,
         master_seed=master_seed,
     )
-    bound, u_report = _bound_case(config, n, SeedSpec(master_seed, offset + i), (1, 2, 3, 4, 5, 7, 6))
+    unit = _Unit(config, n, SeedSpec(master_seed, offset + i), SUITE_SEEDS)
+    bound, u_report = unit.bound(0, 0), unit.utility(0, 0)
     return {
         "kind": task.value,
         "name": config.name,
@@ -1011,13 +1025,15 @@ def run_builtin(
 
 
 def default_workers() -> int:
-    env = os.environ.get("SYNDATUM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"SYNDATUM_WORKERS must be an integer, got {env!r}")
-    return 1
+    """SYNDATUM_WORKERS; unset and 0 mean 1."""
+    env = os.environ.get("SYNDATUM_WORKERS") or "0"
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = -1
+    if workers < 0:
+        raise ConfigError(f"SYNDATUM_WORKERS must be an integer >= 0, got {env!r}")
+    return max(1, workers)
 
 
 # ---------------------------------------------------------------------------

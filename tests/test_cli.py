@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,34 @@ def test_experiment_negative_seed_or_workers_fails(tmp_path, reg_config, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["experiment", "synth"])
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("estimators = oracle", "estimators = ,\noutputs = utility, comparison"),
+        ("model_classes = linear; abs", "model_classes = ;"),
+    ],
+    ids=["no-estimators", "no-model-classes"],
+)
+def test_empty_estimators_or_model_classes_fail_at_load(tmp_path, capsys, command, old, new):
+    path = tmp_path / "empty.ini"
+    path.write_text(REG_CONFIG.replace(old, new))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "at least one entry" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_workers_in_the_environment_fail(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SYNDATUM_WORKERS", "-4")
+    assert main(["experiment", "toy-5.1", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "SYNDATUM_WORKERS" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    monkeypatch.setenv("SYNDATUM_WORKERS", "0")  # as --workers 0: one worker
+    assert main(["experiment", "toy-5.1", "--out", str(tmp_path / "o")]) == 0
+
+
 def test_experiment_turns_a_failed_draw_into_row_errors(tmp_path, reg_config):
     # acceptance 2.9e-7: the sampler refuses this density in every unit
     path = tmp_path / "draw.ini"
@@ -316,12 +345,12 @@ def test_bound_cls_json(tmp_path):
 
 
 def test_bound_task_mismatch_fails_before_fitting(tmp_path, reg_config, monkeypatch):
-    import syndatum.cli
+    import syndatum.harness
 
     def no_draw(*args):
         raise AssertionError("data drawn before the task check")
 
-    monkeypatch.setattr(syndatum.cli, "_draw_original", no_draw)
+    monkeypatch.setattr(syndatum.harness, "_draw_original", no_draw)
     cls_cfg = tmp_path / "cls.ini"
     cls_cfg.write_text(CLS_CONFIG)
     assert main(["bound", "--task", "reg", "--config", str(cls_cfg)]) == 1
@@ -338,6 +367,38 @@ def test_bound_lr_json(tmp_path):
         assert key in blob["report"]
     assert _sha(out) == "f86274d030b115a5a0052a79286b51f5c454fd0e3c0604e711154aadbfa842f0"
     assert main(["bound", "--task", "lr", "--config", str(cfg.parent / "nope.ini")]) == 1
+
+
+def _no_json_constant(name):
+    raise AssertionError(f"bare {name} in JSON output")
+
+
+def test_json_outputs_write_non_finite_values_as_text(tmp_path):
+    # the synthetic density is 0 on half the support: chi2 and the bounds are inf
+    path = tmp_path / "half.ini"
+    path.write_text(
+        LR_CONFIG.replace("trunc-normal lower=-4,-4 upper=4,4 mean=0,0 var=1,1", "uniform-box lower=-1 upper=1")
+        .replace("uniform-box lower=-4,-4 upper=4,4", "piecewise breaks=-1,0,1 heights=0,1")
+        .replace("beta=1,-1", "beta=1")
+        .replace("replications = 1", "replications = 2")
+        + "outputs = utility, bound\n"
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+    groups = json.loads((out / "summary.json").read_text(), parse_constant=_no_json_constant)["groups"]
+    chi2 = next(g for g in groups if g["metric"] == "bound_chi2")
+    assert (chi2["mean"], chi2["ci95"]) == ("inf", "nan")
+
+    def run(*command):
+        target = tmp_path / "out.json"
+        assert main([*command, "--config", str(path), "--out", str(target)]) == 0
+        return json.loads(target.read_text(), parse_constant=_no_json_constant)
+
+    assert run("bound", "--task", "reg")["report"]["total"] == "inf"
+    assert run("bound", "--task", "lr")["report"]["total"] == "inf"
+    assert run("fidelity")["chi2_real_vs_synth"] == "inf"
 
 
 def test_compare_json(tmp_path):

@@ -190,6 +190,39 @@ def test_specs_are_parsed_once_when_the_config_is_built(monkeypatch):
     assert calls == {"parse_estimator": 2, "parse_model_class": 2}
 
 
+def test_every_entry_point_runs_each_stage_once_per_draw(tmp_path, monkeypatch):
+    import syndatum.erm
+    import syndatum.estimators
+    import syndatum.harness
+    from syndatum.cli import main
+
+    calls = _count_calls(
+        monkeypatch,
+        syndatum.harness._draw_original,
+        syndatum.estimators.fit_estimator,
+        syndatum.erm.fit_downstream,
+        syndatum.erm.population_optimum,
+    )
+    path = tmp_path / "scen.ini"
+    path.write_text(CONFIG_TEXT.replace("estimators = oracle", "estimators = oracle, knn k=5"))
+    # one draw, one fit per estimator used, one ERM per (dataset, class) used;
+    # every population optimum is one more fit_downstream call
+    for argv, fits, erm, optima in (
+        (["synth", "--out", str(tmp_path / "synth.csv")], 1, 0, 0),
+        (["utility"], 2, 2 + 2 * 2, 0),
+        (["bound", "--task", "reg"], 1, 2, 2),
+        (["compare"], 1, 0, 4),
+        (None, 1, 2, 2),  # one bound-suite case
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        if argv is None:
+            _suite_case(TaskKind.REGRESSION, 0, DEFAULT_MASTER_SEED)
+        else:
+            assert main([*argv, "--config", str(path)]) == 0
+        assert calls == {"_draw_original": 1, "fit_estimator": fits, "fit_downstream": erm + optima,
+                         "population_optimum": optima}, argv
+
+
 def test_unit_keeps_a_failed_fit(monkeypatch):
     import syndatum.estimators
 

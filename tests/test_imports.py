@@ -1,0 +1,47 @@
+"""No module of the package imports a name it never uses.  No linter is
+installed, so this reads each module's syntax tree."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "syndatum"
+
+
+def _annotation_names(tree) -> set:
+    """Names in quoted annotations such as ``-> "FittedEstimator"``."""
+    notes = [n.returns for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    notes += [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    quoted = [n.value for note in notes if note is not None
+              for n in ast.walk(note) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    return {n.id for text in quoted for n in ast.walk(ast.parse(text, mode="eval")) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({(a.asname or a.name): node.lineno for a in node.names})
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _annotation_names(tree)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_the_scan_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from typing import List, Tuple\n"
+        "def f(x: 'List[int]') -> str:\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(source) == [(2, "sys"), (3, "Tuple")]
+
+
+# __init__.py imports to re-export
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_module_imports_only_what_it_uses(path):
+    assert unused_imports(path.read_text()) == []
