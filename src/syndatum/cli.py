@@ -75,15 +75,14 @@ def _cmd_experiment(args) -> int:
         raise ConfigError(f"--workers must be >= 0, got {args.workers}")
     # the environment variable takes precedence over the flag
     workers = default_workers() if os.environ.get("SYNDATUM_WORKERS") else max(1, args.workers)
+    if bool(args.builtin) == bool(args.config) or (args.config and args.scale != 1):
+        raise ConfigError("experiment takes a builtin name or --config FILE, not both; --scale needs a builtin")
     if args.config:
-        rows = []
-        for config in load_scenarios(args.config):
-            rows.extend(run_scenario(_seeded(config, args.seed), workers=workers))
-    elif args.builtin:
+        configs = [_seeded(config, args.seed) for config in load_scenarios(args.config)]
+        rows = run_scenario(*configs, workers=workers)
+    else:
         seed = DEFAULT_MASTER_SEED if args.seed is None else args.seed
         rows = run_builtin(args.builtin, args.scale, seed, workers)
-    else:
-        raise ConfigError("experiment requires a builtin name or --config FILE")
     os.makedirs(args.out, exist_ok=True)
     write_rows_csv(rows, os.path.join(args.out, "rows.csv"))
     _write_json({"groups": summarize(rows)}, os.path.join(args.out, "summary.json"))
@@ -134,22 +133,21 @@ def _cmd_bound(args) -> int:
             config.real_density, config.synth_density, config.truth.beta, config.noise,
             synth_noise, n, config.synthetic_n(n), unit.seed,
         )
-        _write_json({"task": "lr", "n": n, "report": report.to_json_dict()}, args.out)
-        return 0
-
-    task = TaskKind.REGRESSION if args.task == "reg" else TaskKind.CLASSIFICATION
-    if config.task is not task:
-        raise ConfigError(f"bound --task {args.task} requires a {task.value} scenario")
-    report, u_report = unit.bound(0, 0), unit.utility(0, 0)
-    payload = {
-        "task": args.task,
-        "n": n,
-        "estimator": config.estimators[0],
-        "model_class": config.model_classes[0],
-        "report": report.to_json_dict(),
-        "measured_utility": u_report.utility,
-        "measured_utility_std_error": u_report.combined_std_error,
-    }
+        payload = {"task": "lr", "n": n, "report": report.to_json_dict()}
+    else:
+        task = TaskKind.REGRESSION if args.task == "reg" else TaskKind.CLASSIFICATION
+        if config.task is not task:
+            raise ConfigError(f"bound --task {args.task} requires a {task.value} scenario")
+        report, u_report = unit.bound(0, 0), unit.utility(0, 0)
+        payload = {
+            "task": args.task,
+            "n": n,
+            "estimator": config.estimators[0],
+            "model_class": config.model_classes[0],
+            "report": report.to_json_dict(),
+            "measured_utility": u_report.utility,
+            "measured_utility_std_error": u_report.combined_std_error,
+        }
     if math.isinf(report.total):
         payload["vacuous"] = True
     _write_json(payload, args.out)

@@ -13,8 +13,8 @@ Builtins (run_builtin):
   bound-suite       utility-bound dominance across 50 seeded scenarios
   consistency       consistent-comparison validation replications
 
-Every builtin accepts a --scale factor that divides sample sizes,
-replication counts, and test sizes for desk-scale runs.
+The five sweeps (fig3 to figS1-logistic) take --workers and a --scale factor
+that divides sizes and replication counts; the six fixed builtins take neither.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from itertools import chain, product, repeat
+from itertools import chain, product
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -555,42 +555,43 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
     return rows
 
 
-def run_scenario(config: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
-    """Execute the full (n, replication) sweep.
+def run_scenario(*configs: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
+    """Execute the full (n, replication) sweep of every config in one pass.
 
     Rows are deterministic given master_seed: replication r uses stream r, so
-    dropping or reordering replications never changes other rows.  Units
-    run largest n first, so a pool's longest units do not start last; units
-    of equal n keep their grid order.  Workers parallelize units; rows are
-    sorted, so output order is schedule-independent.
+    dropping or reordering replications never changes other rows.  All units
+    run in one pass, largest n first (so the longest do not start last), equal
+    n in config and grid order.  Rows come sorted per config, configs in order.
     """
-    rows: List[ResultRow] = []
-    # once per scenario: the chi-square divergence (shared by every unit's
-    # bound; NaN if it fails) and the fidelity rows
-    chi2 = None
-    if "bound" in config.outputs or "fidelity" in config.outputs:
-        try:
-            chi2 = chi_square_divergence(config.real_density, config.synth_density)
-            chi2_row = ResultRow(config.name, 0, 0, "", "", "chi2", chi2, 0.0)
-        except SyndatumError as exc:
-            chi2 = float("nan")
-            chi2_row = _error_row(config.name, 0, 0, "", "", "chi2", exc)
-    if "fidelity" in config.outputs:
-        rows.append(chi2_row)
-        try:
-            cert = certify_fidelity_level(config.real_density, config.synth_density, d=1.0)
-            rows.append(ResultRow(config.name, 0, 0, "", "", "fidelity_V@d=1", cert.V, 0.0))
-        except SyndatumError as exc:
-            rows.append(_error_row(config.name, 0, 0, "", "", "fidelity_V@d=1", exc))
-    units = product(range(len(config.n_grid)), range(config.replications))
-    n_indices, reps = zip(*sorted(units, key=lambda unit: -config.n_grid[unit[0]]))
-    args = (repeat(config), n_indices, reps, repeat(chi2))
-    if workers > 1 and len(reps) > 1:
+    rows, units = [], []
+    for config in configs:
+        # once per scenario: the chi-square divergence (shared by every unit's
+        # bound; NaN if it fails) and the fidelity rows
+        chi2 = None
+        if "bound" in config.outputs or "fidelity" in config.outputs:
+            try:
+                chi2 = chi_square_divergence(config.real_density, config.synth_density)
+                chi2_row = ResultRow(config.name, 0, 0, "", "", "chi2", chi2, 0.0)
+            except SyndatumError as exc:
+                chi2 = float("nan")
+                chi2_row = _error_row(config.name, 0, 0, "", "", "chi2", exc)
+        if "fidelity" in config.outputs:
+            rows.append(chi2_row)
+            try:
+                cert = certify_fidelity_level(config.real_density, config.synth_density, d=1.0)
+                rows.append(ResultRow(config.name, 0, 0, "", "", "fidelity_V@d=1", cert.V, 0.0))
+            except SyndatumError as exc:
+                rows.append(_error_row(config.name, 0, 0, "", "", "fidelity_V@d=1", exc))
+        units += [(config, ni, rep, chi2)
+                  for ni, rep in product(range(len(config.n_grid)), range(config.replications))]
+    args = zip(*sorted(units, key=lambda unit: -unit[0].n_grid[unit[1]]))
+    if workers > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows.extend(chain.from_iterable(pool.map(_run_unit, *args, chunksize=1)))
     else:
         rows.extend(chain.from_iterable(map(_run_unit, *args)))
-    return _sort_rows(rows)
+    rank = {config.name: i for i, config in enumerate(configs)}
+    return sorted(_sort_rows(rows), key=lambda row: rank[row.scenario])
 
 
 # ---------------------------------------------------------------------------
@@ -622,15 +623,13 @@ def _fig34_config(name: str, scale: int, master_seed: int) -> ScenarioConfig:
     )
 
 
-def _run_fig5(scale: int, master_seed: int, workers: int) -> List[ResultRow]:
-    rows: List[ResultRow] = []
+def _fig5_configs(scale: int, master_seed: int) -> List[ScenarioConfig]:
     n = max(1, 10_000 // scale)
-    reps = max(1, 100 // scale)
-    for ai, alpha in enumerate((0.0, 0.1, 0.2, 0.3, 0.4, 0.5)):
-        # the tilt level alpha ranges over [0, 1/2] for a valid density
-        # alpha (x-1) + 1/2 on [0, 2]; LinearTilt1D(s) has pdf (s (x-1) + 1) / 2,
-        # so the slope passed in is 2 alpha
-        config = ScenarioConfig(
+    # the tilt level alpha ranges over [0, 1/2] for a valid density
+    # alpha (x-1) + 1/2 on [0, 2]; LinearTilt1D(s) has pdf (s (x-1) + 1) / 2,
+    # so the slope passed in is 2 alpha
+    return [
+        ScenarioConfig(
             name=f"fig5[alpha={alpha:.1f}]",
             task=TaskKind.REGRESSION,
             real_density=UniformBox(BoxSupport((0.0,), (2.0,))),
@@ -646,13 +645,13 @@ def _run_fig5(scale: int, master_seed: int, workers: int) -> List[ResultRow]:
                 "recip-cubic-3",
             ),
             n_grid=(n,),
-            replications=reps,
+            replications=max(1, 100 // scale),
             n_test=max(1000, 50_000 // scale),
             master_seed=master_seed + ai,
             risk_method="quadrature",
         )
-        rows.extend(run_scenario(config, workers=workers))
-    return _sort_rows(rows)
+        for ai, alpha in enumerate((0.0, 0.1, 0.2, 0.3, 0.4, 0.5))
+    ]
 
 
 _FIGS1_BETA = (1.0, -1.0, 0.5, -0.5)
@@ -722,7 +721,7 @@ def _run_toy51(master_seed: int) -> List[ResultRow]:
         rows.append(
             ResultRow(name, 0, 0, "oracle", "linear", "coef_synth", float(f_tilde.coefficients[0]), 0.0)
         )
-    return _sort_rows(rows)
+    return rows
 
 
 def _run_toy_s1(master_seed: int) -> List[ResultRow]:
@@ -738,7 +737,7 @@ def _run_toy_s1(master_seed: int) -> List[ResultRow]:
         report = utility_metric(g_tilde, g_hat, cfg)
         name = f"toy-S.1[alpha={alpha:g}]"
         rows.append(ResultRow(name, 0, 0, "oracle", "sign-abs", "utility", report.utility, 0.0))
-    return _sort_rows(rows)
+    return rows
 
 
 def _oracle_estimator(truth: TruthSpec, task: TaskKind) -> "FittedEstimator":
@@ -784,7 +783,7 @@ def _run_toy61(master_seed: int) -> List[ResultRow]:
         "toy-6.1-classification", 0.75, TruthSpec("step-neg"), TaskKind.CLASSIFICATION,
         "threshold-abs", ((0.0, 0.5), (0.25, 1.0 / 3.0)), ("G1", "G2"), SeedSpec(master_seed, 2),
     )
-    return _sort_rows(rows)
+    return rows
 
 
 def _run_fidelity_fig2(master_seed: int) -> List[ResultRow]:
@@ -913,13 +912,12 @@ def run_bound_suite(master_seed: int = DEFAULT_MASTER_SEED) -> List[dict]:
 
 def _run_bound_suite_rows(master_seed: int) -> List[ResultRow]:
     metrics = (("u", "utility"), ("u_se", "utility_std_error"), ("total", "bound_total"), ("chi2", "chi2"))
-    rows = [
+    return [
         ResultRow(case["name"], 0, idx, case["estimator"], case["model_class"], metric,
                   float(case[key]), 0.0)
         for idx, case in enumerate(run_bound_suite(master_seed))
         for key, metric in metrics
     ]
-    return _sort_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -987,25 +985,24 @@ def _run_consistency_rows(master_seed: int) -> List[ResultRow]:
 # Builtin dispatch
 # ---------------------------------------------------------------------------
 
-def _sweep(make_config, name):
-    return lambda scale, seed, workers: run_scenario(make_config(name, scale, seed), workers=workers)
-
-
-# name -> runner(scale, master_seed, workers)
-_BUILTINS = {
-    "fig3": _sweep(_fig34_config, "fig3"),
-    "fig4": _sweep(_fig34_config, "fig4"),
-    "fig5": _run_fig5,
-    "figS1-linear": _sweep(_figs1_config, "figS1-linear"),
-    "figS1-logistic": _sweep(_figs1_config, "figS1-logistic"),
-    "toy-5.1": lambda scale, seed, workers: _run_toy51(seed),
-    "toy-S.1": lambda scale, seed, workers: _run_toy_s1(seed),
-    "toy-6.1": lambda scale, seed, workers: _run_toy61(seed),
-    "fidelity-fig2": lambda scale, seed, workers: _run_fidelity_fig2(seed),
-    "bound-suite": lambda scale, seed, workers: _run_bound_suite_rows(seed),
-    "consistency": lambda scale, seed, workers: _run_consistency_rows(seed),
+# sweeps: name -> configs(scale, master_seed), run through run_scenario
+_SWEEPS = {
+    "fig3": lambda scale, seed: [_fig34_config("fig3", scale, seed)],
+    "fig4": lambda scale, seed: [_fig34_config("fig4", scale, seed)],
+    "fig5": _fig5_configs,
+    "figS1-linear": lambda scale, seed: [_figs1_config("figS1-linear", scale, seed)],
+    "figS1-logistic": lambda scale, seed: [_figs1_config("figS1-logistic", scale, seed)],
 }
-BUILTIN_NAMES = tuple(_BUILTINS)
+# fixed builtins take neither a scale nor workers: name -> rows(master_seed)
+_FIXED = {
+    "toy-5.1": _run_toy51,
+    "toy-S.1": _run_toy_s1,
+    "toy-6.1": _run_toy61,
+    "fidelity-fig2": _run_fidelity_fig2,
+    "bound-suite": _run_bound_suite_rows,
+    "consistency": _run_consistency_rows,
+}
+BUILTIN_NAMES = (*_SWEEPS, *_FIXED)
 
 
 def run_builtin(
@@ -1019,9 +1016,11 @@ def run_builtin(
         raise ConfigError("scale must be >= 1")
     if master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
-    if name not in _BUILTINS:
-        raise UnknownBuiltin(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
-    return _BUILTINS[name](scale, master_seed, workers)
+    if name in _SWEEPS:
+        return run_scenario(*_SWEEPS[name](scale, master_seed), workers=workers)
+    if name in _FIXED:
+        return _sort_rows(_FIXED[name](master_seed))
+    raise UnknownBuiltin(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
 
 
 def default_workers() -> int:
@@ -1080,12 +1079,14 @@ def load_scenarios(path) -> List[ScenarioConfig]:
     import configparser
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        sections = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     configs = []
-    for section in parser.sections():
-        raw = dict(parser[section])
+    for section, raw in sections.items():
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"[{section}] has unknown keys {sorted(unknown)}")

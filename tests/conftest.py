@@ -8,6 +8,22 @@ import scipy
 SRC = Path(__file__).resolve().parent.parent / "src" / "syndatum"
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The harness process pools created while the test runs."""
+    import syndatum.harness
+
+    created = []
+
+    class CountedPool(syndatum.harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(syndatum.harness, "ProcessPoolExecutor", CountedPool)
+    return created
+
+
 def pytest_report_header(config):
     """The versions and BLAS thread settings the byte pins depend on: the
     toy-6.1 pin holds only at the default BLAS thread count."""

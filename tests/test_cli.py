@@ -93,6 +93,50 @@ def test_experiment_requires_builtin_or_config(tmp_path):
     assert main(["experiment", "fig99", "--out", str(tmp_path / "o")]) == 1
 
 
+def test_experiment_rejects_a_builtin_or_scale_with_config(tmp_path, reg_config, monkeypatch, capsys):
+    import syndatum.cli
+
+    def no_load(path):
+        raise AssertionError("config loaded")
+
+    monkeypatch.setattr(syndatum.cli, "load_scenarios", no_load)
+    for args in (["fig3", "--config", str(reg_config)], ["--config", str(reg_config), "--scale", "7"]):
+        assert main(["experiment", *args, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_experiment_malformed_ini_fails_without_traceback(tmp_path, capsys):
+    path = tmp_path / "dup.ini"
+    path.write_text(REG_CONFIG + REG_CONFIG)
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "cannot parse config file" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+# two sections out of name order, each of two units, whose n interleave
+SECTIONS_CONFIG = REG_CONFIG.replace("[demo]", "[zeta]").replace(
+    "n_grid = 128\nreplications = 2", "n_grid = 32, 64\nreplications = 1"
+) + REG_CONFIG.replace("[demo]", "[alpha]").replace("n_grid = 128", "n_grid = 48")
+
+
+def test_experiment_runs_all_sections_in_one_pool_in_file_order(tmp_path, pools):
+    path = tmp_path / "sections.ini"
+    path.write_text(SECTIONS_CONFIG)
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert main(["experiment", "--config", str(path), "--workers", str(workers), "--out", str(out)]) == 0
+    assert len(pools) == 1
+    lines = (tmp_path / "w2" / "rows.csv").read_text().splitlines()[1:]
+    # zeta: n = 32 and 64 with one replication; alpha: n = 48 with two
+    assert [line.split(",")[:3] for line in lines[::6]] == [
+        ["zeta", "32", "0"], ["zeta", "64", "0"], ["alpha", "48", "0"], ["alpha", "48", "1"]
+    ]
+    assert (tmp_path / "w1" / "rows.csv").read_bytes() == (tmp_path / "w2" / "rows.csv").read_bytes()
+
+
 def test_experiment_bad_outputs_fail_before_any_unit(tmp_path, reg_config, monkeypatch):
     import syndatum.harness
 
@@ -396,8 +440,9 @@ def test_json_outputs_write_non_finite_values_as_text(tmp_path):
         assert main([*command, "--config", str(path), "--out", str(target)]) == 0
         return json.loads(target.read_text(), parse_constant=_no_json_constant)
 
-    assert run("bound", "--task", "reg")["report"]["total"] == "inf"
-    assert run("bound", "--task", "lr")["report"]["total"] == "inf"
+    for task in ("reg", "lr"):
+        blob = run("bound", "--task", task)
+        assert blob["report"]["total"] == "inf" and blob["vacuous"] is True
     assert run("fidelity")["chi2_real_vs_synth"] == "inf"
 
 

@@ -386,6 +386,14 @@ def test_builtin_scaling():
     assert s2.replications == 100 and s2.n_grid == (100, 200, 400, 800)
 
 
+def test_fig5_runs_its_six_tilts_in_one_pool(pools):
+    rows = run_builtin("fig5", scale=50, workers=2)
+    assert len(pools) == 1
+    assert rows == run_builtin("fig5", scale=50, workers=1)  # serial: no pool
+    assert len(pools) == 1
+    assert [r.scenario for r in rows] == sorted(r.scenario for r in rows)
+
+
 def test_unknown_builtin():
     with pytest.raises(UnknownBuiltin):
         run_builtin("fig99")
@@ -456,6 +464,17 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
         load_scenarios(path)
     with pytest.raises(ConfigError):
         load_scenarios(tmp_path / "missing.ini")
+    # what configparser itself rejects
+    for text in (
+        CONFIG_TEXT + CONFIG_TEXT,  # a duplicate section
+        CONFIG_TEXT + "truth = abs\n",  # a duplicate key
+        CONFIG_TEXT.replace("[demo]\n", ""),  # no section header
+        CONFIG_TEXT + "bananas\n",  # a line without =
+        CONFIG_TEXT.replace("truth = abs", "truth = abs%"),  # a bad interpolation
+    ):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="cannot parse config file"):
+            load_scenarios(path)
     path.write_text(CONFIG_TEXT + "outputs = utility, utilty\n")
     with pytest.raises(ConfigError, match="unknown outputs"):
         load_scenarios(path)
