@@ -39,14 +39,7 @@ from .estimators import (  # noqa: F401
     predict_mean,
     predict_prob,
 )
-from .synthesis import (  # noqa: F401
-    FeatureGeneratorSpec,
-    SynthesisConfig,
-    generate_classification_responses,
-    generate_features,
-    generate_regression_responses,
-    synthesize_dataset,
-)
+from .synthesis import synthesize_dataset  # noqa: F401
 from .erm import (  # noqa: F401
     BasisFunctionClass,
     FittedModel,

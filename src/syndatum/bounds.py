@@ -362,12 +362,13 @@ def assumption4_check(
 
 def assumption4_sup_U(
     model_class,
-    mu_hat: FittedEstimator,
+    mu_hat: Callable,
     density: DensityModel,
     m: int = 100_000,
     seed: SeedSpec = SeedSpec(0),
 ) -> float:
-    """sup over the class of the L2(P_X) distance to the estimation model.
+    """sup over the class of the L2(P_X) distance to the estimation model
+    ``mu_hat`` (a FittedEstimator, or a truth in its place).
 
     For coefficient-box basis classes the squared distance is a convex
     quadratic in the coefficients, so the supremum over the box is attained
@@ -375,7 +376,7 @@ def assumption4_sup_U(
     back to a parameter grid.
     """
     X = density.sample(m, seed.child(31))
-    target = mu_hat.mean(X)
+    target = mu_hat(X)
     if isinstance(model_class, BasisFunctionClass):
         if model_class.coefficient_box is None:
             raise ValueError("sup over an unbounded coefficient class is infinite")

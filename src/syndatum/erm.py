@@ -28,7 +28,7 @@ from .datamodel import (
 )
 from .densities import DensityModel
 from .errors import NonConvergence, SingularDesign, TaskMismatch
-from .estimators import FittedEstimator, _sigmoid
+from .estimators import _sigmoid
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -423,14 +423,12 @@ def population_optimum(
     Monte-Carlo samples (error O(m^-1/2)).
 
     ``truth`` is the true conditional mean (regression) or P(Z=+1|x)
-    (classification); a FittedEstimator is also accepted.  Regression
+    (classification), or a FittedEstimator standing in for it.  Regression
     targets are noise-free: zero-mean noise leaves the population argmin
     unchanged and only adds Monte-Carlo error.
     """
     X = density.sample(m, seed.child(71))
     task = model_class.task
-    if isinstance(truth, FittedEstimator):
-        truth = truth.mean if task is TaskKind.REGRESSION else truth.prob
     y = draw_responses(task, truth(X), None, seed.child(72))
     return fit_downstream(model_class, make_dataset(X, y, task))
 
@@ -487,7 +485,7 @@ def _expand_box(box, q):
         return None
     if np.isscalar(box):
         b = abs(float(box))
-        return (np.full(q, -b), np.full(q, b))
+        box = (-b, b)  # a NaN B fails the lower <= upper check
     lo, hi = (np.full(q, float(v)) if np.isscalar(v) else np.asarray(v, dtype=float) for v in box)
     return _nonempty_box(lo, hi)
 

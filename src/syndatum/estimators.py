@@ -48,6 +48,8 @@ class EstimatorSpec:
             v = getattr(self, name)
             if v is not None and (int(v) != v or v < 1):
                 raise ValueError(f"{name} must be a positive integer, got {v}")
+        if self.box is not None and not (math.isfinite(self.box) and self.box > 0):
+            raise ValueError(f"box must be a finite number > 0, got {self.box}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,11 @@ class FittedEstimator:
         """Vectorized P(Z = +1 | x) over rows of X."""
         out = self._prob_fn(np.atleast_2d(np.asarray(X, dtype=float)))
         return np.clip(out, 0.0, 1.0)
+
+    def __call__(self, X) -> np.ndarray:
+        """The estimate as a truth: the mean for regression, P(Z = +1 | x) for
+        classification."""
+        return self.mean(X) if self.task is TaskKind.REGRESSION else self.prob(X)
 
 
 def predict_mean(est: FittedEstimator, x):

@@ -66,7 +66,7 @@ from .densities import (
 )
 from .erm import fit_downstream, make_model_class, parse_model_class, population_optimum
 from .errors import ConfigError, SyndatumError, UnknownBuiltin
-from .estimators import EstimatorSpec, fit_estimator, parse_estimator
+from .estimators import fit_estimator, parse_estimator
 from .metrics import (
     SQUARED,
     ZERO_ONE,
@@ -75,12 +75,7 @@ from .metrics import (
     excess_risk,
     utility_metric,
 )
-from .synthesis import (
-    FeatureGeneratorSpec,
-    SynthesisConfig,
-    synthesize_from_fitted,
-    synthetic_noise,
-)
+from .synthesis import synthesize_from_fitted, synthetic_noise
 
 DEFAULT_MASTER_SEED = 20230517
 
@@ -430,12 +425,10 @@ class _Unit:
     def synthetic(self, ei: int):
         """(synthetic dataset, synthetic noise model), the model None for
         classification."""
-        config, est, original = self.config, self.fitted(ei), self.original()
-        noise = synthetic_noise(config.synth_noise, est, original)
-        # the EstimatorSpec goes unused: the estimator is already fitted
-        syn_cfg = SynthesisConfig(FeatureGeneratorSpec.from_density(config.synth_density),
-                                  EstimatorSpec(est.kind), config.synthetic_n(self.n), noise)
-        return synthesize_from_fitted(est, syn_cfg, original, self._seed("synth")), noise
+        config, est = self.config, self.fitted(ei)
+        noise = synthetic_noise(config.synth_noise, est, self.original())
+        return synthesize_from_fitted(est, config.synth_density, config.synthetic_n(self.n), noise,
+                                      self._seed("synth")), noise
 
     @_stage
     def erm(self, ei: Optional[int], ci: int):
@@ -469,8 +462,8 @@ class _Unit:
     @_stage
     def comparison(self):
         config = self.config
-        return compare_models(*config.classes, config.real_density, config.synth_density, config.truth,
-                              self.fitted(0), _risk_config(config, self._seed("compare")))
+        return compare_models(*config.classes, config.synth_density, self.fitted(0),
+                              _risk_config(config, self._seed("compare")))
 
 
 def _lr_case(real: DensityModel, synth: DensityModel, beta, noise: NoiseModel,
@@ -740,12 +733,6 @@ def _run_toy_s1(master_seed: int) -> List[ResultRow]:
     return rows
 
 
-def _oracle_estimator(truth: TruthSpec, task: TaskKind) -> "FittedEstimator":
-    # the oracle ignores its training data; +1 is a valid response for either task
-    data = make_dataset([[0.0]], [1.0], task)
-    return fit_estimator(EstimatorSpec("oracle", oracle_fn=truth), data, SeedSpec(0))
-
-
 def _toy61_part(name, alpha, truth, task, class_name, boxes, labels, seed) -> List[ResultRow]:
     real, synth = _mass_neg(alpha), _mass_neg(1 - alpha)
     classes = [make_model_class(class_name, 1, task, box=box) for box in boxes]
@@ -757,9 +744,7 @@ def _toy61_part(name, alpha, truth, task, class_name, boxes, labels, seed) -> Li
         population_m=_TOY_M,
         seed=seed,
     )
-    report = compare_models(
-        *classes, real, synth, truth, _oracle_estimator(truth, task), cfg
-    )
+    report = compare_models(*classes, synth, truth, cfg)
     rows = _comparison_rows(name, 0, 0, "oracle", labels, report)
     for which in ("real", "synth"):
         rows.extend(
@@ -936,10 +921,9 @@ def run_consistency_validation(
     truth = TruthSpec("identity")
     f1 = make_model_class("constant", 1, TaskKind.REGRESSION, box=(-1.0, 1.0))
     f2 = make_model_class("linear", 1, TaskKind.REGRESSION, box=(-2.0, 2.0))
-    mu_hat = _oracle_estimator(truth, TaskKind.REGRESSION)
 
     cert = certify_fidelity_level(real, synth, d=2.0)
-    U = assumption4_sup_U(f2, mu_hat, real, m=200_000, seed=SeedSpec(master_seed, 4001))
+    U = assumption4_sup_U(f2, truth, real, m=200_000, seed=SeedSpec(master_seed, 4001))
     phi_f1 = excess_risk(
         lambda X: np.zeros(X.shape[0]), real, truth, loss=SQUARED, method="quadrature"
     )
@@ -959,7 +943,7 @@ def run_consistency_validation(
             seed=SeedSpec(master_seed, 4100 + rep),
         )
         try:
-            report = compare_models(f1, f2, real, synth, truth, mu_hat, cfg)
+            report = compare_models(f1, f2, synth, truth, cfg)
             consistent += int(report.consistent)
         except SyndatumError:
             indeterminate += 1
@@ -1098,6 +1082,8 @@ def load_scenarios(path) -> List[ScenarioConfig]:
         if task_text not in ("regression", "classification"):
             raise ConfigError(f"[{section}] task must be regression or classification")
         task = TaskKind.REGRESSION if task_text == "regression" else TaskKind.CLASSIFICATION
+        if merged["noise"].strip() == "default":
+            raise ConfigError(f"[{section}] noise has no default; default is for synth_noise only")
         try:
             config = ScenarioConfig(
                 name=section,
@@ -1105,7 +1091,7 @@ def load_scenarios(path) -> List[ScenarioConfig]:
                 real_density=parse_density(merged["real_density"]),
                 synth_density=parse_density(merged["synth_density"]),
                 truth=parse_truth(merged["truth"]),
-                noise=parse_noise(merged["noise"]) or NoiseModel.none(),
+                noise=parse_noise(merged["noise"]),
                 synth_noise=parse_noise(merged["synth_noise"]),
                 estimators=tuple(s.strip() for s in merged["estimators"].split(",") if s.strip()),
                 model_classes=tuple(s.strip() for s in merged["model_classes"].split(";") if s.strip()),

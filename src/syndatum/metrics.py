@@ -107,12 +107,6 @@ def _score_fn(model: Predictor, loss: str) -> Callable:
     return model
 
 
-def _truth_fn(truth, loss: str) -> Callable:
-    if isinstance(truth, FittedEstimator):
-        return truth.mean if loss == SQUARED else truth.prob
-    return truth
-
-
 def _model_knots(model: Predictor) -> tuple:
     if isinstance(model, FittedModel):
         return model.quadrature_knots()
@@ -197,7 +191,6 @@ def _quadrature(model: Predictor, density: DensityModel, truth, loss: str, exces
     """One-dimensional quadrature of a predictor's pointwise loss against the
     noise-free truth (excess=False) or of its pointwise excess risk."""
     score = _node_score(model, loss)
-    truth_fn = _truth_fn(truth, loss)
     if density.dim != 1:
         raise UnsupportedQuadrature("quadrature risks require one-dimensional features")
     if loss == SQUARED:
@@ -217,12 +210,10 @@ def _quadrature(model: Predictor, density: DensityModel, truth, loss: str, exces
             return eta if score(x, key) < 0.0 else 1.0 - eta
 
     f = density.factors()[0]
-    # keyed on ``truth``, not ``truth_fn``: a plug-in estimator's bound method
-    # hashes by identity and would keep the estimator alive in the memo
     nodes = _node_memo("pdf-truth", f, truth)
 
     def pdf_and_truth(x):
-        return float(f.pdf1(x)), float(truth_fn(np.array([[x]]))[0])
+        return float(f.pdf1(x)), float(truth(np.array([[x]]))[0])
 
     def weighted(x):
         key = (x, math.copysign(1.0, x))  # 0.0 and -0.0 may evaluate apart
@@ -270,9 +261,8 @@ def excess_risk(
     if method == "quadrature":
         return _quadrature(model, density, truth, loss, excess=True)
     score = _score_fn(model, loss)
-    truth_fn = _truth_fn(truth, loss)
     X = density.sample(n_test, seed.child(93))
-    truth_vals = np.asarray(truth_fn(X), dtype=float).reshape(-1)
+    truth_vals = np.asarray(truth(X), dtype=float).reshape(-1)
     scores = np.asarray(score(X), dtype=float).reshape(-1)
     return float(np.mean(_excess_vector(scores, truth_vals, loss)))
 
@@ -297,7 +287,7 @@ def risks_common_draws(models: Sequence[Predictor], cfg: RiskConfig):
         ]
         return ests, None
     X = cfg.density.sample(cfg.n_test, cfg.seed.child(91))
-    target = draw_responses(cfg.task, _truth_fn(cfg.truth, cfg.loss)(X), cfg.noise, cfg.seed.child(92))
+    target = draw_responses(cfg.task, cfg.truth(X), cfg.noise, cfg.seed.child(92))
     vectors = [_loss_vector(_score_fn(m, cfg.loss), cfg.loss, X, target) for m in models]
     ests = [
         RiskEstimate(
@@ -343,25 +333,24 @@ def _band_sign(diff: float, se: float) -> int:
 def compare_models(
     class1: ModelClass,
     class2: ModelClass,
-    real_density: DensityModel,
     synth_density: DensityModel,
-    truth,
-    estimator_for_synth: FittedEstimator,
+    synth_truth,
     cfg: RiskConfig,
 ) -> ComparisonReport:
     """Does synthetic training preserve the ranking of two model classes?
 
-    Computes population optima of both classes under the real and the
-    synthetic distribution (the latter with responses generated by the
-    estimation model), evaluates all four risks under the TRUE distribution,
-    and reports sign agreement of the two risk gaps.  Raises Indeterminate
-    when either gap falls inside the two-standard-error dead band.
+    Computes population optima of both classes under the real law
+    (``cfg.density``, ``cfg.truth``) and the synthetic law (``synth_density``
+    with responses from ``synth_truth``, typically the fitted estimation
+    model), evaluates all four risks under the real law, and reports sign
+    agreement of the two risk gaps.  Raises Indeterminate when either gap
+    falls inside the two-standard-error dead band.
     """
     m = cfg.population_m
-    f1 = population_optimum(class1, real_density, truth, m, cfg.seed.child(1))
-    f2 = population_optimum(class2, real_density, truth, m, cfg.seed.child(2))
-    f1s = population_optimum(class1, synth_density, estimator_for_synth, m, cfg.seed.child(3))
-    f2s = population_optimum(class2, synth_density, estimator_for_synth, m, cfg.seed.child(4))
+    f1 = population_optimum(class1, cfg.density, cfg.truth, m, cfg.seed.child(1))
+    f2 = population_optimum(class2, cfg.density, cfg.truth, m, cfg.seed.child(2))
+    f1s = population_optimum(class1, synth_density, synth_truth, m, cfg.seed.child(3))
+    f2s = population_optimum(class2, synth_density, synth_truth, m, cfg.seed.child(4))
 
     ests, loss_matrix = risks_common_draws([f1, f2, f1s, f2s], cfg)
     gap_orig = ests[0].value - ests[1].value

@@ -173,6 +173,27 @@ def test_experiment_bad_mlp_shape_fails_at_load(tmp_path, reg_config, capsys, es
 
 
 @pytest.mark.parametrize(
+    "config, old, new, message",
+    [
+        (CLS_CONFIG, "estimators = oracle", "estimators = logistic box=-1", "box must be a finite number > 0"),
+        (CLS_CONFIG, "estimators = oracle", "estimators = logistic box=nan", "box must be a finite number > 0"),
+        (CLS_CONFIG, "model_classes = sign-abs; sign-linear", "model_classes = logistic-linear box=nan",
+         "box is empty"),
+        (REG_CONFIG, "model_classes = linear; abs", "model_classes = constant box=nan; abs", "box is empty"),
+    ],
+    ids=["logistic-box-negative", "logistic-box-nan", "class-box-nan-cls", "class-box-nan-reg"],
+)
+def test_experiment_bad_box_fails_at_load(tmp_path, capsys, config, old, new, message):
+    path = tmp_path / "bad.ini"
+    assert old in config
+    path.write_text(config.replace(old, new))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "config, old, new",
     [
         (LR_CONFIG, "truth = linear beta=1,-1", "truth = linear beta=1,2,3"),

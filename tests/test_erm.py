@@ -260,6 +260,8 @@ def test_parse_model_class():
         ("constant box=1,-1", REG, "box is empty"),
         ("logistic-linear box=1,-1", CLS, "box is empty"),
         ("threshold-abs box=0.5,0", CLS, "box is empty"),
+        ("constant box=nan", REG, "box is empty"),
+        ("logistic-linear box=nan", CLS, "box is empty"),
     ):
         with pytest.raises(ValueError, match=match):
             parse_model_class(text, 1, task)

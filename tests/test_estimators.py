@@ -756,3 +756,7 @@ def test_parse_estimator():
     for text in ("knn k=0", "rf depth=0", "mlp hidden=0", "mlp hidden=-2", "mlp layers=0", "mlp layers=-1"):
         with pytest.raises(ValueError, match="must be a positive integer"):
             parse_estimator(text)
+    # a logistic box that would pin every coefficient to -1 or make them NaN
+    for text in ("logistic box=-1", "logistic box=0", "logistic box=nan", "logistic box=inf"):
+        with pytest.raises(ValueError, match="box must be a finite number > 0"):
+            parse_estimator(text)

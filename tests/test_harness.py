@@ -518,6 +518,8 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
         ("n_test = 2000", "n_test = 0", "n_test"),
         ("model_classes = linear; abs", "model_classes = constant ridge=-1; linear", "ridge"),
         ("model_classes = linear; abs", "model_classes = constant box=1,-1", "box is empty"),
+        # default is the residual-variance rule of synth_noise, not a law of the real noise
+        ("noise = gaussian var=0.25", "noise = default", "noise has no default"),
     ):
         path.write_text(CONFIG_TEXT.replace(old, new))
         with pytest.raises(ConfigError, match=match):

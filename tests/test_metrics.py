@@ -19,7 +19,7 @@ from syndatum.erm import (
     population_optimum,
 )
 from syndatum.errors import Indeterminate, UnsupportedQuadrature
-from syndatum.estimators import EstimatorSpec, fit_estimator
+from syndatum.estimators import EstimatorSpec, FittedEstimator, fit_estimator
 from syndatum.harness import TruthSpec
 from syndatum.metrics import (
     SQUARED,
@@ -28,7 +28,6 @@ from syndatum.metrics import (
     _model_knots,
     _quadrature,
     _score_fn,
-    _truth_fn,
     compare_models,
     estimate_risk,
     excess_risk,
@@ -261,9 +260,7 @@ def test_compare_models_toy61_regression():
         method="quadrature",
         seed=SeedSpec(13),
     )
-    report = compare_models(
-        f1, f2, mass_neg(alpha), mass_neg(1 - alpha), identity, _oracle_est(identity, REG), cfg
-    )
+    report = compare_models(f1, f2, mass_neg(1 - alpha), _oracle_est(identity, REG), cfg)
     assert report.risk_f1_real.value == pytest.approx(2.0 / 9.0, abs=0.01)
     assert report.risk_f2_real.value == pytest.approx(0.2292, abs=0.01)
     assert report.risk_f1_synth.value == pytest.approx(2.0 / 3.0, abs=0.01)
@@ -285,9 +282,7 @@ def test_compare_models_toy61_classification():
         method="quadrature",
         seed=SeedSpec(14),
     )
-    report = compare_models(
-        g1, g2, mass_neg(alpha), mass_neg(1 - alpha), eta, _oracle_est(eta, CLS), cfg
-    )
+    report = compare_models(g1, g2, mass_neg(1 - alpha), _oracle_est(eta, CLS), cfg)
     assert report.optima["f1_real"][0] == pytest.approx(0.0, abs=0.01)
     assert report.optima["f2_real"][0] == pytest.approx(0.25, abs=0.01)
     assert report.optima["f1_synth"][0] == pytest.approx(0.5, abs=0.01)
@@ -304,9 +299,7 @@ def test_compare_models_identical_distributions_consistent():
     cfg = RiskConfig(
         density=density, truth=identity, loss=SQUARED, method="quadrature", seed=SeedSpec(15)
     )
-    report = compare_models(
-        f1, f2, density, density, identity, _oracle_est(identity, REG), cfg
-    )
+    report = compare_models(f1, f2, density, _oracle_est(identity, REG), cfg)
     assert report.consistent is True
 
 
@@ -324,9 +317,7 @@ def test_compare_models_indeterminate_in_dead_band():
         seed=SeedSpec(16),
     )
     with pytest.raises(Indeterminate):
-        compare_models(
-            f, f, uniform_pm1(), uniform_pm1(), identity, _oracle_est(identity, REG), cfg
-        )
+        compare_models(f, f, uniform_pm1(), _oracle_est(identity, REG), cfg)
 
 
 def test_utility_report_json_round_trip():
@@ -356,9 +347,13 @@ def test_estimate_risk_equals_common_draw_risk(method, loss):
 
 def _reference_weighted(model, density, truth, loss, excess):
     """The uncached scalar integrand: density, truth and score evaluated
-    afresh at every node.  Returns (weighted integrand, factor, breakpoints)."""
+    afresh at every node.  Returns (weighted integrand, factor, breakpoints).
+    A plug-in estimator truth enters as its mean or probability by the loss,
+    independently of FittedEstimator.__call__."""
     score = _score_fn(model, loss)
-    truth_fn = _truth_fn(truth, loss)
+    truth_fn = truth
+    if isinstance(truth, FittedEstimator):
+        truth_fn = truth.mean if loss == SQUARED else truth.prob
     if loss == SQUARED:
 
         def integrand(x):
