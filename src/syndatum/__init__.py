@@ -36,8 +36,6 @@ from .estimators import (  # noqa: F401
     FittedEstimator,
     fit_estimator,
     parse_estimator,
-    predict_mean,
-    predict_prob,
 )
 from .synthesis import synthesize_dataset  # noqa: F401
 from .erm import (  # noqa: F401

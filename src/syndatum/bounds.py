@@ -272,11 +272,13 @@ def lr_explicit_bound(
     Lambda: np.ndarray,
     Lambda_synth: np.ndarray,
     chi2: float,
-    Y: np.ndarray,
-    Y_synth: np.ndarray,
+    beta_hat: np.ndarray,
+    beta_tilde: np.ndarray,
     support: BoxSupport,
 ) -> LRBoundReport:
-    """Fully explicit linear-regression bound from realized noise vectors.
+    """Fully explicit linear-regression bound from realized noise vectors and
+    the OLS coefficients fitted on the original (beta_hat) and synthetic
+    (beta_tilde) data.
 
     Uses trace(e e' Q A Q') = (Q'e)' A (Q'e) with Q = X (X'X)^{-1}; the
     sup-norm constant is the maximum of |x' beta| over the support-box
@@ -286,8 +288,6 @@ def lr_explicit_bound(
     Lambda_synth = np.diag(np.asarray(Lambda_synth, dtype=float).reshape(-1))
     qe = _q_transpose_vec(X, eps)
     qe_s = _q_transpose_vec(X_synth, eps_synth)
-    beta_hat = _q_transpose_vec(X, Y)
-    beta_tilde = _q_transpose_vec(X_synth, Y_synth)
 
     a = float(qe @ Lambda @ qe)
     t1 = 13.0 * a

@@ -34,7 +34,8 @@ _MIN_ACCEPTANCE = 1e-4
 
 @dataclass(frozen=True)
 class BoxSupport:
-    """Axis-aligned box; lower[i] < upper[i] for every coordinate."""
+    """Axis-aligned box with finite bounds; lower[i] < upper[i] for every
+    coordinate."""
 
     lower: tuple
     upper: tuple
@@ -44,8 +45,9 @@ class BoxSupport:
         hi = tuple(float(v) for v in self.upper)
         if len(lo) != len(hi):
             raise ValueError("lower and upper must have equal length")
-        if any(l >= u for l, u in zip(lo, hi)):
-            raise ValueError(f"need lower < upper coordinatewise, got {lo} vs {hi}")
+        # written so that a NaN bound fails it; an infinite width fails too
+        if not all(0.0 < u - l < math.inf for l, u in zip(lo, hi)):
+            raise ValueError(f"need finite lower < upper and a finite width coordinatewise, got {lo} vs {hi}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -205,10 +207,11 @@ class _Piecewise1D(Marginal1D):
             raise ValueError("need len(breakpoints) == len(heights) + 1")
         if any(br[i] >= br[i + 1] for i in range(len(hs))):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(h < 0 for h in hs):
+        # both tests are written so that a NaN height or breakpoint fails them
+        if not all(h >= 0 for h in hs):
             raise ValueError("heights must be non-negative")
         total = sum(h * (br[i + 1] - br[i]) for i, h in enumerate(hs))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"segment probabilities sum to {total}, expected 1")
         object.__setattr__(self, "breakpoints", br)
         object.__setattr__(self, "heights", hs)

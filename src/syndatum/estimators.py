@@ -54,44 +54,30 @@ class EstimatorSpec:
 
 @dataclass(frozen=True)
 class FittedEstimator:
+    """One fitted estimate of the truth: the conditional mean for regression,
+    P(Z = +1 | x) for classification."""
+
     kind: str
     task: TaskKind
     training_n: int
     fitted_params: dict
-    _mean_fn: Callable = field(repr=False)
-    _prob_fn: Optional[Callable] = field(repr=False, default=None)
+    _fn: Callable = field(repr=False)
 
     def mean(self, X) -> np.ndarray:
-        """Vectorized conditional-mean prediction over rows of X."""
-        return self._mean_fn(np.atleast_2d(np.asarray(X, dtype=float)))
+        """Vectorized conditional-mean prediction over rows of X (regression)."""
+        if self.task is not TaskKind.REGRESSION:
+            raise TaskMismatch(f"{self.kind} estimator of a classification task has no mean")
+        return self._fn(np.atleast_2d(np.asarray(X, dtype=float)))
 
     def prob(self, X) -> np.ndarray:
-        """Vectorized P(Z = +1 | x) over rows of X."""
-        out = self._prob_fn(np.atleast_2d(np.asarray(X, dtype=float)))
-        return np.clip(out, 0.0, 1.0)
+        """Vectorized P(Z = +1 | x) over rows of X (classification)."""
+        if self.task is not TaskKind.CLASSIFICATION:
+            raise TaskMismatch(f"{self.kind} estimator of a regression task has no prob")
+        return np.clip(self._fn(np.atleast_2d(np.asarray(X, dtype=float))), 0.0, 1.0)
 
     def __call__(self, X) -> np.ndarray:
-        """The estimate as a truth: the mean for regression, P(Z = +1 | x) for
-        classification."""
+        """The estimate as a truth, through the task's view."""
         return self.mean(X) if self.task is TaskKind.REGRESSION else self.prob(X)
-
-
-def predict_mean(est: FittedEstimator, x):
-    if est.task is not TaskKind.REGRESSION:
-        raise TaskMismatch("predict_mean requires a regression estimator")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    out = est.mean(x.reshape(1, -1) if single else x)
-    return float(out[0]) if single else out
-
-
-def predict_prob(est: FittedEstimator, x):
-    if est.task is not TaskKind.CLASSIFICATION:
-        raise TaskMismatch("predict_prob requires a classification estimator")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    out = est.prob(x.reshape(1, -1) if single else x)
-    return float(out[0]) if single else out
 
 
 def default_knn_k(n: int, p: int) -> int:
@@ -733,8 +719,8 @@ class _MLP:
 
 
 def _mean_to_prob(mean_fn):
-    # E[Z|x] = 2 eta(x) - 1 for Z in {-1, +1}
-    return lambda X: np.clip((mean_fn(X) + 1.0) / 2.0, 0.0, 1.0)
+    # E[Z|x] = 2 eta(x) - 1 for Z in {-1, +1}; FittedEstimator.prob clips
+    return lambda X: (mean_fn(X) + 1.0) / 2.0
 
 
 def fit_estimator(spec: EstimatorSpec, data: Dataset, seed: SeedSpec) -> FittedEstimator:
@@ -742,7 +728,7 @@ def fit_estimator(spec: EstimatorSpec, data: Dataset, seed: SeedSpec) -> FittedE
 
     The result is deterministic given the seed.  Oracle specs delegate to the
     supplied true function.  Estimators that regress on labels (knn, rf, mlp)
-    expose the class probability through (conditional mean + 1) / 2.
+    estimate the class probability as (conditional mean + 1) / 2.
     """
     kind = spec.kind
     task = data.task
@@ -752,11 +738,8 @@ def fit_estimator(spec: EstimatorSpec, data: Dataset, seed: SeedSpec) -> FittedE
     if kind == "oracle":
         if spec.oracle_fn is None:
             raise ValueError("oracle estimator requires oracle_fn")
-        fn = spec.oracle_fn
-        wrapped = lambda Q: np.asarray(fn(Q), dtype=float).reshape(-1)
-        if task is TaskKind.REGRESSION:
-            return FittedEstimator(kind, task, n, {}, wrapped)
-        return FittedEstimator(kind, task, n, {}, wrapped, wrapped)
+        truth = spec.oracle_fn
+        return FittedEstimator(kind, task, n, {}, lambda Q: np.asarray(truth(Q), dtype=float).reshape(-1))
 
     if kind == "ols":
         if task is not TaskKind.REGRESSION:
@@ -768,33 +751,27 @@ def fit_estimator(spec: EstimatorSpec, data: Dataset, seed: SeedSpec) -> FittedE
         if task is not TaskKind.CLASSIFICATION:
             raise TaskMismatch("logistic estimator requires a classification dataset")
         beta, nll = fit_logistic_mle(X, y, box=spec.box)
-        prob = lambda Q: _sigmoid(Q @ beta)
-        mean = lambda Q: 2.0 * _sigmoid(Q @ beta) - 1.0
-        return FittedEstimator(kind, task, n, {"beta": beta, "nll": nll}, mean, prob)
+        return FittedEstimator(kind, task, n, {"beta": beta, "nll": nll}, lambda Q: _sigmoid(Q @ beta))
 
     if kind == "knn":
         k = spec.k if spec.k is not None else default_knn_k(n, p)
         model = _KNN(X, y, k)
-        mean = model.predict
         params = {"k": int(min(k, n))}
     elif kind == "rf":
         trees, depth = default_rf_shape(n)
         trees = spec.trees if spec.trees is not None else trees
         depth = spec.depth if spec.depth is not None else depth
         model = _Forest(X, y, int(trees), int(depth), seed.rng(101))
-        mean = model.predict
         params = {"trees": int(trees), "depth": int(depth)}
     elif kind == "mlp":
         model = _MLP(p, spec.layers, spec.hidden, seed.rng(102))
         epochs = model.train(X, y)
-        mean = model.predict
         params = {"layers": spec.layers, "hidden": spec.hidden, "epochs_run": epochs}
     else:  # pragma: no cover
         raise ValueError(kind)
 
-    if task is TaskKind.REGRESSION:
-        return FittedEstimator(kind, task, n, params, mean)
-    return FittedEstimator(kind, task, n, params, mean, _mean_to_prob(mean))
+    fn = model.predict if task is TaskKind.REGRESSION else _mean_to_prob(model.predict)
+    return FittedEstimator(kind, task, n, params, fn)
 
 
 def parse_estimator(text: str) -> EstimatorSpec:

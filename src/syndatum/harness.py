@@ -58,6 +58,7 @@ from .densities import (
     Triangular1D,
     TruncatedNormalDiag,
     UniformBox,
+    _check_compatible,
     certify_fidelity_level,
     chi_square_divergence,
     default_c_grid,
@@ -65,7 +66,7 @@ from .densities import (
     parse_density,
 )
 from .erm import fit_downstream, make_model_class, parse_model_class, population_optimum
-from .errors import ConfigError, SyndatumError, UnknownBuiltin
+from .errors import ConfigError, SupportMismatch, SyndatumError, UnknownBuiltin
 from .estimators import fit_estimator, parse_estimator
 from .metrics import (
     SQUARED,
@@ -204,8 +205,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.n_grid or list(self.n_grid) != sorted(self.n_grid) or self.n_grid[0] < 1:
             raise ConfigError(f"n_grid must be non-empty, ascending and >= 1, got {self.n_grid}")
-        if self.replications < 1 or self.n_test < 1:
-            raise ConfigError("replications and n_test must be >= 1")
+        if self.replications < 1 or self.n_test < 2:
+            raise ConfigError(f"replications must be >= 1 and n_test >= 2 (a standard error needs two "
+                              f"test rows), got {self.replications} and {self.n_test}")
         if not self.estimators or not self.model_classes:
             raise ConfigError("estimators and model_classes must each name at least one entry")
         if self.master_seed < 0:
@@ -243,6 +245,13 @@ class ScenarioConfig:
         if not finite:
             raise ConfigError(f"truth {self.truth.name!r} with beta {self.truth.beta} does not give one "
                               f"finite value on a zero row of the {self.real_density.dim}-d real_density")
+        # a synth_density of another dimension never fits; the chi-square bound
+        # and the fidelity level also need it on the real support
+        if self.synth_density.dim != self.real_density.dim or {"bound", "fidelity"} & set(self.outputs):
+            try:
+                _check_compatible(self.real_density, self.synth_density)
+            except SupportMismatch as exc:
+                raise ConfigError(f"synth_density does not fit real_density: {exc}") from exc
         object.__setattr__(self, "estimator_specs", tuple(specs))
         object.__setattr__(self, "classes", tuple(classes))
 
@@ -265,19 +274,6 @@ class ResultRow:
     error: str = ""
 
 
-ROW_COLUMNS = (
-    "scenario",
-    "n",
-    "replication",
-    "estimator",
-    "model_class",
-    "metric_name",
-    "value",
-    "std_error",
-    "error",
-)
-
-
 def _fmt(value: float) -> str:
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
@@ -288,7 +284,7 @@ def _fmt(value: float) -> str:
 
 def write_rows_csv(rows: Sequence[ResultRow], path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(ROW_COLUMNS) + "\n")
+        fh.write(",".join(f.name for f in fields(ResultRow)) + "\n")
         for r in rows:
             # keep the schema flat: error text must not carry separators
             err = r.error.replace(",", ";").replace("\n", " ")
@@ -482,7 +478,7 @@ def _lr_case(real: DensityModel, synth: DensityModel, beta, noise: NoiseModel,
     chi2 = chi_square_divergence(real, synth)
     report = lr_explicit_bound(
         X, Xs, eps, eps_s, real.coordinate_variances(), synth.coordinate_variances(),
-        chi2, Y, Ys, real.support,
+        chi2, beta_hat, beta_tilde, real.support,
     )
     return report, chi2, beta_hat, beta_tilde
 
@@ -559,22 +555,14 @@ def run_scenario(*configs: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
     rows, units = [], []
     for config in configs:
         # once per scenario: the chi-square divergence (shared by every unit's
-        # bound; NaN if it fails) and the fidelity rows
+        # bound) and the fidelity rows
         chi2 = None
         if "bound" in config.outputs or "fidelity" in config.outputs:
-            try:
-                chi2 = chi_square_divergence(config.real_density, config.synth_density)
-                chi2_row = ResultRow(config.name, 0, 0, "", "", "chi2", chi2, 0.0)
-            except SyndatumError as exc:
-                chi2 = float("nan")
-                chi2_row = _error_row(config.name, 0, 0, "", "", "chi2", exc)
+            chi2 = chi_square_divergence(config.real_density, config.synth_density)
         if "fidelity" in config.outputs:
-            rows.append(chi2_row)
-            try:
-                cert = certify_fidelity_level(config.real_density, config.synth_density, d=1.0)
-                rows.append(ResultRow(config.name, 0, 0, "", "", "fidelity_V@d=1", cert.V, 0.0))
-            except SyndatumError as exc:
-                rows.append(_error_row(config.name, 0, 0, "", "", "fidelity_V@d=1", exc))
+            cert = certify_fidelity_level(config.real_density, config.synth_density, d=1.0)
+            rows += [ResultRow(config.name, 0, 0, "", "", "chi2", chi2, 0.0),
+                     ResultRow(config.name, 0, 0, "", "", "fidelity_V@d=1", cert.V, 0.0)]
         units += [(config, ni, rep, chi2)
                   for ni, rep in product(range(len(config.n_grid)), range(config.replications))]
     args = zip(*sorted(units, key=lambda unit: -unit[0].n_grid[unit[1]]))

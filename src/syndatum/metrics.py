@@ -27,7 +27,7 @@ from .datamodel import (
 )
 from .densities import DensityModel
 from .erm import BasisFunctionClass, FittedModel, ModelClass, population_optimum
-from .errors import Indeterminate, TaskMismatch, UnsupportedQuadrature
+from .errors import Indeterminate, UnsupportedQuadrature
 from .estimators import FittedEstimator
 
 SQUARED = "squared"
@@ -97,13 +97,7 @@ def _score_fn(model: Predictor, loss: str) -> Callable:
     if isinstance(model, FittedModel):
         return model.predict
     if isinstance(model, FittedEstimator):
-        if loss == SQUARED:
-            if model.task is not TaskKind.REGRESSION:
-                raise TaskMismatch("squared loss requires a regression estimator")
-            return model.mean
-        if model.task is not TaskKind.CLASSIFICATION:
-            raise TaskMismatch("zero-one loss requires a classification estimator")
-        return lambda X: model.prob(X) - 0.5
+        return model.mean if loss == SQUARED else (lambda X: model.prob(X) - 0.5)
     return model
 
 

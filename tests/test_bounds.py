@@ -130,11 +130,15 @@ def test_classification_bound_correct_class_vanishes():
     assert report.c_terms <= 4.0 + 1e-9
 
 
+def _ols(X, Y):
+    return np.linalg.solve(X.T @ X, X.T @ Y)
+
+
 def test_lr_bound_zero_noise_is_zero():
     X = np.array([[1.0], [-1.0], [0.5]])
     support = BoxSupport((-1.0,), (1.0,))
     report = lr_explicit_bound(
-        X, X, np.zeros(3), np.zeros(3), [1.0], [1.0], 0.5, X[:, 0], X[:, 0], support
+        X, X, np.zeros(3), np.zeros(3), [1.0], [1.0], 0.5, np.ones(1), np.ones(1), support
     )
     assert report.total == pytest.approx(0.0, abs=1e-12)
 
@@ -152,8 +156,8 @@ def test_lr_bound_hand_linear_algebra():
         [lam],
         [lam],
         0.0,
-        X[:, 0],
-        X[:, 0],
+        np.ones(1),
+        np.ones(1),
         BoxSupport((-1.0,), (1.0,)),
     )
     assert report.t1 == pytest.approx(13.0 * lam)
@@ -168,11 +172,12 @@ def test_lr_bound_row_permutation_invariance():
     Y = X @ np.array([1.0, -2.0]) + eps
     perm = rng.permutation(40)
     support = BoxSupport((-4.0, -4.0), (4.0, 4.0))
+    beta, beta_perm = _ols(X, Y), _ols(X[perm], Y[perm])
     base = lr_explicit_bound(
-        X, X, eps, eps, [1.0, 1.0], [1.0, 1.0], 0.3, Y, Y, support
+        X, X, eps, eps, [1.0, 1.0], [1.0, 1.0], 0.3, beta, beta, support
     )
     permuted = lr_explicit_bound(
-        X[perm], X[perm], eps[perm], eps[perm], [1.0, 1.0], [1.0, 1.0], 0.3, Y[perm], Y[perm], support
+        X[perm], X[perm], eps[perm], eps[perm], [1.0, 1.0], [1.0, 1.0], 0.3, beta_perm, beta_perm, support
     )
     for field in ("t1", "t2", "t3", "total"):
         assert getattr(base, field) == pytest.approx(getattr(permuted, field), rel=1e-9)
@@ -185,7 +190,7 @@ def test_lr_bound_monotone_in_chi2():
     Y = X @ np.array([0.5, 0.5]) + eps
     support = BoxSupport((-4.0, -4.0), (4.0, 4.0))
     totals = [
-        lr_explicit_bound(X, X, eps, eps, [1.0, 1.0], [1.0, 1.0], c, Y, Y, support).total
+        lr_explicit_bound(X, X, eps, eps, [1.0, 1.0], [1.0, 1.0], c, _ols(X, Y), _ols(X, Y), support).total
         for c in (0.0, 0.5, 2.0)
     ]
     assert totals[0] <= totals[1] <= totals[2]
@@ -202,8 +207,8 @@ def test_lr_bound_singular_design():
             [1.0, 1.0],
             [1.0, 1.0],
             0.0,
-            X[:, 0],
-            X[:, 0],
+            np.zeros(2),
+            np.zeros(2),
             BoxSupport((-4.0, -4.0), (4.0, 4.0)),
         )
 
@@ -229,7 +234,7 @@ def test_lr_bound_dominates_on_simulated_run():
     Lam = real.coordinate_variances()
     Lam_s = synth.coordinate_variances()
     chi2 = chi_square_divergence(real, synth)
-    report = lr_explicit_bound(X, Xs, eps, eps_s, Lam, Lam_s, chi2, Y, Ys, support)
+    report = lr_explicit_bound(X, Xs, eps, eps_s, Lam, Lam_s, chi2, beta_hat, beta_tilde, support)
 
     # closed-form true risks: R(beta) = (beta - beta*)' Lambda (beta - beta*) + sigma^2
     def phi(beta):

@@ -193,6 +193,35 @@ def test_experiment_bad_box_fails_at_load(tmp_path, capsys, config, old, new, me
     assert not (tmp_path / "o").exists()
 
 
+_REAL = "real_density = uniform-box lower=-1 upper=1"
+_SYNTH = "synth_density = piecewise breaks=-1,0,1 heights=0.25,0.75"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (_REAL, "real_density = uniform-box lower=nan upper=1", "need finite lower < upper"),
+        (_REAL, "real_density = uniform-box lower=-1 upper=inf", "need finite lower < upper"),
+        (_SYNTH, "synth_density = piecewise breaks=-1,0,1 heights=nan,1", "non-negative"),
+        (_SYNTH, "synth_density = piecewise breaks=-1,nan,1 heights=0.5,0.5", "segment probabilities"),
+        ("n_test = 2000", "n_test = 1", "n_test >= 2"),
+        (_SYNTH, "synth_density = uniform-box lower=-1,-1 upper=1,1", "dimension mismatch"),
+        (_SYNTH, "synth_density = uniform-box lower=-2 upper=2\noutputs = utility, bound", "supports differ"),
+        (_SYNTH, "synth_density = uniform-box lower=-2 upper=2\noutputs = utility, fidelity", "supports differ"),
+    ],
+    ids=["box-nan", "box-inf", "heights-nan", "breaks-nan", "n-test-1", "synth-2d", "synth-box-bound",
+         "synth-box-fidelity"],
+)
+def test_experiment_bad_density_or_n_test_fails_at_load(tmp_path, capsys, old, new, message):
+    path = tmp_path / "bad.ini"
+    assert old in REG_CONFIG
+    path.write_text(REG_CONFIG.replace(old, new))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "config, old, new",
     [

@@ -17,8 +17,6 @@ from syndatum.estimators import (
     fit_estimator,
     fit_logistic_mle,
     parse_estimator,
-    predict_mean,
-    predict_prob,
 )
 
 
@@ -71,23 +69,23 @@ def test_default_hyperparameters():
 def test_knn_k1_at_training_point():
     ds = make_dataset([[0.0], [1.0], [2.0]], [5.0, 7.0, 9.0], TaskKind.REGRESSION)
     est = fit_estimator(EstimatorSpec("knn", k=1), ds, SeedSpec(0))
-    assert predict_mean(est, [1.0]) == pytest.approx(7.0)
+    assert est.mean([1.0])[0] == pytest.approx(7.0)
 
 
 def test_knn_k_equals_n_gives_global_mean():
     ds = make_dataset([[0.0], [1.0], [2.0]], [5.0, 7.0, 9.0], TaskKind.REGRESSION)
     est = fit_estimator(EstimatorSpec("knn", k=3), ds, SeedSpec(0))
-    assert predict_mean(est, [123.0]) == pytest.approx(7.0)
+    assert est.mean([123.0])[0] == pytest.approx(7.0)
 
 
 def test_knn_tie_break_lowest_index():
     # duplicated training point with conflicting responses: lowest index wins
     ds = make_dataset([[0.0], [0.0], [5.0]], [1.0, 100.0, 9.0], TaskKind.REGRESSION)
     est = fit_estimator(EstimatorSpec("knn", k=1), ds, SeedSpec(0))
-    assert predict_mean(est, [0.0]) == pytest.approx(1.0)
+    assert est.mean([0.0])[0] == pytest.approx(1.0)
     # k=2 must take both duplicates, not the far point
     est2 = fit_estimator(EstimatorSpec("knn", k=2), ds, SeedSpec(0))
-    assert predict_mean(est2, [0.0]) == pytest.approx(50.5)
+    assert est2.mean([0.0])[0] == pytest.approx(50.5)
 
 
 def _knn_reference(X, y, k, Q):
@@ -270,20 +268,40 @@ def test_knn_consistency_trend():
     assert errs[16000] < 0.5 * errs[1000]
 
 
+@pytest.mark.parametrize(
+    "kind, task",
+    [(k, TaskKind.REGRESSION) for k in ("oracle", "ols", "knn", "rf", "mlp")]
+    + [(k, TaskKind.CLASSIFICATION) for k in ("oracle", "logistic", "knn", "rf", "mlp")],
+)
+def test_estimate_is_the_task_view_and_the_other_view_raises(kind, task):
+    rng = SeedSpec(40).rng()
+    X = rng.uniform(-1, 1, size=(60, 2))
+    if task is TaskKind.REGRESSION:
+        y, view, other = X[:, 0] + rng.normal(0.0, 0.1, size=60), "mean", "prob"
+    else:
+        y, view, other = np.where(rng.random(60) < 0.5 + 0.4 * X[:, 0], 1.0, -1.0), "prob", "mean"
+    truth = lambda Q: 0.5 + 0.4 * Q[:, 0]
+    est = fit_estimator(EstimatorSpec(kind, oracle_fn=truth), make_dataset(X, y, task), SeedSpec(1))
+    Q = SeedSpec(41).rng().uniform(-1, 1, size=(25, 2))
+    assert np.array_equal(est(Q), getattr(est, view)(Q))
+    with pytest.raises(TaskMismatch):
+        getattr(est, other)(Q)
+
+
 def test_oracle_regression_and_classification():
     ds = make_dataset([[0.0], [1.0]], [0.0, 1.0], TaskKind.REGRESSION)
     est = fit_estimator(
         EstimatorSpec("oracle", oracle_fn=lambda X: np.abs(X[:, 0])), ds, SeedSpec(0)
     )
-    assert predict_mean(est, [0.5]) == pytest.approx(0.5)
+    assert est.mean([0.5])[0] == pytest.approx(0.5)
     with pytest.raises(TaskMismatch):
-        predict_prob(est, [0.5])
+        est.prob([0.5])
 
     dc = make_dataset([[0.0], [1.0]], [1.0, -1.0], TaskKind.CLASSIFICATION)
     eta = fit_estimator(
         EstimatorSpec("oracle", oracle_fn=lambda X: np.ones(X.shape[0])), dc, SeedSpec(0)
     )
-    assert predict_prob(eta, [0.3]) == pytest.approx(1.0)
+    assert eta.prob([0.3])[0] == pytest.approx(1.0)
 
 
 def test_logistic_mle_monotone_and_accurate():
@@ -306,8 +324,8 @@ def test_logistic_prob_values():
     est = fit_estimator(EstimatorSpec("logistic"), ds, SeedSpec(0))
     beta = est.fitted_params["beta"][0]
     # 1/(1+exp(-ln 3)) = 3/4 at the point where x beta = ln 3
-    assert predict_prob(est, [math.log(3.0) / beta]) == pytest.approx(0.75, abs=1e-9)
-    assert predict_prob(est, [0.0]) == pytest.approx(0.5)
+    assert est.prob([math.log(3.0) / beta])[0] == pytest.approx(0.75, abs=1e-9)
+    assert est.prob([0.0])[0] == pytest.approx(0.5)
 
 
 def test_logistic_box_clipping():
@@ -726,7 +744,7 @@ def test_mlp_keeps_no_training_scratch():
     # a fitted network holds its parameters and gradients, no n-row arrays
     n = 137
     ds = _regression_data(n, 2, lambda X: X[:, 0], 0.1, seed=28)
-    mlp = fit_estimator(EstimatorSpec("mlp"), ds, SeedSpec(3))._mean_fn.__self__
+    mlp = fit_estimator(EstimatorSpec("mlp"), ds, SeedSpec(3))._fn.__self__
     arrays = [a for v in vars(mlp).values() for a in (v if isinstance(v, list) else [v])]
     assert all(isinstance(a, np.ndarray) for a in arrays)
     assert not [a.shape for a in arrays if n in a.shape]

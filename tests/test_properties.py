@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset, sample_noise
@@ -14,12 +14,15 @@ from syndatum.densities import (
     DensityModel,
     PiecewiseConstant1D,
     TruncatedNormalDiag,
+    _DENSITY_SPECS,
     chi_square_divergence,
     fidelity_tail_probability,
     lemma1_chi2_to_fidelity,
+    parse_density,
 )
 from syndatum.erm import fit_regression, make_model_class
-from syndatum.estimators import EstimatorSpec, fit_estimator, predict_mean
+from syndatum.errors import RejectionBudgetExceeded
+from syndatum.estimators import EstimatorSpec, fit_estimator
 from syndatum.metrics import SQUARED, RiskConfig, utility_metric
 from syndatum.densities import BoxSupport, UniformBox, _Piecewise1D
 
@@ -142,6 +145,45 @@ def test_lemma1_translation_certifies_tails(pair):
         assert fidelity_tail_probability(p, q, C) <= V * C**-d + 1e-6
 
 
+# edge values for every numeric density parameter; a list may be empty
+_EDGE_VALUES = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1", "0.5", "2", "1e308", "-1e308"])
+
+
+@st.composite
+def density_spec(draw):
+    kind = draw(st.sampled_from(sorted(_DENSITY_SPECS)))
+    params = []
+    for key in _DENSITY_SPECS[kind][0]:
+        if key == "direction":
+            value = draw(st.sampled_from(["increasing", "decreasing", "nan", ""]))
+        else:
+            value = ",".join(draw(st.lists(_EDGE_VALUES, max_size=3)))
+        params.append(f"{key}={value}")
+    return " ".join([kind, *params])
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=density_spec())
+@example(text="uniform-box lower=nan upper=1")
+@example(text="uniform-box lower=-1e308 upper=1e308")  # the width overflows
+@example(text="piecewise breaks=-1,0,1 heights=nan,1")
+def test_parsed_density_is_proper_or_rejected_property(text):
+    try:
+        density = parse_density(text)
+    except ValueError:
+        return
+    lower, upper = np.array(density.support.lower), np.array(density.support.upper)
+    assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+    try:
+        X = density.sample(64, SeedSpec(0))
+    except RejectionBudgetExceeded:  # a truncated normal with too little mass to draw from
+        assert density.name == "trunc-normal"
+    else:
+        assert np.all(np.isfinite(X)) and np.all((X >= lower) & (X <= upper))
+    for f in density.factors():
+        assert float(f.cdf1(f.b)) == pytest.approx(1.0, abs=1e-9)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     lo=st.floats(-2.0, -0.1),
@@ -184,7 +226,7 @@ def test_knn_k1_interpolates_training_points_property(seed, idx):
     est = fit_estimator(
         EstimatorSpec("knn", k=1), make_dataset(X, y, REG), SeedSpec(0)
     )
-    assert predict_mean(est, X[idx]) == pytest.approx(y[idx])
+    assert est.mean(X[idx])[0] == pytest.approx(y[idx])
 
 
 @st.composite
