@@ -59,12 +59,11 @@ from .metrics import (  # noqa: F401
 )
 from .bounds import (  # noqa: F401
     AssumptionCheck,
+    BoundScenario,
     ClassificationBoundReport,
-    ClassificationScenario,
     FittedQuad,
     LRBoundReport,
     RegressionBoundReport,
-    RegressionScenario,
     assumption4_check,
     assumption4_sup_U,
     classification_bound,

@@ -24,28 +24,25 @@ from .datamodel import JsonReport, NoiseModel, SeedSpec, TaskKind, draw_response
 from .densities import BoxSupport, DensityModel, chi_square_divergence
 from .erm import BasisFunctionClass, FittedModel, ThresholdAbsClass
 from .errors import SingularDesign
-from .estimators import FittedEstimator
 from .metrics import SQUARED, ZERO_ONE, _excess_vector, _loss_vector
 
 _TINY = 1e-12
 
 
 @dataclass(frozen=True)
-class RegressionScenario:
+class BoundScenario:
+    """The real law (P_X, truth, noise) and the synthetic law (P~_X,
+    estimate, synth_noise) a bound compares.  ``truth`` and ``estimate``
+    (usually a FittedEstimator) are the conditional mean for regression and
+    P(Z=+1|x) for classification, vectorized over rows; classification
+    ignores the noises."""
+
     real_density: DensityModel
     synth_density: DensityModel
-    truth: Callable  # true conditional mean, vectorized over rows
-    noise: NoiseModel
-    mu_hat: FittedEstimator
-    synth_noise: NoiseModel
-
-
-@dataclass(frozen=True)
-class ClassificationScenario:
-    real_density: DensityModel
-    synth_density: DensityModel
-    truth: Callable  # true P(Z=+1|x), vectorized over rows
-    eta_hat: FittedEstimator
+    truth: Callable
+    estimate: Callable
+    noise: Optional[NoiseModel] = None
+    synth_noise: Optional[NoiseModel] = None
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,6 @@ class RegressionBoundReport(JsonReport):
     phi_mu_hat: float
     total: float
 
-    @property
-    def vacuous(self) -> bool:
-        return math.isinf(self.total)
-
 
 @dataclass(frozen=True)
 class ClassificationBoundReport(JsonReport):
@@ -85,10 +78,6 @@ class ClassificationBoundReport(JsonReport):
     c_terms: float
     phi_plugin: float
     total: float
-
-    @property
-    def vacuous(self) -> bool:
-        return math.isinf(self.total)
 
 
 @dataclass(frozen=True)
@@ -142,13 +131,26 @@ def _estimation_errors(fitted: FittedQuad, loss: str, X, y, Xs, ys) -> tuple:
     )
 
 
+def _draws(scenario: BoundScenario, task: TaskKind, n_test: int, seed: SeedSpec, stream: int) -> tuple:
+    """The bound's test draws from seed streams stream+1..stream+4: X ~ P_X
+    and Xs ~ P~_X, the truth at X, the estimate at X and at Xs, responses y
+    from the truth at X and ys from the estimate at Xs."""
+    X = scenario.real_density.sample(n_test, seed.child(stream + 1))
+    Xs = scenario.synth_density.sample(n_test, seed.child(stream + 2))
+    truth_X = np.asarray(scenario.truth(X), dtype=float).reshape(-1)
+    est_X, est_Xs = scenario.estimate(X), scenario.estimate(Xs)
+    y = draw_responses(task, truth_X, scenario.noise, seed.child(stream + 3))
+    ys = draw_responses(task, est_Xs, scenario.synth_noise, seed.child(stream + 4))
+    return X, Xs, truth_X, est_X, est_Xs, y, ys
+
+
 def _excess(model: FittedModel, X: np.ndarray, truth: np.ndarray, loss: str) -> float:
     """Mean excess loss of a fitted model over the noise-free truth at X."""
     return float(np.mean(_excess_vector(model.predict(X), truth, loss)))
 
 
 def regression_bound(
-    scenario: RegressionScenario,
+    scenario: BoundScenario,
     fitted: FittedQuad,
     n_test: int = 50_000,
     seed: SeedSpec = SeedSpec(0),
@@ -159,13 +161,7 @@ def regression_bound(
     An infinite chi-square with a positive coupling coefficient yields
     total = inf (the bound is vacuous, flagged rather than failed).
     """
-    X = scenario.real_density.sample(n_test, seed.child(11))
-    Xs = scenario.synth_density.sample(n_test, seed.child(12))
-    mu_X = np.asarray(scenario.truth(X), dtype=float).reshape(-1)
-    muh_X = scenario.mu_hat.mean(X)
-    muh_Xs = scenario.mu_hat.mean(Xs)
-    y = draw_responses(TaskKind.REGRESSION, mu_X, scenario.noise, seed.child(13))
-    ys = draw_responses(TaskKind.REGRESSION, muh_Xs, scenario.synth_noise, seed.child(14))
+    X, Xs, mu_X, muh_X, muh_Xs, y, ys = _draws(scenario, TaskKind.REGRESSION, n_test, seed, 10)
     est_err_original, est_err_synthetic = _estimation_errors(fitted, SQUARED, X, y, Xs, ys)
 
     def upsilon(X, truth):  # root excess risks against mu_hat (synthetic) or mu (real)
@@ -178,7 +174,7 @@ def regression_bound(
     phi_mu_hat = float(np.mean(_excess_vector(muh_X, mu_X, SQUARED)))
 
     support = scenario.real_density.support
-    muh_sup = np.concatenate([muh_X, scenario.mu_hat.mean(support.corners())])  # mu_hat on X is muh_X
+    muh_sup = np.concatenate([muh_X, scenario.estimate(support.corners())])  # mu_hat on X is muh_X
     M = max(
         float(np.max(np.abs(muh_sup))),
         *(_sup_abs(model.predict, X, support)
@@ -207,20 +203,14 @@ def regression_bound(
 
 
 def classification_bound(
-    scenario: ClassificationScenario,
+    scenario: BoundScenario,
     fitted: FittedQuad,
     n_test: int = 50_000,
     seed: SeedSpec = SeedSpec(0),
     chi2: Optional[float] = None,
 ) -> ClassificationBoundReport:
     """Classification analogue of the regression bound."""
-    X = scenario.real_density.sample(n_test, seed.child(21))
-    Xs = scenario.synth_density.sample(n_test, seed.child(22))
-    eta_X = np.asarray(scenario.truth(X), dtype=float).reshape(-1)
-    etah_X = scenario.eta_hat.prob(X)
-    etah_Xs = scenario.eta_hat.prob(Xs)
-    Z = draw_responses(TaskKind.CLASSIFICATION, eta_X, None, seed.child(23))
-    Zs = draw_responses(TaskKind.CLASSIFICATION, etah_Xs, None, seed.child(24))
+    X, Xs, eta_X, etah_X, etah_Xs, Z, Zs = _draws(scenario, TaskKind.CLASSIFICATION, n_test, seed, 20)
     est_err_original, est_err_synthetic = _estimation_errors(fitted, ZERO_ONE, X, Z, Xs, Zs)
 
     def c_of(model):  # root mass where the model's score opposes eta_hat - 1/2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -73,29 +73,15 @@ class BoxSupport:
 
 
 class Marginal1D:
-    """Interface for one-dimensional factors: pdf/cdf/moments/sampling."""
+    """One-dimensional factor on [a, b]: pdf1, cdf1, mean, variance and
+    sample1(n, rng)."""
 
     a: float
     b: float
 
-    def pdf1(self, x):
-        raise NotImplementedError
-
-    def cdf1(self, x):
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def variance(self) -> float:
-        raise NotImplementedError
-
     def knots(self) -> List[float]:
         """Interior points where the pdf is non-smooth."""
         return []
-
-    def sample1(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -339,22 +325,23 @@ class _Triangular1D(Marginal1D):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class DensityModel:
-    """Product density over a box support, built from 1-d factors."""
+    """Product density over a box support, built from 1-d factors.  Two
+    densities are equal, and hash equal, when their factors are."""
 
-    def __init__(self, factors: Sequence[Marginal1D], name: str):
-        self._factors = list(factors)
-        self.name = name
-        self.support = BoxSupport(
-            tuple(f.a for f in self._factors), tuple(f.b for f in self._factors)
-        )
+    factors: tuple
+    name: str = field(compare=False)
+    support: BoxSupport = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
+        object.__setattr__(self, "support", BoxSupport(tuple(f.a for f in self.factors),
+                                                       tuple(f.b for f in self.factors)))
 
     @property
     def dim(self) -> int:
-        return len(self._factors)
-
-    def factors(self) -> List[Marginal1D]:
-        return list(self._factors)
+        return len(self.factors)
 
     def pdf(self, x):
         """Density at a point (shape (p,)) or at rows of a matrix (n, p).
@@ -365,14 +352,14 @@ class DensityModel:
         if self.dim == 1:
             scalar = x.ndim == 0
             pts = np.atleast_1d(x.reshape(-1))
-            out = self._factors[0].pdf1(pts)
+            out = self.factors[0].pdf1(pts)
             return float(out[0]) if scalar else out
         single = x.ndim == 1
         X = np.atleast_2d(x)
         if X.shape[1] != self.dim:
             raise ValueError(f"expected points of dimension {self.dim}, got {X.shape[1]}")
         out = np.ones(X.shape[0])
-        for j, f in enumerate(self._factors):
+        for j, f in enumerate(self.factors):
             out *= f.pdf1(X[:, j])
         return float(out[0]) if single else out
 
@@ -382,15 +369,12 @@ class DensityModel:
             raise ValueError("n must be >= 1")
         rng = seed.rng()
         out = np.empty((n, self.dim))
-        for j, f in enumerate(self._factors):
+        for j, f in enumerate(self.factors):
             out[:, j] = f.sample1(n, rng)
         return out
 
     def coordinate_variances(self) -> np.ndarray:
-        return np.array([f.variance() for f in self._factors])
-
-    def __repr__(self):
-        return f"DensityModel({self.name}, dim={self.dim})"
+        return np.array([f.variance() for f in self.factors])
 
 
 def UniformBox(support: BoxSupport) -> DensityModel:
@@ -422,11 +406,6 @@ def Triangular1D(direction: str) -> DensityModel:
     if direction not in ("increasing", "decreasing"):
         raise ValueError("direction must be 'increasing' or 'decreasing'")
     return DensityModel([_Triangular1D(direction == "increasing")], "triangular")
-
-
-def same_density(p: DensityModel, q: DensityModel) -> bool:
-    # the 1-d factors are frozen dataclasses, compared by kind and parameters
-    return p.factors() == q.factors()
 
 
 def _check_compatible(p: DensityModel, q: DensityModel):
@@ -515,7 +494,7 @@ def chi_square_divergence(p: DensityModel, q: DensityModel) -> float:
     """
     _check_compatible(p, q)
     log_one_plus = 0.0
-    for pf, qf in zip(p.factors(), q.factors()):
+    for pf, qf in zip(p.factors, q.factors):
         ci = _chi2_1d(pf, qf)
         if math.isinf(ci):
             return math.inf
@@ -571,15 +550,14 @@ def fidelity_tail_probability(p: DensityModel, q: DensityModel, C: float) -> flo
     if not (math.isfinite(C) and C > 0):
         raise ValueError("C must be finite and positive")
     _check_compatible(p, q)
-    if same_density(p, q):
+    if p == q:
         return 1.0 if C <= 1.0 else 0.0
     if p.dim != 1:
         raise UnsupportedQuadrature(
             "ratio-region quadrature is implemented for one-dimensional densities"
         )
-    side_p = _ratio_region_mass(p.factors()[0], q.factors()[0], C)
-    side_q = _ratio_region_mass(q.factors()[0], p.factors()[0], C)
-    return max(side_p, side_q)
+    (pf,), (qf,) = p.factors, q.factors
+    return max(_ratio_region_mass(pf, qf, C), _ratio_region_mass(qf, pf, C))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ refinement, resolution 1e-4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -111,6 +111,12 @@ class BasisFunctionClass:
     def features(self, X: np.ndarray) -> np.ndarray:
         return self.feature_map(np.atleast_2d(np.asarray(X, dtype=float)))
 
+    def score(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        return self.features(X) @ beta
+
+    def knots(self, beta: np.ndarray) -> tuple:
+        return tuple(self.map_knots)
+
 
 @dataclass(frozen=True)
 class ThresholdAbsClass:
@@ -120,6 +126,12 @@ class ThresholdAbsClass:
     hi: float
     name: str = "threshold-abs"
     task: TaskKind = TaskKind.CLASSIFICATION
+
+    def score(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        return np.abs(X[:, 0]) - beta[0]
+
+    def knots(self, beta: np.ndarray) -> tuple:
+        return (-float(beta[0]), float(beta[0]))
 
 
 @dataclass(frozen=True)
@@ -137,55 +149,36 @@ class SignScaleClass:
         x = np.atleast_2d(np.asarray(X, dtype=float))[:, 0]
         return np.abs(x) if self.base == "abs" else x
 
+    def score(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        return beta[0] * self.base_values(X)
 
-ModelClass = object  # BasisFunctionClass | ThresholdAbsClass | SignScaleClass
+    def knots(self, beta: np.ndarray) -> tuple:
+        return (0.0,)
+
+
+# BasisFunctionClass | ThresholdAbsClass | SignScaleClass: each scores rows by
+# score(X, beta) and names the 1-d points where it changes regime by knots(beta)
+ModelClass = object
 
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A member of a model class selected by ERM; predict() returns the
-    regression value or classification score at each row."""
+    """A member of a model class selected by ERM: the class and its
+    coefficients.  predict() returns the regression value or classification
+    score at each row."""
 
     model_class: ModelClass
     coefficients: np.ndarray
-    _predict: Callable = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
 
     def predict(self, X) -> np.ndarray:
-        return self._predict(np.atleast_2d(np.asarray(X, dtype=float)))
+        return self.model_class.score(np.atleast_2d(np.asarray(X, dtype=float)), self.coefficients)
 
     def quadrature_knots(self) -> tuple:
         """1-d points where the prediction (or its sign) changes regime."""
-        mc = self.model_class
-        if isinstance(mc, BasisFunctionClass):
-            return tuple(mc.map_knots)
-        if isinstance(mc, ThresholdAbsClass):
-            b = float(self.coefficients[0])
-            return (-b, b)
-        return (0.0,)
-
-
-def _basis_model(mc: BasisFunctionClass, beta: np.ndarray) -> FittedModel:
-    beta = np.asarray(beta, dtype=float)
-
-    def predict(X):
-        return mc.features(X) @ beta
-
-    return FittedModel(mc, beta, predict)
-
-
-def _threshold_model(mc, beta: float) -> FittedModel:
-    def predict(X):
-        x = np.atleast_2d(np.asarray(X, dtype=float))[:, 0]
-        return np.abs(x) - beta
-
-    return FittedModel(mc, np.array([beta]), predict)
-
-
-def _sign_model(mc: SignScaleClass, beta: float) -> FittedModel:
-    def predict(X):
-        return beta * mc.base_values(X)
-
-    return FittedModel(mc, np.array([beta]), predict)
+        return self.model_class.knots(self.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +262,15 @@ def fit_regression(model_class: BasisFunctionClass, data: Dataset) -> FittedMode
                 raise SingularDesign(
                     f"basis Gram matrix is singular (rank {rank} < {Phi.shape[1]})"
                 )
-            return _basis_model(model_class, beta)
+            return FittedModel(model_class, beta)
         A = Phi.T @ Phi / n + lam * np.eye(Phi.shape[1])
         beta = np.linalg.solve(A, Phi.T @ data.responses / n)
-        return _basis_model(model_class, beta)
+        return FittedModel(model_class, beta)
     lo, hi = (np.asarray(v, dtype=float) for v in model_class.coefficient_box)
     A = Phi.T @ Phi / n + lam * np.eye(Phi.shape[1])
     b = Phi.T @ data.responses / n
     beta = _solve_box_quadratic(A, b, lo, hi)
-    return _basis_model(model_class, beta)
+    return FittedModel(model_class, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +317,7 @@ def _fit_logistic_basis(mc: BasisFunctionClass, data: Dataset) -> FittedModel:
             pg = np.where((beta >= hi - 1e-12) & (grad < 0), 0.0, pg)
         if np.max(np.abs(pg)) > 1e-4:
             raise NonConvergence(f"logistic surrogate fit failed: {result.message}")
-    return _basis_model(mc, beta)
+    return FittedModel(mc, beta)
 
 
 class _ThresholdRisk:
@@ -387,7 +380,7 @@ def fit_classification(model_class: ModelClass, data: Dataset) -> FittedModel:
     if isinstance(model_class, ThresholdAbsClass):
         risk = _ThresholdRisk(data.features[:, 0], data.responses)
         beta = _grid_golden_minimize(risk, model_class.lo, model_class.hi)
-        return _threshold_model(model_class, beta)
+        return FittedModel(model_class, [beta])
     if isinstance(model_class, SignScaleClass):
         base = model_class.base_values(data.features)
         best_beta, best_err = None, np.inf
@@ -396,7 +389,7 @@ def fit_classification(model_class: ModelClass, data: Dataset) -> FittedModel:
             err = float(np.mean(pred != data.responses))
             if err < best_err - 1e-15:
                 best_beta, best_err = beta, err
-        return _sign_model(model_class, best_beta)
+        return FittedModel(model_class, [best_beta])
     raise TaskMismatch(f"unsupported model class {model_class!r}")
 
 
@@ -449,15 +442,18 @@ def make_model_class(
 
     ``box`` is a scalar B (interpreted as [-B, B] per coefficient) or a
     (lo, hi) pair replicated across coefficients.  Raises ValueError for a
-    ridge that is not a finite number >= 0 and for an empty box.
+    ridge that is not a finite number >= 0, for an empty box and for a
+    threshold-abs box with an infinite bound.
     """
     if not (math.isfinite(ridge) and ridge >= 0.0):
         raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     if name == "threshold-abs":
         if box is None:
             raise ValueError("threshold-abs requires box=lo,hi")
-        lo, hi = (box, box) if np.isscalar(box) else box
-        return ThresholdAbsClass(*_nonempty_box(float(lo), float(hi)))
+        lo, hi = (float(v) for v in ((box, box) if np.isscalar(box) else box))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"threshold-abs needs finite box bounds, got {lo},{hi}")
+        return ThresholdAbsClass(*_nonempty_box(lo, hi))
     if name in ("sign-abs", "sign-linear"):
         return SignScaleClass("abs" if name == "sign-abs" else "linear")
     if name == "logistic-linear":

@@ -31,9 +31,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .bounds import (
-    ClassificationScenario,
+    BoundScenario,
     FittedQuad,
-    RegressionScenario,
     assumption4_check,
     assumption4_sup_U,
     classification_bound,
@@ -448,11 +447,8 @@ class _Unit:
         fitted = FittedQuad(self.erm(None, ci), self.erm(ei, ci),
                             population_optimum(mc, real, truth, 100_000, self._seed("star", ei)),
                             population_optimum(mc, synth, est, 100_000, self._seed("tilde", ei)))
-        if config.task is TaskKind.REGRESSION:
-            scenario = RegressionScenario(real, synth, truth, config.noise, est, self.synthetic(ei)[1])
-            assemble = regression_bound
-        else:
-            scenario, assemble = ClassificationScenario(real, synth, truth, est), classification_bound
+        scenario = BoundScenario(real, synth, truth, est, config.noise, self.synthetic(ei)[1])
+        assemble = regression_bound if config.task is TaskKind.REGRESSION else classification_bound
         return assemble(scenario, fitted, n_test=config.n_test, seed=self._seed("bound", ei), chi2=self.chi2)
 
     @_stage

@@ -203,7 +203,7 @@ def _quadrature(model: Predictor, density: DensityModel, truth, loss: str, exces
         def integrand(x, key, eta):
             return eta if score(x, key) < 0.0 else 1.0 - eta
 
-    f = density.factors()[0]
+    f = density.factors[0]
     nodes = _node_memo("pdf-truth", f, truth)
 
     def pdf_and_truth(x):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from syndatum.bounds import (
-    ClassificationScenario,
+    BoundScenario,
     FittedQuad,
-    RegressionScenario,
     assumption4_check,
     assumption4_sup_U,
     classification_bound,
@@ -61,9 +60,7 @@ def _population_quad(model_class, real, synth, truth, seed):
 
 def test_regression_bound_perfect_pipeline_vanishes():
     real = uniform_pm1()
-    scenario = RegressionScenario(
-        real, real, absval, NoiseModel.none(), _oracle_est(absval, REG), NoiseModel.none()
-    )
+    scenario = BoundScenario(real, real, absval, _oracle_est(absval, REG), NoiseModel.none(), NoiseModel.none())
     quad = _population_quad(make_model_class("abs", 1, REG), real, real, absval, SeedSpec(1))
     report = regression_bound(scenario, quad, n_test=20_000, seed=SeedSpec(2))
     assert report.chi2 == pytest.approx(0.0, abs=1e-8)
@@ -73,9 +70,7 @@ def test_regression_bound_perfect_pipeline_vanishes():
 def test_regression_bound_dominates_toy51_wrong_class():
     alpha = 0.8
     real, synth = uniform_pm1(), mass_neg(1 - alpha)
-    scenario = RegressionScenario(
-        real, synth, absval, NoiseModel.none(), _oracle_est(absval, REG), NoiseModel.none()
-    )
+    scenario = BoundScenario(real, synth, absval, _oracle_est(absval, REG), NoiseModel.none(), NoiseModel.none())
     quad = _population_quad(make_model_class("linear", 1, REG), real, synth, absval, SeedSpec(3))
     report = regression_bound(scenario, quad, n_test=20_000, seed=SeedSpec(4))
     u_true = (2 * alpha - 1) ** 2 / 3.0
@@ -86,9 +81,7 @@ def test_regression_bound_dominates_toy51_wrong_class():
 def test_regression_bound_correct_class_zero_despite_imperfect_fidelity():
     alpha = 0.8
     real, synth = uniform_pm1(), mass_neg(1 - alpha)
-    scenario = RegressionScenario(
-        real, synth, absval, NoiseModel.none(), _oracle_est(absval, REG), NoiseModel.none()
-    )
+    scenario = BoundScenario(real, synth, absval, _oracle_est(absval, REG), NoiseModel.none(), NoiseModel.none())
     quad = _population_quad(make_model_class("abs", 1, REG), real, synth, absval, SeedSpec(5))
     report = regression_bound(scenario, quad, n_test=20_000, seed=SeedSpec(6))
     assert report.chi2 > 0.1
@@ -98,22 +91,20 @@ def test_regression_bound_correct_class_zero_despite_imperfect_fidelity():
 def test_regression_bound_infinite_chi2_vacuous():
     real, synth = Triangular1D("increasing"), Triangular1D("decreasing")
     truth = lambda X: X[:, 0]
-    scenario = RegressionScenario(
-        real, synth, truth, NoiseModel.none(), _oracle_est(truth, REG), NoiseModel.none()
-    )
+    scenario = BoundScenario(real, synth, truth, _oracle_est(truth, REG), NoiseModel.none(), NoiseModel.none())
     quad = _population_quad(
         make_model_class("constant", 1, REG, box=(-1.0, 1.0)), real, synth, truth, SeedSpec(7)
     )
     report = regression_bound(scenario, quad, n_test=10_000, seed=SeedSpec(8))
     assert math.isinf(report.chi2)
-    assert report.vacuous
+    assert math.isinf(report.total)
 
 
 def test_classification_bound_dominates_toy_s1():
     alpha = 0.9
     eta = lambda X: (X[:, 0] > 0).astype(float)
     real, synth = mass_neg(alpha), mass_neg(1 - alpha)
-    scenario = ClassificationScenario(real, synth, eta, _oracle_est(eta, CLS))
+    scenario = BoundScenario(real, synth, eta, _oracle_est(eta, CLS))
     quad = _population_quad(make_model_class("sign-abs", 1, CLS), real, synth, eta, SeedSpec(9))
     report = classification_bound(scenario, quad, n_test=20_000, seed=SeedSpec(10))
     assert report.total >= abs(2 * alpha - 1)
@@ -123,7 +114,7 @@ def test_classification_bound_correct_class_vanishes():
     alpha = 0.9
     eta = lambda X: (X[:, 0] > 0).astype(float)
     real, synth = mass_neg(alpha), mass_neg(1 - alpha)
-    scenario = ClassificationScenario(real, synth, eta, _oracle_est(eta, CLS))
+    scenario = BoundScenario(real, synth, eta, _oracle_est(eta, CLS))
     quad = _population_quad(make_model_class("sign-linear", 1, CLS), real, synth, eta, SeedSpec(11))
     report = classification_bound(scenario, quad, n_test=20_000, seed=SeedSpec(12))
     assert report.total == pytest.approx(0.0, abs=1e-6)

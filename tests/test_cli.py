@@ -180,8 +180,14 @@ def test_experiment_bad_mlp_shape_fails_at_load(tmp_path, reg_config, capsys, es
         (CLS_CONFIG, "model_classes = sign-abs; sign-linear", "model_classes = logistic-linear box=nan",
          "box is empty"),
         (REG_CONFIG, "model_classes = linear; abs", "model_classes = constant box=nan; abs", "box is empty"),
+        # an infinite bound would make the threshold grid NaN and the classifier predict -1 everywhere
+        (CLS_CONFIG, "model_classes = sign-abs; sign-linear", "model_classes = threshold-abs box=0,inf",
+         "finite box bounds"),
+        (CLS_CONFIG, "model_classes = sign-abs; sign-linear", "model_classes = threshold-abs box=-inf,1",
+         "finite box bounds"),
     ],
-    ids=["logistic-box-negative", "logistic-box-nan", "class-box-nan-cls", "class-box-nan-reg"],
+    ids=["logistic-box-negative", "logistic-box-nan", "class-box-nan-cls", "class-box-nan-reg",
+         "threshold-box-inf-upper", "threshold-box-inf-lower"],
 )
 def test_experiment_bad_box_fails_at_load(tmp_path, capsys, config, old, new, message):
     path = tmp_path / "bad.ini"
@@ -189,7 +195,7 @@ def test_experiment_bad_box_fails_at_load(tmp_path, capsys, config, old, new, me
     path.write_text(config.replace(old, new))
     assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert message in err and len(err.splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -13,6 +13,7 @@ from scipy.stats import kstest
 from syndatum.datamodel import SeedSpec
 from syndatum.densities import (
     BoxSupport,
+    DensityModel,
     LinearTilt1D,
     PiecewiseConstant1D,
     Triangular1D,
@@ -79,7 +80,7 @@ def test_densities_integrate_to_one():
         TruncatedNormalDiag(BoxSupport((-2.0,), (2.0,)), [1.0], [1.0]),
     ]
     for m in models:
-        f = m.factors()[0]
+        f = m.factors[0]
         total, _ = quad(lambda x: float(f.pdf1(x)), f.a, f.b, points=f.knots() or None)
         assert total == pytest.approx(1.0, abs=1e-6)
         xs = np.linspace(f.a, f.b, 501)
@@ -94,7 +95,7 @@ def test_densities_integrate_to_one():
 def test_trunc_normal_upper_tail_keeps_its_mass():
     # both bounds ten or more standard deviations above the mean
     box = BoxSupport((0.0,), (1.0,))
-    f = TruncatedNormalDiag(box, [-1.0], [0.01]).factors()[0]
+    f = TruncatedNormalDiag(box, [-1.0], [0.01]).factors[0]
     assert f._mass() > 0.0
     assert math.isfinite(float(f.pdf1(0.5)))
     assert quad(lambda x: float(f.pdf1(x)), 0.0, 1.0)[0] == pytest.approx(1.0, abs=1e-9)
@@ -108,7 +109,7 @@ def test_trunc_normal_without_representable_mass_is_rejected():
     box = BoxSupport((0.0,), (1.0,))
     with pytest.raises(ValueError, match="no representable mass"):
         TruncatedNormalDiag(box, [-1.0], [0.0004])
-    f = TruncatedNormalDiag(box, [-1.0], [0.0016]).factors()[0]
+    f = TruncatedNormalDiag(box, [-1.0], [0.0016]).factors[0]
     assert 1e-139 < f._mass() < 1e-137
     assert math.isfinite(f.mean()) and 0.0 < f.mean() < 0.01
     assert math.isfinite(float(f.pdf1(0.0))) and f.cdf1(np.array([1.0]))[0] == 1.0
@@ -137,7 +138,7 @@ def test_sample_marginal_means_close_to_analytic():
     d = TruncatedNormalDiag(BoxSupport((-2.0, -2.0), (2.0, 2.0)), [1.0, 0.0], [1.0, 2.0])
     n = 10**5
     x = d.sample(n, SeedSpec(13))
-    for j, f in enumerate(d.factors()):
+    for j, f in enumerate(d.factors):
         tol = 5.0 * math.sqrt(f.variance() / n)
         assert abs(x[:, j].mean() - f.mean()) <= tol
 
@@ -167,7 +168,7 @@ def test_rejection_budget_exceeded():
 )
 def test_kolmogorov_smirnov_against_analytic_cdf(model):
     x = model.sample(10**5, SeedSpec(16)).ravel()
-    f = model.factors()[0]
+    f = model.factors[0]
     stat = kstest(x, lambda t: np.asarray(f.cdf1(t))).statistic
     critical = 1.949 / math.sqrt(len(x))  # 0.001 significance level
     assert stat < critical
@@ -220,7 +221,7 @@ def test_chi2_product_identity_two_dims():
     tn = TruncatedNormalDiag(sup, [1.0, 1.0], [1.0, 1.0])
     u = UniformBox(sup)
     joint = chi_square_divergence(tn, u)
-    f = tn.factors()[0]
+    f = tn.factors[0]
     one_d, _ = quad(lambda x: float(f.pdf1(x)) ** 2 * 4.0, -2.0, 2.0)
     expected = (1.0 + (one_d - 1.0)) ** 2 - 1.0
     assert joint == pytest.approx(expected, rel=1e-6)
@@ -404,7 +405,7 @@ def test_ratio_region_mass_matches_scalar_reference():
         (TruncatedNormalDiag(box, [0.5], [0.5]), TruncatedNormalDiag(box, [-0.3], [2.0])),
     ]
     for p, q in pairs:
-        for num, den in ((p.factors()[0], q.factors()[0]), (q.factors()[0], p.factors()[0])):
+        for num, den in ((p.factors[0], q.factors[0]), (q.factors[0], p.factors[0])):
             for C in (0.3, 1.0, 2.5):
                 assert _ratio_region_mass(num, den, C) == _ratio_region_mass_scalar_reference(num, den, C)
 
@@ -470,3 +471,24 @@ def test_parse_density_variants():
     assert d.pdf(0.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         parse_density("banana radius=1")
+
+
+def test_densities_compare_and_hash_by_their_factors():
+    # built separately from the same parameters, by constructor or by spec
+    pairs = [
+        (uniform_pm1(), parse_density("uniform-box lower=-1 upper=1")),
+        (TruncatedNormalDiag(BoxSupport((-2.0, -2.0), (2.0, 2.0)), [1.0, 1.0], [1.0, 1.0]),
+         parse_density("trunc-normal lower=-2,-2 upper=2,2 mean=1,1 var=1,1")),
+        (PiecewiseConstant1D([-1.0, 0.0, 1.0], [0.25, 0.75]),
+         parse_density("piecewise breaks=-1,0,1 heights=0.25,0.75")),
+        (LinearTilt1D(0.4), LinearTilt1D(0.4)),
+        (Triangular1D("increasing"), parse_density("triangular direction=increasing")),
+    ]
+    for p, q in pairs:
+        assert p is not q and p == q and hash(p) == hash(q)
+        assert len({p, q}) == 1
+    # the name is a label, not part of the value
+    assert DensityModel(uniform_pm1().factors, "other") == uniform_pm1()
+    assert len({p for pair in pairs for p in pair}) == len(pairs)
+    assert LinearTilt1D(0.4) != LinearTilt1D(0.2)
+    assert Triangular1D("increasing") != Triangular1D("decreasing")

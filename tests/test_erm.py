@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -262,9 +264,13 @@ def test_parse_model_class():
         ("threshold-abs box=0.5,0", CLS, "box is empty"),
         ("constant box=nan", REG, "box is empty"),
         ("logistic-linear box=nan", CLS, "box is empty"),
+        ("threshold-abs box=0,inf", CLS, "finite box bounds"),
+        ("threshold-abs box=-inf,1", CLS, "finite box bounds"),
     ):
         with pytest.raises(ValueError, match=match):
             parse_model_class(text, 1, task)
+    # an infinite coefficient box leaves a basis fit unconstrained, which is fine
+    assert parse_model_class("constant box=inf", 1, REG).coefficient_box[1][0] == np.inf
 
 
 def test_recip_cubic_bases_shapes():
@@ -277,3 +283,23 @@ def test_recip_cubic_bases_shapes():
     ]:
         mc = make_model_class(name, 1, REG)
         assert mc.features(X).shape == (7, q)
+
+
+def test_fitted_model_pickles_and_predicts_the_same_bytes():
+    # a fitted model is its class and its coefficients, one case per class kind
+    rng = SeedSpec(17).rng()
+    X = rng.uniform(-1.0, 1.0, size=(200, 1))
+    y = X[:, 0] ** 2 + 0.1 * rng.normal(size=200)
+    z = np.where(np.abs(X[:, 0]) + 0.2 * rng.normal(size=200) > 0.5, 1.0, -1.0)
+    fits = [
+        fit_regression(make_model_class("quadratic", 1, REG), make_dataset(X, y, REG)),
+        fit_classification(make_model_class("logistic-linear", 1, CLS, box=3.0), make_dataset(X, z, CLS)),
+        fit_classification(make_model_class("threshold-abs", 1, CLS, box=(0.0, 1.0)), make_dataset(X, z, CLS)),
+        fit_classification(make_model_class("sign-abs", 1, CLS), make_dataset(X, z, CLS)),
+    ]
+    Q = np.linspace(-1.0, 1.0, 101).reshape(-1, 1)
+    for model in fits:
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy.model_class == model.model_class
+        assert copy.predict(Q).tobytes() == model.predict(Q).tobytes()
+        assert copy.quadrature_knots() == model.quadrature_knots()

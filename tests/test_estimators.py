@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import _knn_reference
 
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset, sample_noise
 from syndatum.densities import BoxSupport, TruncatedNormalDiag
@@ -86,23 +87,6 @@ def test_knn_tie_break_lowest_index():
     # k=2 must take both duplicates, not the far point
     est2 = fit_estimator(EstimatorSpec("knn", k=2), ds, SeedSpec(0))
     assert est2.mean([0.0])[0] == pytest.approx(50.5)
-
-
-def _knn_reference(X, y, k, Q):
-    """The k-nearest-neighbour mean, one query at a time: the rows strictly
-    nearer than the k-th distance, then the lowest-index rows at it.  A
-    query with a NaN feature has no neighbours and gets NaN."""
-    sq = np.einsum("ij,ij->i", X, X)
-    out = np.empty(Q.shape[0])
-    for i, row in enumerate(sq[None, :] - 2.0 * (Q @ X.T)):
-        if np.isnan(Q[i]).any():
-            out[i] = np.nan
-            continue
-        kth = np.partition(row, k - 1)[k - 1]
-        less = row < kth
-        ties = np.flatnonzero(row == kth)[: k - np.count_nonzero(less)]
-        out[i] = (float(y[less].sum()) + float(y[ties].sum())) / k
-    return out
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 40, 149])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from syndatum.bounds import RegressionScenario
+from syndatum.bounds import BoundScenario
 from syndatum.datamodel import NoiseModel, TaskKind
 from syndatum.densities import BoxSupport, UniformBox
 from syndatum.errors import ConfigError, UnknownBuiltin
@@ -250,9 +250,9 @@ def test_bound_assumes_the_synthetic_noise_the_synthesis_used(monkeypatch):
 
     def scenario(*args):
         variances.append(args[-1].variance)
-        return RegressionScenario(*args)
+        return BoundScenario(*args)
 
-    monkeypatch.setattr(syndatum.harness, "RegressionScenario", scenario)
+    monkeypatch.setattr(syndatum.harness, "BoundScenario", scenario)
     # oracle on noise-free data: residual variance 0, so no synthetic noise
     rows = run_scenario(_tiny_config(noise=NoiseModel.none(), outputs=("utility", "bound")))
     assert not any(r.error for r in rows)

@@ -1,12 +1,14 @@
-"""No module of the package imports a name it never uses.  No linter is
-installed, so this reads each module's syntax tree."""
+"""No module of the package imports a name it never uses, and no test module
+imports another test module.  No linter is installed, so this reads each
+module's syntax tree."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "syndatum"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "syndatum"
 
 
 def _annotation_names(tree) -> set:
@@ -45,3 +47,25 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_test_modules(source: str) -> list:
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [node.module] if node.module else [a.name for a in node.names]
+    return sorted(name for name in names if name.split(".")[0].startswith("test_"))
+
+
+def test_the_scan_finds_an_imported_test_module():
+    source = "import numpy\ndef test_f():\n    from test_other import helper\n    import test_more.sub\n"
+    assert imported_test_modules(source) == ["test_more.sub", "test_other"]
+
+
+# importing a test module runs its decorators, and hypothesis rejects a @given
+# applied inside a running @given test; shared helpers live in reference.py
+@pytest.mark.parametrize("path", sorted(TESTS.glob("test_*.py")), ids=lambda p: p.name)
+def test_test_module_imports_no_other_test_module(path):
+    assert imported_test_modules(path.read_text()) == []

@@ -10,10 +10,8 @@ from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset
 from syndatum.densities import BoxSupport, LinearTilt1D, PiecewiseConstant1D, UniformBox
 from syndatum.erm import (
     BasisFunctionClass,
+    FittedModel,
     SignScaleClass,
-    _basis_model,
-    _sign_model,
-    _threshold_model,
     fit_regression,
     make_model_class,
     population_optimum,
@@ -374,7 +372,7 @@ def _reference_weighted(model, density, truth, loss, excess):
             eta = float(truth_fn(pt)[0])
             return eta if float(score(pt)[0]) < 0.0 else 1.0 - eta
 
-    f = density.factors()[0]
+    f = density.factors[0]
     pts = sorted({k for k in (*f.knots(), *_model_knots(model)) if f.a < k < f.b})
     return (lambda x: float(f.pdf1(x)) * integrand(x)), f, pts
 
@@ -396,7 +394,7 @@ def _memo_cases():
     and sign models and plug-in estimators, against a by-value truth, a plain
     lambda and a plug-in estimator."""
     reg_models = [
-        _basis_model(make_model_class(name, 1, REG), beta)
+        FittedModel(make_model_class(name, 1, REG), beta)
         for name, beta in (
             ("linear", [0.7]),
             ("quadratic", [0.4, -0.3]),
@@ -410,11 +408,11 @@ def _memo_cases():
         _oracle_est(lambda X: X[:, 0] ** 2, REG),
     ]
     cls_models = [
-        _basis_model(make_model_class("logistic-linear", 1, CLS), [-1.3]),
-        _basis_model(make_model_class("abs", 1, CLS), [0.8]),
-        _threshold_model(make_model_class("threshold-abs", 1, CLS, box=(0.0, 2.0)), 0.9),
-        _sign_model(SignScaleClass("linear"), -1.0),
-        _sign_model(SignScaleClass("abs"), 1.0),
+        FittedModel(make_model_class("logistic-linear", 1, CLS), [-1.3]),
+        FittedModel(make_model_class("abs", 1, CLS), [0.8]),
+        FittedModel(make_model_class("threshold-abs", 1, CLS, box=(0.0, 2.0)), [0.9]),
+        FittedModel(SignScaleClass("linear"), [-1.0]),
+        FittedModel(SignScaleClass("abs"), [1.0]),
         _oracle_est(lambda X: (X[:, 0] < 1.2).astype(float), CLS),
     ]
     cls_truths = [
@@ -447,10 +445,10 @@ def test_quadrature_memo_on_interval_ending_at_negative_zero():
     reg_truth = lambda X: np.abs(X[:, 0]) - X[:, 0] ** 3
     cls_truth = TruthSpec("step-pos")
     for loss, model, truth in (
-        (SQUARED, _basis_model(make_model_class("abs", 1, REG), [0.6]), reg_truth),
-        (SQUARED, _basis_model(make_model_class("linear", 1, REG), [-0.6]), TruthSpec("abs")),
-        (ZERO_ONE, _sign_model(SignScaleClass("linear"), 1.0), cls_truth),
-        (ZERO_ONE, _basis_model(make_model_class("logistic-linear", 1, CLS), [2.0]), cls_truth),
+        (SQUARED, FittedModel(make_model_class("abs", 1, REG), [0.6]), reg_truth),
+        (SQUARED, FittedModel(make_model_class("linear", 1, REG), [-0.6]), TruthSpec("abs")),
+        (ZERO_ONE, FittedModel(SignScaleClass("linear"), [1.0]), cls_truth),
+        (ZERO_ONE, FittedModel(make_model_class("logistic-linear", 1, CLS), [2.0]), cls_truth),
     ):
         for excess in (False, True):
             assert _quadrature(model, density, truth, loss, excess) == (
@@ -473,7 +471,7 @@ def test_quadrature_memo_keeps_signed_zeros_apart(monkeypatch):
             return 0.0, 0.0
 
         monkeypatch.setattr(metrics, "quad", probe)
-        for model in (lambda X: np.copysign(1.0, X[:, 0]), _basis_model(signs, [-1.0])):
+        for model in (lambda X: np.copysign(1.0, X[:, 0]), FittedModel(signs, [-1.0])):
             for excess in (False, True):
                 _quadrature(model, density, truth, ZERO_ONE, excess)
                 weighted, _, _ = _reference_weighted(model, density, truth, ZERO_ONE, excess)

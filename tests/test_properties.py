@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import _knn_reference
 
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset, sample_noise
 from scipy.special import erfi, ndtr
@@ -64,7 +65,7 @@ def test_tail_probability_monotone_property(pair, c1, c2):
 def test_chi2_piecewise_matches_closed_form_property(pair):
     # chi2(p || q) = sum_i w_i hp_i^2 / hq_i - 1 over the shared segments
     p, q = pair
-    (pf,), (qf,) = p.factors(), q.factors()
+    (pf,), (qf,) = p.factors, q.factors
     widths = np.diff(pf.breakpoints)
     hp, hq = np.asarray(pf.heights), np.asarray(qf.heights)
     expected = float(np.sum(widths * hp**2 / hq)) - 1.0
@@ -123,7 +124,7 @@ def test_chi2_trunc_normal_vs_uniform_match_closed_form_property(pair):
     #   chi2(U || N) + 1 = prod s^2 pi Z (erfi(be / sqrt2) - erfi(al / sqrt2)) / w^2
     normal, uniform = pair
     forward = backward = 1.0
-    for f in normal.factors():
+    for f in normal.factors:
         s, w = math.sqrt(f.var), f.b - f.a
         al, be = (f.a - f.m) / s, (f.b - f.m) / s
         Z = ndtr(be) - ndtr(al)
@@ -180,7 +181,7 @@ def test_parsed_density_is_proper_or_rejected_property(text):
         assert density.name == "trunc-normal"
     else:
         assert np.all(np.isfinite(X)) and np.all((X >= lower) & (X <= upper))
-    for f in density.factors():
+    for f in density.factors:
         assert float(f.cdf1(f.b)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -250,8 +251,6 @@ def coarse_dataset(draw):
 @settings(max_examples=60, deadline=None)
 @given(data=coarse_dataset(), k=st.integers(1, 24))
 def test_knn_matches_per_query_reference_property(data, k):
-    from test_estimators import _knn_reference
-
     from syndatum.estimators import _KNN
 
     X, y, Q = data
