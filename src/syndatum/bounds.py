@@ -374,10 +374,8 @@ def assumption4_sup_U(
         A = Phi.T @ Phi / m
         b = Phi.T @ target / m
         c = float(np.mean(target**2))
-        lo, hi = model_class.coefficient_box
-        box = BoxSupport(tuple(lo), tuple(hi))
         best = 0.0
-        for corner in box.corners():
+        for corner in BoxSupport(*model_class.coefficient_box).corners():
             val = float(corner @ A @ corner - 2.0 * corner @ b + c)
             best = max(best, val)
         return math.sqrt(max(best, 0.0))

@@ -137,11 +137,19 @@ class Dataset:
 
 
 def make_dataset(features, responses, task: TaskKind) -> Dataset:
-    """Validate and assemble a Dataset.
+    """Validate and assemble a Dataset from copies of the caller's arrays,
+    which stay writeable.
 
     Raises DimensionMismatch, NonFiniteValue, or InvalidLabel (classification
     responses must be exactly -1 or +1).
     """
+    X, y = _checked_arrays(features, responses, task)
+    return Dataset(X.copy(), y.copy(), task)
+
+
+def _checked_arrays(features, responses, task: TaskKind) -> tuple:
+    """make_dataset's checks; returns the float arrays X (n, p) and y (n,),
+    the caller's own where they already are."""
     X = np.asarray(features, dtype=float)
     y = np.asarray(responses, dtype=float)
     if X.ndim == 1:
@@ -165,7 +173,7 @@ def make_dataset(features, responses, task: TaskKind) -> Dataset:
                 f"classification responses must be in {{-1, +1}}; offending value "
                 f"{y[bad][0]!r} at index {int(np.flatnonzero(bad)[0])}"
             )
-    return Dataset(X.copy(), y.copy(), task)
+    return X, y
 
 
 def write_csv(dataset: Dataset, path) -> None:

@@ -240,17 +240,30 @@ class _Piecewise1D(Marginal1D):
         return list(self.breakpoints[1:-1])
 
     def sample1(self, n, rng):
-        # inverse-CDF: pick segment by cumulative mass, then uniform within
+        """Inverse CDF: a uniform u picks the segment by cumulative mass, then
+        a point uniformly within it.  The segment is the number of cut points
+        ``cum[:-1]`` at or below u, which is ``searchsorted(cum, u,
+        side="right")`` clipped to the last segment; a tie goes to the segment
+        above.  The point is ``(u - prev) / mass * width + left end``, with the
+        fraction 0 in a zero-mass segment, computed in place in one buffer."""
         br = np.asarray(self.breakpoints)
-        hs = np.asarray(self.heights)
-        masses = hs * np.diff(br)
+        width = np.diff(br)
+        masses = np.asarray(self.heights) * width
         cum = np.cumsum(masses)
         u = rng.random(n)
-        idx = np.searchsorted(cum, u, side="right")
-        idx = np.clip(idx, 0, len(hs) - 1)
-        prev = np.concatenate([[0.0], cum])[idx]
-        frac = np.where(masses[idx] > 0, (u - prev) / masses[idx], 0.0)
-        return br[idx] + frac * np.diff(br)[idx]
+        idx = np.zeros(n, dtype=np.intp)
+        for c in cum[:-1]:
+            idx += u >= c
+        buf = np.concatenate([[0.0], cum]).take(idx)
+        u -= buf
+        # idx is in range, so mode="clip" changes nothing; it spares the
+        # copy that take buffers its out= through under the default mode
+        masses.take(idx, out=buf, mode="clip")
+        np.divide(u, buf, out=u, where=buf > 0)
+        u[buf <= 0] = 0.0
+        u *= width.take(idx, out=buf, mode="clip")
+        u += br.take(idx, out=buf, mode="clip")
+        return u
 
 
 @dataclass(frozen=True)
@@ -368,6 +381,8 @@ class DensityModel:
         if n < 1:
             raise ValueError("n must be >= 1")
         rng = seed.rng()
+        if self.dim == 1:
+            return self.factors[0].sample1(n, rng).reshape(n, 1)
         out = np.empty((n, self.dim))
         for j, f in enumerate(self.factors):
             out[:, j] = f.sample1(n, rng)

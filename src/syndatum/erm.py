@@ -22,8 +22,8 @@ from .datamodel import (
     Dataset,
     SeedSpec,
     TaskKind,
+    _checked_arrays,
     draw_responses,
-    make_dataset,
     parse_spec,
 )
 from .densities import DensityModel
@@ -104,7 +104,7 @@ class BasisFunctionClass:
     feature_map: Callable
     q: int
     task: TaskKind
-    coefficient_box: Optional[tuple] = None  # (lo array, hi array)
+    coefficient_box: Optional[tuple] = None  # (lo, hi), each a tuple of q floats
     ridge_penalty: float = 0.0
     map_knots: tuple = ()
 
@@ -293,8 +293,7 @@ def _fit_logistic_basis(mc: BasisFunctionClass, data: Dataset) -> FittedModel:
 
     bounds = None
     if mc.coefficient_box is not None:
-        lo, hi = mc.coefficient_box
-        bounds = list(zip(lo, hi))
+        bounds = list(zip(*mc.coefficient_box))
     result = minimize(
         objective,
         np.zeros(mc.q),
@@ -305,14 +304,14 @@ def _fit_logistic_basis(mc: BasisFunctionClass, data: Dataset) -> FittedModel:
     )
     beta = result.x
     if mc.coefficient_box is not None:
-        beta = np.clip(beta, mc.coefficient_box[0], mc.coefficient_box[1])
+        lo, hi = (np.asarray(v) for v in mc.coefficient_box)
+        beta = np.clip(beta, lo, hi)
     if not result.success:
         # line searches can stall at the box faces; accept only if the
         # projected gradient confirms (near-)stationarity
         _, grad = objective(beta)
         pg = grad.copy()
         if mc.coefficient_box is not None:
-            lo, hi = mc.coefficient_box
             pg = np.where((beta <= lo + 1e-12) & (grad > 0), 0.0, pg)
             pg = np.where((beta >= hi - 1e-12) & (grad < 0), 0.0, pg)
         if np.max(np.abs(pg)) > 1e-4:
@@ -418,12 +417,13 @@ def population_optimum(
     ``truth`` is the true conditional mean (regression) or P(Z=+1|x)
     (classification), or a FittedEstimator standing in for it.  Regression
     targets are noise-free: zero-mean noise leaves the population argmin
-    unchanged and only adds Monte-Carlo error.
+    unchanged and only adds Monte-Carlo error.  The draws pass make_dataset's
+    checks but are not copied: no caller holds them.
     """
     X = density.sample(m, seed.child(71))
     task = model_class.task
     y = draw_responses(task, truth(X), None, seed.child(72))
-    return fit_downstream(model_class, make_dataset(X, y, task))
+    return fit_downstream(model_class, Dataset(*_checked_arrays(X, y, task), task))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,7 @@ def _expand_box(box, q):
     if np.isscalar(box):
         b = abs(float(box))
         box = (-b, b)  # a NaN B fails the lower <= upper check
-    lo, hi = (np.full(q, float(v)) if np.isscalar(v) else np.asarray(v, dtype=float) for v in box)
+    lo, hi = (tuple(np.broadcast_to(np.asarray(v, dtype=float), (q,)).tolist()) for v in box)
     return _nonempty_box(lo, hi)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -718,9 +719,22 @@ class _MLP:
 # ---------------------------------------------------------------------------
 
 
-def _mean_to_prob(mean_fn):
+# module-level, bound by functools.partial, so that fitted estimators pickle
+def _prob_from_mean(mean_fn, X):
     # E[Z|x] = 2 eta(x) - 1 for Z in {-1, +1}; FittedEstimator.prob clips
-    return lambda X: (mean_fn(X) + 1.0) / 2.0
+    return (mean_fn(X) + 1.0) / 2.0
+
+
+def _oracle_values(truth, Q):
+    return np.asarray(truth(Q), dtype=float).reshape(-1)
+
+
+def _linear_values(beta, Q):
+    return Q @ beta
+
+
+def _logistic_values(beta, Q):
+    return _sigmoid(Q @ beta)
 
 
 def fit_estimator(spec: EstimatorSpec, data: Dataset, seed: SeedSpec) -> FittedEstimator:
@@ -739,19 +753,19 @@ def fit_estimator(spec: EstimatorSpec, data: Dataset, seed: SeedSpec) -> FittedE
         if spec.oracle_fn is None:
             raise ValueError("oracle estimator requires oracle_fn")
         truth = spec.oracle_fn
-        return FittedEstimator(kind, task, n, {}, lambda Q: np.asarray(truth(Q), dtype=float).reshape(-1))
+        return FittedEstimator(kind, task, n, {}, partial(_oracle_values, truth))
 
     if kind == "ols":
         if task is not TaskKind.REGRESSION:
             raise TaskMismatch("ols estimator requires a regression dataset")
         beta = _fit_ols(X, y)
-        return FittedEstimator(kind, task, n, {"beta": beta}, lambda Q: Q @ beta)
+        return FittedEstimator(kind, task, n, {"beta": beta}, partial(_linear_values, beta))
 
     if kind == "logistic":
         if task is not TaskKind.CLASSIFICATION:
             raise TaskMismatch("logistic estimator requires a classification dataset")
         beta, nll = fit_logistic_mle(X, y, box=spec.box)
-        return FittedEstimator(kind, task, n, {"beta": beta, "nll": nll}, lambda Q: _sigmoid(Q @ beta))
+        return FittedEstimator(kind, task, n, {"beta": beta, "nll": nll}, partial(_logistic_values, beta))
 
     if kind == "knn":
         k = spec.k if spec.k is not None else default_knn_k(n, p)
@@ -770,7 +784,7 @@ def fit_estimator(spec: EstimatorSpec, data: Dataset, seed: SeedSpec) -> FittedE
     else:  # pragma: no cover
         raise ValueError(kind)
 
-    fn = model.predict if task is TaskKind.REGRESSION else _mean_to_prob(model.predict)
+    fn = model.predict if task is TaskKind.REGRESSION else partial(_prob_from_mean, model.predict)
     return FittedEstimator(kind, task, n, params, fn)
 
 

@@ -53,6 +53,15 @@ def test_dataset_is_immutable():
         ds.features[0, 0] = 9.0
 
 
+def test_make_dataset_copies_the_callers_arrays():
+    X = np.array([[1.0], [2.0]])
+    y = np.array([1.0, 2.0])
+    ds = make_dataset(X, y, TaskKind.REGRESSION)
+    assert X.flags.writeable and y.flags.writeable
+    X[0, 0], y[0] = 9.0, 9.0
+    assert ds.features[0, 0] == 1.0 and ds.responses[0] == 1.0
+
+
 def test_sample_noise_zero_variance():
     out = sample_noise(NoiseModel.gaussian(0.0), 100, SeedSpec(1))
     assert np.all(out == 0.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import kstest
+from reference import _piecewise_sample1_reference
 
 from syndatum.datamodel import SeedSpec
 from syndatum.densities import (
@@ -19,6 +20,7 @@ from syndatum.densities import (
     Triangular1D,
     TruncatedNormalDiag,
     UniformBox,
+    _Piecewise1D,
     _ratio_region_mass,
     certify_fidelity_level,
     chi_square_divergence,
@@ -148,6 +150,64 @@ def test_sampling_deterministic():
     a = d.sample(1000, SeedSpec(14, 2))
     b = d.sample(1000, SeedSpec(14, 2))
     assert np.array_equal(a, b)
+
+
+@st.composite
+def piecewise_factor(draw):
+    """A piecewise-constant factor of 1 to 6 segments on drawn breakpoints,
+    with zero-height segments at none, some or all of the first, a middle
+    and the last position."""
+    k = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(0.01, 5.0), min_size=k, max_size=k))
+    br = np.cumsum([draw(st.floats(-10.0, 10.0)), *widths])
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    for pos in draw(st.sets(st.sampled_from([0, k // 2, k - 1]), max_size=min(2, k - 1))):
+        raw[pos] = 0.0
+    heights = np.asarray(raw) / float(np.sum(np.asarray(raw) * np.diff(br)))
+    return _Piecewise1D(tuple(br), tuple(heights))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=piecewise_factor(), seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 1000]))
+def test_piecewise_sample1_matches_reference_property(f, seed, n):
+    fast = f.sample1(n, np.random.default_rng(seed))
+    ref = _piecewise_sample1_reference(f, n, np.random.default_rng(seed))
+    assert fast.tobytes() == ref.tobytes()
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose random(n) returns given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, n):
+        assert n == self.values.size
+        return self.values.copy()
+
+
+@pytest.mark.parametrize("breaks, heights", [
+    ([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.0, 0.5, 0.0]),
+    ([-1.0, 0.0, 1.0], [0.25, 0.75]),
+    ([0.0, 0.1, 0.4, 1.0], [2.0, 0.0, 4.0 / 3.0]),
+    # the masses add up to 1 - 2**-52, so the largest u lands in the zero-mass
+    # end segment, whose point must be its left end, 0.0
+    ([-1.75, -1.5, -1.25, -1.0, -0.75, -0.5, -0.25, 0.0, 1.0], [1.0 / 1.75] * 7 + [0.0]),
+])
+def test_piecewise_sample1_matches_reference_at_the_cut_points(breaks, heights):
+    # u equal to a cut point of the cumulative mass lands in the segment that
+    # starts there, past any zero-mass segments, as searchsorted(side="right")
+    f = _Piecewise1D(tuple(breaks), tuple(heights))
+    cum = np.cumsum(np.asarray(heights) * np.diff(breaks))
+    u = [0.0, *cum, np.nextafter(1.0, 0.0)]
+    fast = f.sample1(len(u), _FixedUniforms(u))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the reference divides by a zero mass
+        ref = _piecewise_sample1_reference(f, len(u), _FixedUniforms(u))
+    assert fast.tobytes() == ref.tobytes()
+    if heights[0] == 0.0:
+        assert fast[0] == breaks[1]
+    if heights[-1] == 0.0:
+        assert fast[-1] <= breaks[-2]
 
 
 def test_rejection_budget_exceeded():

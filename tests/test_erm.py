@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from syndatum.erm import (
     parse_model_class,
     population_optimum,
 )
-from syndatum.errors import SingularDesign, TaskMismatch
+from syndatum.errors import NonFiniteValue, SingularDesign, TaskMismatch
 
 REG = TaskKind.REGRESSION
 CLS = TaskKind.CLASSIFICATION
@@ -171,6 +172,32 @@ def test_threshold_population_optima_toy61_classification():
     assert population_optimum(g2, synth, eta, m, seed).coefficients[0] == pytest.approx(1.0 / 3.0, abs=0.01)
 
 
+@pytest.mark.parametrize("density, bound_mb", [
+    (PiecewiseConstant1D([-1, 0, 1], [0.25, 0.75]), 4.0),
+    (uniform_pm1(), 1.6),
+], ids=["piecewise", "uniform"])
+def test_population_optimum_allocates_only_what_it_keeps(density, bound_mb):
+    # 100,000 draws are 0.8 MB a column.  Sampling through searchsorted and
+    # fresh temporaries, then copying X and y into the dataset, peaked at
+    # 5.6 MB (piecewise) and 2.4 MB (uniform); now 2.5 and 0.9 MB
+    mc = make_model_class("linear", 1, REG)
+    truth = lambda X: X[:, 0]
+    population_optimum(mc, density, truth, 1000, SeedSpec(3))
+    tracemalloc.start()
+    try:
+        population_optimum(mc, density, truth, 100_000, SeedSpec(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
+
+
+def test_population_optimum_checks_its_draws():
+    mc = make_model_class("linear", 1, REG)
+    with pytest.raises(NonFiniteValue, match="responses"):
+        population_optimum(mc, uniform_pm1(), lambda X: np.where(X[:, 0] > 0.5, np.nan, 0.0), 1000)
+
+
 def test_population_optimum_toy51():
     uniform = uniform_pm1()
     absval = lambda X: np.abs(X[:, 0])
@@ -303,3 +330,15 @@ def test_fitted_model_pickles_and_predicts_the_same_bytes():
         assert copy.model_class == model.model_class
         assert copy.predict(Q).tobytes() == model.predict(Q).tobytes()
         assert copy.quadrature_knots() == model.quadrature_knots()
+
+
+def test_boxed_model_classes_compare_and_hash_by_value():
+    # a coefficient box is a pair of float tuples, so equal classes are one set element
+    a = make_model_class("linear", 2, REG, box=1.0)
+    b = make_model_class("linear", 2, REG, box=1.0)
+    c = make_model_class("linear", 2, REG, box=(-1.0, 2.0))
+    d = parse_model_class("logistic-linear box=4", 2, CLS)
+    assert a == b and hash(a) == hash(b)
+    assert a.coefficient_box == ((-1.0, -1.0), (1.0, 1.0))
+    assert a != c and d == parse_model_class("logistic-linear box=4", 2, CLS)
+    assert len({a, b, c, d, make_model_class("linear", 2, REG, box=(-1.0, 2.0))}) == 3

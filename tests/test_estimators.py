@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -252,11 +253,13 @@ def test_knn_consistency_trend():
     assert errs[16000] < 0.5 * errs[1000]
 
 
-@pytest.mark.parametrize(
-    "kind, task",
-    [(k, TaskKind.REGRESSION) for k in ("oracle", "ols", "knn", "rf", "mlp")]
-    + [(k, TaskKind.CLASSIFICATION) for k in ("oracle", "logistic", "knn", "rf", "mlp")],
-)
+# every estimator kind with each task it fits
+KIND_TASKS = [(k, TaskKind.REGRESSION) for k in ("oracle", "ols", "knn", "rf", "mlp")] + [
+    (k, TaskKind.CLASSIFICATION) for k in ("oracle", "logistic", "knn", "rf", "mlp")
+]
+
+
+@pytest.mark.parametrize("kind, task", KIND_TASKS)
 def test_estimate_is_the_task_view_and_the_other_view_raises(kind, task):
     rng = SeedSpec(40).rng()
     X = rng.uniform(-1, 1, size=(60, 2))
@@ -270,6 +273,26 @@ def test_estimate_is_the_task_view_and_the_other_view_raises(kind, task):
     assert np.array_equal(est(Q), getattr(est, view)(Q))
     with pytest.raises(TaskMismatch):
         getattr(est, other)(Q)
+
+
+def _linear_probability(Q):
+    return 0.5 + 0.4 * Q[:, 0]
+
+
+@pytest.mark.parametrize("kind, task", KIND_TASKS)
+def test_fitted_estimator_pickles_and_predicts_the_same_bytes(kind, task):
+    rng = SeedSpec(42).rng()
+    X = rng.uniform(-1, 1, size=(60, 2))
+    if task is TaskKind.REGRESSION:
+        y = X[:, 0] + rng.normal(0.0, 0.1, size=60)
+    else:
+        y = np.where(rng.random(60) < _linear_probability(X), 1.0, -1.0)
+    spec = EstimatorSpec(kind, oracle_fn=_linear_probability)
+    est = fit_estimator(spec, make_dataset(X, y, task), SeedSpec(1))
+    copy = pickle.loads(pickle.dumps(est))
+    Q = SeedSpec(43).rng().uniform(-1, 1, size=(25, 2))
+    assert (copy.kind, copy.task, copy.training_n) == (est.kind, est.task, est.training_n)
+    assert copy(Q).tobytes() == est(Q).tobytes()
 
 
 def test_oracle_regression_and_classification():
