@@ -23,7 +23,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from itertools import chain, product
 from typing import List, Optional, Sequence
@@ -185,13 +185,13 @@ class ScenarioConfig:
     real_density: DensityModel
     synth_density: DensityModel
     truth: TruthSpec
-    noise: NoiseModel
-    estimators: tuple
     model_classes: tuple
     n_grid: tuple
-    replications: int
-    n_test: int
-    master_seed: int
+    noise: NoiseModel = NoiseModel.none()
+    estimators: tuple = ("oracle",)
+    replications: int = 1
+    n_test: int = 20_000
+    master_seed: int = DEFAULT_MASTER_SEED
     synth_noise: Optional[NoiseModel] = None  # None = residual-variance default
     synthetic_n_rule: str = "equal"
     outputs: tuple = ("utility",)
@@ -202,6 +202,11 @@ class ScenarioConfig:
     classes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if set(self.name) & set(',"\r\n'):
+            raise ConfigError(f"scenario name {self.name!r} must not contain a comma, a double quote or a "
+                              f"line break (rows.csv writes it unquoted)")
+        if self.noise is None:
+            raise ConfigError("noise has no default; default is for synth_noise only")
         if not self.n_grid or list(self.n_grid) != sorted(self.n_grid) or self.n_grid[0] < 1:
             raise ConfigError(f"n_grid must be non-empty, ascending and >= 1, got {self.n_grid}")
         if self.replications < 1 or self.n_test < 2:
@@ -219,7 +224,7 @@ class ScenarioConfig:
         if "fidelity" in self.outputs and self.real_density.dim != 1:
             raise ConfigError("outputs 'fidelity' requires a one-dimensional real_density")
         rule, _, size = self.synthetic_n_rule.partition(":")
-        if self.synthetic_n_rule != "equal" and not (rule == "fixed" and size.isdigit() and int(size) > 0):
+        if self.synthetic_n_rule != "equal" and not (rule == "fixed" and size.isdecimal() and int(size) > 0):
             raise ConfigError(
                 f"synthetic_n_rule must be equal or fixed:<int >= 1>, got {self.synthetic_n_rule!r}"
             )
@@ -365,7 +370,9 @@ def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
 # outputs.  Sweeps use SeedSpec(master_seed, rep).child(n_index), the bound
 # suite SeedSpec(master_seed, 1000 | 2000 + case) and the single-draw
 # commands SeedSpec(master_seed, 0).  star and tilde feed the real and the
-# synthetic population optima of the bound, bound its own risk draws.
+# synthetic population optima of the bound, bound its own risk draws.  synth
+# takes no _EI: common random numbers across estimators, so utilities differ
+# only through the fitted estimation model.
 _EI = "ei"
 SWEEP_SEEDS = dict(draw=(), risk=(3,), fit=(4, _EI), synth=(5,), star=(6, _EI), tilde=(7, _EI),
                    compare=(8,), bound=(9, _EI))
@@ -508,15 +515,6 @@ def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[flo
             rows.append(_error_row(config.name, n, rep, est_name, "pair", "consistent", exc))
 
     for ei, spec in enumerate(config.estimator_specs):
-        try:
-            # common random numbers across estimators: same synthetic feature
-            # and noise draws, so utilities differ only through the fitted
-            # estimation model
-            unit.synthetic(ei)
-        except Exception as exc:
-            rows.extend(_error_row(config.name, n, rep, spec.kind, mc.name, "utility", exc)
-                        for mc in config.classes)
-            continue
         for ci, mc in enumerate(config.classes):
             row = partial(ResultRow, config.name, n, rep, spec.kind, mc.name)
             try:
@@ -1007,20 +1005,36 @@ def default_workers() -> int:
 # Config files: one INI section per scenario, flat key=value entries
 # ---------------------------------------------------------------------------
 
-# init fields only: load_scenarios rejects every other key
-_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig) if f.init} - {"name"}
+def _parse_task(text: str) -> TaskKind:
+    try:
+        return TaskKind(text.strip().lower())
+    except ValueError:
+        raise ConfigError("task must be regression or classification") from None
 
-_CONFIG_DEFAULTS = {
-    "noise": "none",
-    "synth_noise": "default",
-    "estimators": "oracle",
-    "synthetic_n_rule": "equal",
-    "replications": "1",
-    "n_test": "20000",
-    "master_seed": str(DEFAULT_MASTER_SEED),
-    "outputs": "utility",
-    "risk_method": "monte-carlo",
+
+def _entries(sep: str):
+    return lambda text: tuple(s.strip() for s in text.split(sep) if s.strip())
+
+
+# config key -> parser of its text; an omitted key takes the ScenarioConfig default
+_CONFIG_PARSERS = {
+    "task": _parse_task,
+    "real_density": parse_density,
+    "synth_density": parse_density,
+    "truth": parse_truth,
+    "model_classes": _entries(";"),
+    "n_grid": lambda text: tuple(int(v) for v in text.split(",")),
+    "noise": parse_noise,
+    "estimators": _entries(","),
+    "replications": int,
+    "n_test": int,
+    "master_seed": int,
+    "synth_noise": parse_noise,
+    "synthetic_n_rule": str.strip,
+    "outputs": _entries(","),
+    "risk_method": str.strip,
 }
+_REQUIRED = {f.name for f in fields(ScenarioConfig) if f.init and f.default is MISSING} - {"name"}
 
 
 def load_scenarios(path) -> List[ScenarioConfig]:
@@ -1055,43 +1069,15 @@ def load_scenarios(path) -> List[ScenarioConfig]:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     configs = []
     for section, raw in sections.items():
-        unknown = set(raw) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"[{section}] has unknown keys {sorted(unknown)}")
-        missing = _CONFIG_KEYS - set(_CONFIG_DEFAULTS) - set(raw)
-        if missing:
-            raise ConfigError(f"[{section}] is missing required keys {sorted(missing)}")
-        merged = {**_CONFIG_DEFAULTS, **raw}
-        task_text = merged["task"].strip().lower()
-        if task_text not in ("regression", "classification"):
-            raise ConfigError(f"[{section}] task must be regression or classification")
-        task = TaskKind.REGRESSION if task_text == "regression" else TaskKind.CLASSIFICATION
-        if merged["noise"].strip() == "default":
-            raise ConfigError(f"[{section}] noise has no default; default is for synth_noise only")
         try:
-            config = ScenarioConfig(
-                name=section,
-                task=task,
-                real_density=parse_density(merged["real_density"]),
-                synth_density=parse_density(merged["synth_density"]),
-                truth=parse_truth(merged["truth"]),
-                noise=parse_noise(merged["noise"]),
-                synth_noise=parse_noise(merged["synth_noise"]),
-                estimators=tuple(s.strip() for s in merged["estimators"].split(",") if s.strip()),
-                model_classes=tuple(s.strip() for s in merged["model_classes"].split(";") if s.strip()),
-                n_grid=tuple(int(v) for v in merged["n_grid"].split(",")),
-                synthetic_n_rule=merged["synthetic_n_rule"].strip(),
-                replications=int(merged["replications"]),
-                n_test=int(merged["n_test"]),
-                master_seed=int(merged["master_seed"]),
-                outputs=tuple(s.strip() for s in merged["outputs"].split(",") if s.strip()),
-                risk_method=merged["risk_method"].strip(),
-            )
+            unknown, missing = set(raw) - set(_CONFIG_PARSERS), _REQUIRED - set(raw)
+            if unknown:
+                raise ConfigError(f"has unknown keys {sorted(unknown)}")
+            if missing:
+                raise ConfigError(f"is missing required keys {sorted(missing)}")
+            configs.append(ScenarioConfig(name=section, **{k: _CONFIG_PARSERS[k](v) for k, v in raw.items()}))
         except (ValueError, SyndatumError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"[{section}] invalid configuration: {exc}") from exc
-        configs.append(config)
+            raise ConfigError(f"[{section}] {exc}") from exc
     if not configs:
         raise ConfigError(f"config file {path} defines no scenarios")
     return configs

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from syndatum.harness import (
     ResultRow,
     ScenarioConfig,
     TruthSpec,
+    _CONFIG_PARSERS,
+    _REQUIRED,
     _fig34_config,
     _figs1_config,
     _run_unit,
@@ -454,14 +457,31 @@ def test_load_scenarios_and_run(tmp_path):
     assert all(not r.error for r in rows)
 
 
+def test_config_keys_are_the_scenario_config_fields():
+    assert set(_CONFIG_PARSERS) == {f.name for f in fields(ScenarioConfig) if f.init} - {"name"}
+    assert _REQUIRED == {"task", "real_density", "synth_density", "truth", "model_classes", "n_grid"}
+
+
 def test_load_scenarios_rejects_bad_config(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[x]\ntask = regression\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\[x\] is missing required keys"):
         load_scenarios(path)
     path.write_text(CONFIG_TEXT.replace("task = regression", "task = regression\nbananas = 1"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\[demo\] has unknown keys \['bananas'\]"):
         load_scenarios(path)
+    path.write_text(CONFIG_TEXT.replace("task = regression", "task = regresion"))
+    with pytest.raises(ConfigError, match=r"^\[demo\] task must be regression or classification"):
+        load_scenarios(path)
+    # rows.csv writes the scenario name unquoted
+    path.write_text(CONFIG_TEXT.replace("[demo]", "[a,b]"))
+    with pytest.raises(ConfigError, match=r"^\[a,b\] scenario name 'a,b' must not contain a comma"):
+        load_scenarios(path)
+    # an error that ScenarioConfig raises names the section too, not only the first
+    for old, new in (("n_grid = 64", "n_grid = 64, 32"), ("estimators = oracle", "estimators = knn k=0")):
+        path.write_text(CONFIG_TEXT + CONFIG_TEXT.replace("[demo]", "[second]").replace(old, new))
+        with pytest.raises(ConfigError, match=r"^\[second\] "):
+            load_scenarios(path)
     with pytest.raises(ConfigError):
         load_scenarios(tmp_path / "missing.ini")
     # what configparser itself rejects
@@ -522,8 +542,9 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
         ("noise = gaussian var=0.25", "noise = default", "noise has no default"),
     ):
         path.write_text(CONFIG_TEXT.replace(old, new))
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(ConfigError, match=match) as info:
             load_scenarios(path)
+        assert str(info.value).startswith("[demo] ")
     cls_text = CONFIG_TEXT.replace("task = regression", "task = classification").replace(
         "truth = abs", "truth = step-pos"
     )
@@ -541,6 +562,11 @@ def test_scenario_config_validation():
     with pytest.raises(ConfigError, match="master_seed"):
         _tiny_config(master_seed=-1)
     assert _tiny_config(synthetic_n_rule="fixed:17").synthetic_n(64) == 17
+    # a superscript two is a digit to str.isdigit, but int() refuses it
+    with pytest.raises(ConfigError, match="synthetic_n_rule"):
+        _tiny_config(synthetic_n_rule="fixed:\u00b2")
+    with pytest.raises(ConfigError, match="must not contain"):
+        _tiny_config(name='tiny"quoted')
 
 
 def test_rows_csv_format(tmp_path):
