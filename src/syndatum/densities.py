@@ -9,6 +9,7 @@ chi-square divergence of a pair factorize as ``chi2 + 1 = prod(chi2_i + 1)``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -460,6 +461,9 @@ def _quad_ratio(pf: Marginal1D, qf: Marginal1D, lo: float, hi: float) -> float:
     return val
 
 
+# factors compare by value; a sweep asks for the same few pairs again and
+# again (each bound of each unit), and forked pool workers inherit the cache
+@functools.lru_cache(maxsize=128)
 def _chi2_1d(pf: Marginal1D, qf: Marginal1D) -> float:
     a, b = pf.a, pf.b
     width = b - a

@@ -404,12 +404,10 @@ class _Unit:
     """One draw of n points and everything computed from it: the estimation
     model fits, the synthetic data, the downstream ERM fits, the utilities,
     the bounds and the model comparison.  Each stage runs on demand with the
-    seed ``layout`` gives it.  ``chi2`` (None = compute) lets a sweep share
-    one divergence across its units."""
+    seed ``layout`` gives it."""
 
-    def __init__(self, config: ScenarioConfig, n: int, seed: SeedSpec, layout: dict,
-                 chi2: Optional[float] = None):
-        self.config, self.n, self.seed, self.layout, self.chi2 = config, n, seed, layout, chi2
+    def __init__(self, config: ScenarioConfig, n: int, seed: SeedSpec, layout: dict):
+        self.config, self.n, self.seed, self.layout = config, n, seed, layout
         self.done = {}
 
     def _seed(self, stage: str, ei: int = 0) -> SeedSpec:
@@ -456,7 +454,7 @@ class _Unit:
                             population_optimum(mc, synth, est, 100_000, self._seed("tilde", ei)))
         scenario = BoundScenario(real, synth, truth, est, config.noise, self.synthetic(ei)[1])
         assemble = regression_bound if config.task is TaskKind.REGRESSION else classification_bound
-        return assemble(scenario, fitted, n_test=config.n_test, seed=self._seed("bound", ei), chi2=self.chi2)
+        return assemble(scenario, fitted, n_test=config.n_test, seed=self._seed("bound", ei))
 
     @_stage
     def comparison(self):
@@ -500,9 +498,9 @@ def _comparison_rows(name, n, rep, est_name, labels, report) -> List[ResultRow]:
     ]
 
 
-def _run_unit(config: ScenarioConfig, n_index: int, rep: int, chi2: Optional[float]) -> List[ResultRow]:
+def _run_unit(config: ScenarioConfig, n_index: int, rep: int) -> List[ResultRow]:
     n = config.n_grid[n_index]
-    unit = _Unit(config, n, SeedSpec(config.master_seed, rep).child(n_index), SWEEP_SEEDS, chi2)
+    unit = _Unit(config, n, SeedSpec(config.master_seed, rep).child(n_index), SWEEP_SEEDS)
     rows: List[ResultRow] = []
     # any exception, a numpy LinAlgError as well as a SyndatumError, becomes a
     # row error, so one failing unit does not end the sweep
@@ -548,16 +546,16 @@ def run_scenario(*configs: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
     """
     rows, units = [], []
     for config in configs:
-        # once per scenario: the chi-square divergence (shared by every unit's
-        # bound) and the fidelity rows
-        chi2 = None
+        # once per scenario, before any unit runs: the fidelity rows and the
+        # chi-square divergence, whose per-factor cache every unit's bound
+        # (and every forked pool worker) then reads
         if "bound" in config.outputs or "fidelity" in config.outputs:
             chi2 = chi_square_divergence(config.real_density, config.synth_density)
         if "fidelity" in config.outputs:
             cert = certify_fidelity_level(config.real_density, config.synth_density, d=1.0)
             rows += [ResultRow(config.name, 0, 0, "", "", "chi2", chi2, 0.0),
                      ResultRow(config.name, 0, 0, "", "", "fidelity_V@d=1", cert.V, 0.0)]
-        units += [(config, ni, rep, chi2)
+        units += [(config, ni, rep)
                   for ni, rep in product(range(len(config.n_grid)), range(config.replications))]
     args = zip(*sorted(units, key=lambda unit: -unit[0].n_grid[unit[1]]))
     if workers > 1 and len(units) > 1:
@@ -1009,7 +1007,7 @@ def _parse_task(text: str) -> TaskKind:
     try:
         return TaskKind(text.strip().lower())
     except ValueError:
-        raise ConfigError("task must be regression or classification") from None
+        raise ConfigError(f"must be regression or classification, got {text.strip()!r}") from None
 
 
 def _entries(sep: str):
@@ -1035,6 +1033,13 @@ _CONFIG_PARSERS = {
     "risk_method": str.strip,
 }
 _REQUIRED = {f.name for f in fields(ScenarioConfig) if f.init and f.default is MISSING} - {"name"}
+
+
+def _parse_key(key: str, text: str):
+    try:
+        return _CONFIG_PARSERS[key](text)
+    except (ValueError, SyndatumError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def load_scenarios(path) -> List[ScenarioConfig]:
@@ -1075,7 +1080,7 @@ def load_scenarios(path) -> List[ScenarioConfig]:
                 raise ConfigError(f"has unknown keys {sorted(unknown)}")
             if missing:
                 raise ConfigError(f"is missing required keys {sorted(missing)}")
-            configs.append(ScenarioConfig(name=section, **{k: _CONFIG_PARSERS[k](v) for k, v in raw.items()}))
+            configs.append(ScenarioConfig(name=section, **{k: _parse_key(k, v) for k, v in raw.items()}))
         except (ValueError, SyndatumError) as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
     if not configs:

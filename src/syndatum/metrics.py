@@ -133,9 +133,9 @@ def _excess_vector(scores: np.ndarray, truth: np.ndarray, loss: str) -> np.ndarr
 # Risk quadrature evaluates every integral over a density's factor on the
 # same nodes: QUADPACK bisects one interval the same way whatever the model.
 # The density and the truth at a node, and a basis model's feature row, do not
-# depend on the fitted model, so they are kept per node in memos keyed by
-# (factor, truth) and by feature map.  At most _MEMO_KEYS keys are kept, each
-# with at most _MEMO_NODES nodes.
+# depend on the fitted model, so they are kept per node in a memo keyed by
+# (factor, truth, feature map).  At most _MEMO_KEYS keys are kept, each with
+# at most _MEMO_NODES nodes.
 _MEMO_KEYS = 32
 _MEMO_NODES = 2048
 
@@ -154,65 +154,46 @@ def _node_memo(*key) -> dict:
         return {}
 
 
-def _memo_get(memo: dict, key, compute, x: float):
-    hit = memo.get(key)
-    if hit is None:
-        hit = compute(x)
-        if len(memo) < _MEMO_NODES:
-            memo[key] = hit
-    return hit
-
-
-def _node_score(model: Predictor, loss: str) -> Callable:
-    """score(x, key): the predictor's scalar score at node x.  A basis
-    model reads its feature row from the memo and computes ``row @
-    coefficients``, as its predict does."""
-    if isinstance(model, FittedModel) and isinstance(model.model_class, BasisFunctionClass):
-        mc, beta = model.model_class, model.coefficients
-        rows = _node_memo("features", mc.feature_map)
-
-        def feature_row(x):
-            row = mc.features(np.array([[x]]))
-            row.flags.writeable = False
-            return row
-
-        return lambda x, key: float((_memo_get(rows, key, feature_row, x) @ beta)[0])
-    fn = _score_fn(model, loss)
-    return lambda x, key: float(fn(np.array([[x]]))[0])
-
-
 def _quadrature(model: Predictor, density: DensityModel, truth, loss: str, excess: bool) -> float:
     """One-dimensional quadrature of a predictor's pointwise loss against the
     noise-free truth (excess=False) or of its pointwise excess risk."""
-    score = _node_score(model, loss)
     if density.dim != 1:
         raise UnsupportedQuadrature("quadrature risks require one-dimensional features")
     if loss == SQUARED:
-
-        def integrand(x, key, eta):
-            return (score(x, key) - eta) ** 2
-
+        rule = lambda s, eta: (s - eta) ** 2
     elif excess:
-
-        def integrand(x, key, eta):
-            # weight |2 eta - 1| where the sign disagrees with the Bayes rule
-            return abs(2.0 * eta - 1.0) if (score(x, key) >= 0.0) != (eta >= 0.5) else 0.0
-
+        # weight |2 eta - 1| where the sign disagrees with the Bayes rule
+        rule = lambda s, eta: abs(2.0 * eta - 1.0) if (s >= 0.0) != (eta >= 0.5) else 0.0
     else:
+        rule = lambda s, eta: eta if s < 0.0 else 1.0 - eta
 
-        def integrand(x, key, eta):
-            return eta if score(x, key) < 0.0 else 1.0 - eta
+    f, fn = density.factors[0], _score_fn(model, loss)
+    # a basis model scores a node by the ddot of its read-only feature row
+    # with the coefficients, as its predict does for one row (for q = 1 the
+    # sign of a zero score may differ, which no rule can see)
+    mc = model.model_class if isinstance(model, FittedModel) else None
+    basis = isinstance(mc, BasisFunctionClass)
+    beta = model.coefficients if basis else None
+    nodes = _node_memo(f, truth, mc.feature_map if basis else None)
 
-    f = density.factors[0]
-    nodes = _node_memo("pdf-truth", f, truth)
-
-    def pdf_and_truth(x):
-        return float(f.pdf1(x)), float(truth(np.array([[x]]))[0])
+    def node(x):
+        pt = np.array([[x]])
+        pdf, eta, dot = float(f.pdf1(x)), float(truth(pt)[0]), None
+        if basis:
+            row = mc.features(pt)[0]
+            row.flags.writeable = False
+            dot = row.dot
+        return pdf, eta, dot
 
     def weighted(x):
-        key = (x, math.copysign(1.0, x))  # 0.0 and -0.0 may evaluate apart
-        pdf, eta = _memo_get(nodes, key, pdf_and_truth, x)
-        return pdf * integrand(x, key, eta)
+        key = x if x else (x, math.copysign(1.0, x))  # 0.0 and -0.0 may evaluate apart
+        hit = nodes.get(key)
+        if hit is None:
+            hit = node(x)
+            if len(nodes) < _MEMO_NODES:
+                nodes[key] = hit
+        pdf, eta, dot = hit
+        return pdf * rule(float(dot(beta)) if dot else float(fn(np.array([[x]]))[0]), eta)
 
     pts = sorted({k for k in (*f.knots(), *_model_knots(model)) if f.a < k < f.b})
     with warnings.catch_warnings():

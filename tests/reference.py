@@ -1,7 +1,13 @@
 """Slow, obvious references that the fast kernels are checked against, kept
 apart from the test modules so that each test module imports only this one."""
 
+import warnings
+
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
+
+from syndatum.estimators import FittedEstimator
+from syndatum.metrics import SQUARED, _model_knots, _score_fn
 
 
 def _knn_reference(X, y, k, Q):
@@ -36,3 +42,45 @@ def _piecewise_sample1_reference(self, n, rng):
     prev = np.concatenate([[0.0], cum])[idx]
     frac = np.where(masses[idx] > 0, (u - prev) / masses[idx], 0.0)
     return br[idx] + frac * np.diff(br)[idx]
+
+
+def _reference_weighted(model, density, truth, loss, excess):
+    """The uncached scalar integrand: density, truth and score evaluated
+    afresh at every node.  Returns (weighted integrand, factor, breakpoints).
+    A plug-in estimator truth enters as its mean or probability by the loss,
+    independently of FittedEstimator.__call__."""
+    score = _score_fn(model, loss)
+    truth_fn = truth
+    if isinstance(truth, FittedEstimator):
+        truth_fn = truth.mean if loss == SQUARED else truth.prob
+    if loss == SQUARED:
+
+        def integrand(x):
+            pt = np.array([[x]])
+            return (float(score(pt)[0]) - float(truth_fn(pt)[0])) ** 2
+
+    elif excess:
+
+        def integrand(x):
+            pt = np.array([[x]])
+            eta = float(truth_fn(pt)[0])
+            return abs(2.0 * eta - 1.0) if (float(score(pt)[0]) >= 0.0) != (eta >= 0.5) else 0.0
+
+    else:
+
+        def integrand(x):
+            pt = np.array([[x]])
+            eta = float(truth_fn(pt)[0])
+            return eta if float(score(pt)[0]) < 0.0 else 1.0 - eta
+
+    f = density.factors[0]
+    pts = sorted({k for k in (*f.knots(), *_model_knots(model)) if f.a < k < f.b})
+    return (lambda x: float(f.pdf1(x)) * integrand(x)), f, pts
+
+
+def _reference_quadrature(model, density, truth, loss, excess):
+    weighted, f, pts = _reference_weighted(model, density, truth, loss, excess)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(weighted, f.a, f.b, points=pts or None, limit=200)
+    return val

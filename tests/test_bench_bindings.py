@@ -10,6 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import syndatum.metrics
+from syndatum.datamodel import TaskKind
+from syndatum.densities import BoxSupport, UniformBox
+from syndatum.erm import FittedModel, make_model_class
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # attributes spans.install() wraps or replaces by hand
@@ -76,3 +83,26 @@ def test_bench_selftest_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert any(line.startswith("ok:") for line in proc.stdout.splitlines()), proc.stdout
+
+
+def test_risk_quadrature_calls_quad_through_the_module(monkeypatch):
+    # spans.install() counts metrics.quad_calls by rebinding syndatum.metrics.quad;
+    # a quad bound anywhere else would run uncounted
+    calls = []
+    real_quad = syndatum.metrics.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(syndatum.metrics, "quad", counted)
+    density = UniformBox(BoxSupport((-1.0,), (1.0,)))
+    truth = lambda X: np.abs(X[:, 0])
+    linear, absval = (
+        FittedModel(make_model_class(name, 1, TaskKind.REGRESSION), [0.5]) for name in ("linear", "abs")
+    )
+    cfg = syndatum.metrics.RiskConfig(density=density, truth=truth, method="quadrature")
+    syndatum.metrics.utility_metric(linear, absval, cfg)
+    assert calls == [(-1.0, 1.0)] * 2
+    syndatum.metrics.excess_risk(linear, density, truth, method="quadrature")
+    assert calls == [(-1.0, 1.0)] * 3

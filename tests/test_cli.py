@@ -229,6 +229,28 @@ def test_experiment_bad_density_or_n_test_fails_at_load(tmp_path, capsys, old, n
 
 
 @pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("n_test = 2000", "n_test = x", "n_test: invalid literal for int() with base 10: 'x'"),
+        ("replications = 2", "replications = 2.5", "replications: invalid literal for int() with base 10: '2.5'"),
+        ("master_seed = 5", "master_seed = five", "master_seed: invalid literal for int() with base 10: 'five'"),
+        ("n_grid = 128", "n_grid = 64, x", "n_grid: invalid literal for int() with base 10: ' x'"),
+        ("n_grid = 128", "n_grid = 64,", "n_grid: invalid literal for int() with base 10: ''"),
+        (_REAL, "real_density = uniform-box lower=-1", "real_density: uniform-box requires upper="),
+    ],
+    ids=["n-test", "replications", "master-seed", "n-grid", "n-grid-empty-entry", "density"],
+)
+def test_experiment_unparsable_value_names_its_key(tmp_path, capsys, old, new, message):
+    path = tmp_path / "bad.ini"
+    assert old in REG_CONFIG
+    path.write_text(REG_CONFIG.replace(old, new).replace("[demo]", "[my-sweep]"))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: [my-sweep] {message}"] and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "config, old, new",
     [
         (LR_CONFIG, "truth = linear beta=1,-1", "truth = linear beta=1,2,3"),

@@ -276,7 +276,7 @@ def test_schedule_independence_with_workers(tmp_path):
         config = _tiny_config(replications=3, n_grid=n_grid, estimators=estimators)
         serial = run_scenario(config, workers=1)
         parallel = run_scenario(config, workers=2)
-        in_grid_order = [row for i in range(len(n_grid)) for r in range(3) for row in _run_unit(config, i, r, None)]
+        in_grid_order = [row for i in range(len(n_grid)) for r in range(3) for row in _run_unit(config, i, r)]
         assert serial == parallel == _sort_rows(in_grid_order)
         write_rows_csv(serial, tmp_path / "serial.csv")
         write_rows_csv(parallel, tmp_path / "parallel.csv")
@@ -471,7 +471,7 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
     with pytest.raises(ConfigError, match=r"^\[demo\] has unknown keys \['bananas'\]"):
         load_scenarios(path)
     path.write_text(CONFIG_TEXT.replace("task = regression", "task = regresion"))
-    with pytest.raises(ConfigError, match=r"^\[demo\] task must be regression or classification"):
+    with pytest.raises(ConfigError, match=r"^\[demo\] task: must be regression or classification, got 'regresion'$"):
         load_scenarios(path)
     # rows.csv writes the scenario name unquoted
     path.write_text(CONFIG_TEXT.replace("[demo]", "[a,b]"))

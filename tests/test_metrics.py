@@ -1,11 +1,12 @@
-import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning, quad
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import _reference_quadrature, _reference_weighted
 
-from syndatum import metrics
-
+from syndatum import erm, metrics
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset
 from syndatum.densities import BoxSupport, LinearTilt1D, PiecewiseConstant1D, UniformBox
 from syndatum.erm import (
@@ -17,15 +18,13 @@ from syndatum.erm import (
     population_optimum,
 )
 from syndatum.errors import Indeterminate, UnsupportedQuadrature
-from syndatum.estimators import EstimatorSpec, FittedEstimator, fit_estimator
+from syndatum.estimators import EstimatorSpec, fit_estimator
 from syndatum.harness import TruthSpec
 from syndatum.metrics import (
     SQUARED,
     ZERO_ONE,
     RiskConfig,
-    _model_knots,
     _quadrature,
-    _score_fn,
     compare_models,
     estimate_risk,
     excess_risk,
@@ -343,48 +342,6 @@ def test_estimate_risk_equals_common_draw_risk(method, loss):
     assert single == risks_common_draws([model], cfg)[0][0]
 
 
-def _reference_weighted(model, density, truth, loss, excess):
-    """The uncached scalar integrand: density, truth and score evaluated
-    afresh at every node.  Returns (weighted integrand, factor, breakpoints).
-    A plug-in estimator truth enters as its mean or probability by the loss,
-    independently of FittedEstimator.__call__."""
-    score = _score_fn(model, loss)
-    truth_fn = truth
-    if isinstance(truth, FittedEstimator):
-        truth_fn = truth.mean if loss == SQUARED else truth.prob
-    if loss == SQUARED:
-
-        def integrand(x):
-            pt = np.array([[x]])
-            return (float(score(pt)[0]) - float(truth_fn(pt)[0])) ** 2
-
-    elif excess:
-
-        def integrand(x):
-            pt = np.array([[x]])
-            eta = float(truth_fn(pt)[0])
-            return abs(2.0 * eta - 1.0) if (float(score(pt)[0]) >= 0.0) != (eta >= 0.5) else 0.0
-
-    else:
-
-        def integrand(x):
-            pt = np.array([[x]])
-            eta = float(truth_fn(pt)[0])
-            return eta if float(score(pt)[0]) < 0.0 else 1.0 - eta
-
-    f = density.factors[0]
-    pts = sorted({k for k in (*f.knots(), *_model_knots(model)) if f.a < k < f.b})
-    return (lambda x: float(f.pdf1(x)) * integrand(x)), f, pts
-
-
-def _reference_quadrature(model, density, truth, loss, excess):
-    weighted, f, pts = _reference_weighted(model, density, truth, loss, excess)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(weighted, f.a, f.b, points=pts or None, limit=200)
-    return val
-
-
 def _box(lo, hi):
     return UniformBox(BoxSupport((lo,), (hi,)))
 
@@ -456,23 +413,70 @@ def test_quadrature_memo_on_interval_ending_at_negative_zero():
             )
 
 
-def test_quadrature_memo_keeps_signed_zeros_apart(monkeypatch):
+def _integrand(model, density, truth, loss, excess):
+    """The integrand _quadrature hands to quad."""
+    seen = []
+
+    def probe(func, a, b, **kwargs):
+        seen.append(func)
+        return 0.0, 0.0
+
+    with mock.patch.object(metrics, "quad", probe):
+        _quadrature(model, density, truth, loss, excess)
+    return seen.pop()
+
+
+def test_quadrature_memo_keeps_signed_zeros_apart():
     # 0.0 == -0.0, so a memo keyed on the value alone would mix them.  A truth
-    # and models that see the sign of zero; the stand-in for quad evaluates
-    # the integrand at 0.0 and then at -0.0, and the reverse
+    # and models that see the sign of zero; the integrand is evaluated at 0.0
+    # and then at -0.0, and the reverse
     truth = lambda X: 0.5 + np.copysign(0.25, X[:, 0])
     signs = BasisFunctionClass("sign", lambda X: np.copysign(1.0, X), 1, CLS)
     density = _box(-1.0, 1.0)
     for order in ((0.0, -0.0, 0.5), (-0.0, 0.0, -0.5)):
-        seen = []
-
-        def probe(func, a, b, **kwargs):
-            seen.append([func(x) for x in order])
-            return 0.0, 0.0
-
-        monkeypatch.setattr(metrics, "quad", probe)
         for model in (lambda X: np.copysign(1.0, X[:, 0]), FittedModel(signs, [-1.0])):
             for excess in (False, True):
-                _quadrature(model, density, truth, ZERO_ONE, excess)
-                weighted, _, _ = _reference_weighted(model, density, truth, ZERO_ONE, excess)
-                assert seen.pop() == [weighted(x) for x in order]
+                weighted = _integrand(model, density, truth, ZERO_ONE, excess)
+                reference, _, _ = _reference_weighted(model, density, truth, ZERO_ONE, excess)
+                assert [weighted(x) for x in order] == [reference(x) for x in order]
+
+
+# truths that see the sign of zero, so that a memo mixing 0.0 and -0.0 shows
+_SIGNED_REG = lambda X: np.copysign(1.0, X[:, 0]) - X[:, 0] ** 2
+_SIGNED_CLS = lambda X: 0.5 + np.copysign(0.25, X[:, 0])
+_PROPERTY_CASES = (
+    (SQUARED, REG, (TruthSpec("cubicmix"), _SIGNED_REG)),
+    (ZERO_ONE, CLS, (TruthSpec("logistic", (2.0,)), _SIGNED_CLS)),
+)
+_PROPERTY_DENSITIES = (_box(-1.0, 1.0), _box(-1.0, -0.0), _box(0.0, 2.0), LinearTilt1D(0.6), mass_neg(0.3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quadrature_integrand_matches_reference_for_every_basis_map(data):
+    # every feature map of the basis table that takes one feature, with drawn
+    # coefficients, one after another on one density and truth, so that a
+    # memo shared across maps or blind to the sign of zero shows at some node
+    loss, task, truths = data.draw(st.sampled_from(_PROPERTY_CASES))
+    truth = data.draw(st.sampled_from(truths))
+    density = data.draw(st.sampled_from(_PROPERTY_DENSITIES))
+    excess = data.draw(st.booleans())
+    f = density.factors[0]
+    coef = st.floats(-4.0, 4.0, allow_subnormal=False)
+    inside = st.floats(f.a, f.b, allow_subnormal=False)
+    for name, (fm, qf, knots) in erm._BASIS_TABLE.items():
+        if fm(np.zeros((1, 1))).shape[1] != qf(1):
+            continue  # exp2 needs two features
+        model = FittedModel(make_model_class(name, 1, task), [data.draw(coef) for _ in range(qf(1))])
+        nodes = [0.0, -0.0, f.a, f.b, *knots, *data.draw(st.lists(inside, min_size=1, max_size=8))]
+        nodes = [x for x in nodes if f.a <= x <= f.b]
+        reference, _, _ = _reference_weighted(model, density, truth, loss, excess)
+        # twice over, so that the second pass reads every node from the memo
+        for order in (nodes, nodes[::-1]):
+            weighted = _integrand(model, density, truth, loss, excess)
+            got, want = (np.array([fn(x) for x in order]) for fn in (weighted, reference))
+            assert got.tobytes() == want.tobytes(), (name, order)
+        beta = model.coefficients
+        for x in nodes:
+            row = model.model_class.features(np.array([[x]]))[0]
+            assert row.dot(beta) == model.predict(np.array([[x]]))[0], (name, x)
