@@ -154,7 +154,6 @@ def regression_bound(
     fitted: FittedQuad,
     n_test: int = 50_000,
     seed: SeedSpec = SeedSpec(0),
-    chi2: Optional[float] = None,
 ) -> RegressionBoundReport:
     """Assemble the regression utility bound from Monte-Carlo components.
 
@@ -181,8 +180,7 @@ def regression_bound(
           for model in (fitted.on_synthetic, fitted.population_synth, fitted.population_real)),
     )
 
-    if chi2 is None:
-        chi2 = chi_square_divergence(scenario.real_density, scenario.synth_density)
+    chi2 = chi_square_divergence(scenario.real_density, scenario.synth_density)
     finite_part = (
         est_err_original
         + est_err_synthetic
@@ -207,7 +205,6 @@ def classification_bound(
     fitted: FittedQuad,
     n_test: int = 50_000,
     seed: SeedSpec = SeedSpec(0),
-    chi2: Optional[float] = None,
 ) -> ClassificationBoundReport:
     """Classification analogue of the regression bound."""
     X, Xs, eta_X, etah_X, etah_Xs, Z, Zs = _draws(scenario, TaskKind.CLASSIFICATION, n_test, seed, 20)
@@ -225,8 +222,7 @@ def classification_bound(
     # the plug-in classifier's excess risk: its score is eta_hat - 1/2
     phi_plugin = float(np.mean(_excess_vector(etah_X - 0.5, eta_X, ZERO_ONE)))
 
-    if chi2 is None:
-        chi2 = chi_square_divergence(scenario.real_density, scenario.synth_density)
+    chi2 = chi_square_divergence(scenario.real_density, scenario.synth_density)
     finite_part = (
         est_err_original
         + est_err_synthetic

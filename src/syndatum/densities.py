@@ -462,7 +462,8 @@ def _quad_ratio(pf: Marginal1D, qf: Marginal1D, lo: float, hi: float) -> float:
 
 
 # factors compare by value; a sweep asks for the same few pairs again and
-# again (each bound of each unit), and forked pool workers inherit the cache
+# again (each bound of each unit); a pool worker inherits this cache only
+# under the fork start method, and otherwise fills its own
 @functools.lru_cache(maxsize=128)
 def _chi2_1d(pf: Marginal1D, qf: Marginal1D) -> float:
     a, b = pf.a, pf.b

@@ -547,8 +547,8 @@ def run_scenario(*configs: ScenarioConfig, workers: int = 1) -> List[ResultRow]:
     rows, units = [], []
     for config in configs:
         # once per scenario, before any unit runs: the fidelity rows and the
-        # chi-square divergence, whose per-factor cache every unit's bound
-        # (and every forked pool worker) then reads
+        # chi-square divergence, whose per-factor cache every in-process
+        # unit's bound then reads (a pool worker inherits it only under fork)
         if "bound" in config.outputs or "fidelity" in config.outputs:
             chi2 = chi_square_divergence(config.real_density, config.synth_density)
         if "fidelity" in config.outputs:
