@@ -1,13 +1,22 @@
 """Slow, obvious references that the fast kernels are checked against, kept
 apart from the test modules so that each test module imports only this one."""
 
+import hashlib
 import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from syndatum.estimators import FittedEstimator
+from syndatum.harness import write_rows_csv
 from syndatum.metrics import SQUARED, _model_knots, _score_fn
+
+
+def _rows_sha(rows, tmp_path) -> str:
+    """Golden pin: SHA-256 of the rows.csv bytes, recorded from the seeded code."""
+    path = tmp_path / "rows.csv"
+    write_rows_csv(rows, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _knn_reference(X, y, k, Q):

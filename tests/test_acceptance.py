@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import _rows_sha
 
 from syndatum.densities import (
     PiecewiseConstant1D,
@@ -27,6 +28,13 @@ from syndatum.harness import (
 
 WORKERS = 2
 TOY_ALPHAS = (0.1, 0.3, 0.5, 0.75, 0.9)
+# golden pins: SHA-256 of each sweep's rows.csv at the scale its criterion runs
+ROWS_SHA = {
+    "fig3": "e6979b6c649af6dc5b8475f1ae81f0d9a85edfb66c1f8b2caf957275099cb0c9",
+    "fig4": "2fee98de0ccf6351cef7b854bac3d583918646adac4ae08a3bbe9a0a67d618a7",
+    "figS1-linear": "1445e9cff67e9585506640c5c2adefbb54d08746158725b9ad222439a68e7243",
+    "figS1-logistic": "46a210ce891aca31baafbc5e91cb0f1392f91a19ec59b06c98247eb58a986a39",
+}
 
 
 def _report(criterion: str, ok: bool, detail: str):
@@ -160,7 +168,7 @@ def fig4_rows():
 
 
 @pytest.mark.slow
-def test_criterion_5_fig3_convergence_trend(fig3_rows):
+def test_criterion_5_fig3_convergence_trend(fig3_rows, tmp_path):
     rows, elapsed = fig3_rows
     means = _means(rows, "utility")
     ns = sorted({k[1] for k in means})
@@ -188,10 +196,11 @@ def test_criterion_5_fig3_convergence_trend(fig3_rows):
         f"oracle lowest everywhere for {oracle_best_classes}/3 classes (need >= 2), "
         f"{elapsed:.0f}s (< 900s)",
     )
+    assert _rows_sha(rows, tmp_path) == ROWS_SHA["fig3"]
 
 
 @pytest.mark.slow
-def test_criterion_6_fig4_plateau(fig4_rows):
+def test_criterion_6_fig4_plateau(fig4_rows, tmp_path):
     rows, elapsed = fig4_rows
     means = _means(rows, "utility")
     ns = sorted({k[1] for k in means})
@@ -212,6 +221,7 @@ def test_criterion_6_fig4_plateau(fig4_rows):
         f"F3 = {f3:.4f} vs 0.2*F1 = {0.2 * f1:.4f}, 0.2*F2 = {0.2 * f2:.4f}; "
         f"plateau rel diffs {['%.3f' % p for p in plateau]} (< 0.25), {elapsed:.0f}s (< 900s)",
     )
+    assert _rows_sha(rows, tmp_path) == ROWS_SHA["fig4"]
 
 
 def test_criterion_7_fig5_sign_structure():
@@ -274,11 +284,12 @@ def test_criterion_8_bound_dominance_suite():
     )
 
 
-def test_criterion_9_figs1_convergence():
+def test_criterion_9_figs1_convergence(tmp_path):
     t0 = time.time()
-    results = {}
+    results, digests = {}, {}
     for name in ("figS1-linear", "figS1-logistic"):
         rows = run_builtin(name, scale=2, workers=WORKERS)
+        digests[name] = _rows_sha(rows, tmp_path)
         means = _means(rows, "utility")
         ns = sorted({k[1] for k in means})
         seq = [means[(name, n, rows[0].estimator, rows[0].model_class)] for n in ns]
@@ -295,6 +306,7 @@ def test_criterion_9_figs1_convergence():
     _report(
         "criterion 9 (figS1 convergence)", ok, "; ".join(details) + f", {elapsed:.0f}s (< 1200s)"
     )
+    assert digests == {name: ROWS_SHA[name] for name in digests}
 
 
 def test_criterion_10_consistency_validation():

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import warnings
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
+from reference import _rows_sha
 
+import syndatum.harness
 from syndatum.bounds import BoundScenario
 from syndatum.datamodel import NoiseModel, TaskKind
 from syndatum.densities import BoxSupport, UniformBox
@@ -34,13 +38,6 @@ from syndatum.harness import (
 )
 
 TRIANGULAR_TAIL = lambda C: (1.0 + 2.0 * C) / (1.0 + C) ** 2
-
-
-def _rows_sha(rows, tmp_path) -> str:
-    """Golden pin: SHA-256 of the rows.csv bytes, recorded from the seeded code."""
-    path = tmp_path / "rows.csv"
-    write_rows_csv(rows, path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _tiny_config(**overrides):
@@ -281,6 +278,17 @@ def test_schedule_independence_with_workers(tmp_path):
         write_rows_csv(serial, tmp_path / "serial.csv")
         write_rows_csv(parallel, tmp_path / "parallel.csv")
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
+
+
+def test_figs1_linear_rows_same_serial_and_in_fork_and_spawn_pools(monkeypatch, pools, tmp_path):
+    # the one sweep that fits ols; a spawned worker imports the package afresh
+    serial = _rows_sha(run_builtin("figS1-linear", scale=2, workers=1), tmp_path)
+    counted = syndatum.harness.ProcessPoolExecutor
+    for method in ("fork", "spawn"):
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(syndatum.harness, "ProcessPoolExecutor", partial(counted, mp_context=context))
+        assert _rows_sha(run_builtin("figS1-linear", scale=2, workers=2), tmp_path) == serial, method
+    assert len(pools) == 2
 
 
 def test_per_replication_independence():
