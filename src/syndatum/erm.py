@@ -28,13 +28,14 @@ from .datamodel import (
 )
 from .densities import DensityModel
 from .errors import NonConvergence, SingularDesign, TaskMismatch
-from .estimators import _sigmoid
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
-# Feature maps (module-level so classes stay picklable)
+# Feature maps (module-level so classes stay picklable).  A map's output width
+# is its class's coefficient count; a map that needs more features than a row
+# has raises IndexError.
 # ---------------------------------------------------------------------------
 
 
@@ -47,7 +48,7 @@ def _fm_quadratic(X):
 
 
 def _fm_exp2(X):
-    return np.exp(X[:, :2])
+    return np.exp(X[:, [0, 1]])
 
 
 def _fm_abs(X):
@@ -83,16 +84,16 @@ def _fm_recip_cubic_3(X):
 
 
 _BASIS_TABLE = {
-    # name -> (feature_map, q given p, kink points of the map for 1-d quadrature)
-    "linear": (_fm_linear, lambda p: p, ()),
-    "quadratic": (_fm_quadratic, lambda p: 2 * p, ()),
-    "exp2": (_fm_exp2, lambda p: 2, ()),
-    "abs": (_fm_abs, lambda p: 1, (0.0,)),
-    "constant": (_fm_constant, lambda p: 1, ()),
-    "recip-cubic-0": (_fm_recip_cubic_0, lambda p: 2, ()),
-    "recip-cubic-1": (_fm_recip_cubic_1, lambda p: 2, ()),
-    "recip-cubic-2": (_fm_recip_cubic_2, lambda p: 2, ()),
-    "recip-cubic-3": (_fm_recip_cubic_3, lambda p: 4, ()),
+    # name -> (feature_map, kink points of the map for 1-d quadrature)
+    "linear": (_fm_linear, ()),
+    "quadratic": (_fm_quadratic, ()),
+    "exp2": (_fm_exp2, ()),
+    "abs": (_fm_abs, (0.0,)),
+    "constant": (_fm_constant, ()),
+    "recip-cubic-0": (_fm_recip_cubic_0, ()),
+    "recip-cubic-1": (_fm_recip_cubic_1, ()),
+    "recip-cubic-2": (_fm_recip_cubic_2, ()),
+    "recip-cubic-3": (_fm_recip_cubic_3, ()),
 }
 
 
@@ -278,6 +279,15 @@ def fit_regression(model_class: BasisFunctionClass, data: Dataset) -> FittedMode
 # ---------------------------------------------------------------------------
 
 
+def _sigmoid(m):
+    out = np.empty_like(m)
+    pos = m >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
+    e = np.exp(m[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def _fit_logistic_basis(mc: BasisFunctionClass, data: Dataset) -> FittedModel:
     Phi = mc.features(data.features)
     z = data.responses
@@ -440,10 +450,13 @@ def make_model_class(
 ) -> ModelClass:
     """Build a model class from its config name.
 
-    ``box`` is a scalar B (interpreted as [-B, B] per coefficient) or a
-    (lo, hi) pair replicated across coefficients.  Raises ValueError for a
-    ridge that is not a finite number >= 0, for an empty box and for a
-    threshold-abs box with an infinite bound.
+    A basis class has one coefficient per column of its feature map on p
+    features; ``logistic-linear`` is the linear class fixed to
+    classification.  ``box`` is a scalar B (interpreted as [-B, B] per
+    coefficient) or a (lo, hi) pair replicated across coefficients.  Raises
+    ValueError for a feature map that cannot read p features, a ridge that is
+    not a finite number >= 0, an empty box and a threshold-abs box with an
+    infinite bound.
     """
     if not (math.isfinite(ridge) and ridge >= 0.0):
         raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
@@ -456,16 +469,13 @@ def make_model_class(
         return ThresholdAbsClass(*_nonempty_box(lo, hi))
     if name in ("sign-abs", "sign-linear"):
         return SignScaleClass("abs" if name == "sign-abs" else "linear")
-    if name == "logistic-linear":
-        fm, qf, knots = _BASIS_TABLE["linear"]
-        q = qf(p)
-        cbox = _expand_box(box, q)
-        return BasisFunctionClass(
-            "logistic-linear", fm, q, TaskKind.CLASSIFICATION, cbox, ridge, knots
-        )
-    if name in _BASIS_TABLE:
-        fm, qf, knots = _BASIS_TABLE[name]
-        q = qf(p)
+    basis, task = ("linear", TaskKind.CLASSIFICATION) if name == "logistic-linear" else (name, task)
+    if basis in _BASIS_TABLE:
+        fm, knots = _BASIS_TABLE[basis]
+        try:
+            q = fm(np.zeros((1, p))).shape[1]
+        except IndexError:
+            raise ValueError(f"{name} cannot read {p}-dimensional features") from None
         return BasisFunctionClass(name, fm, q, task, _expand_box(box, q), ridge, knots)
     raise ValueError(f"unknown model class {name!r}")
 

@@ -2,9 +2,10 @@
 synthetic responses: a conditional-mean estimate for regression or a
 conditional class-probability estimate for classification.
 
-Menu: oracle (wraps the true function), ordinary least squares, logistic
-maximum likelihood (damped Newton / IRLS), k-nearest neighbors, a random
-forest regressor built from scratch, and a small fully-connected network.
+Menu: oracle (wraps the true function), ordinary least squares (ERM of the
+``linear`` class of ``erm``), logistic maximum likelihood (damped Newton /
+IRLS), k-nearest neighbors, a random forest regressor built from scratch,
+and a small fully-connected network.
 
 Hyperparameter defaults follow the experiment prescriptions:
 k = round(n^(2/(2+p))), trees = round(1.5 sqrt(n)), depth = floor(ln n).
@@ -21,7 +22,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .datamodel import Dataset, SeedSpec, TaskKind, parse_spec
-from .errors import NonConvergence, SingularDesign, TaskMismatch
+from .erm import _sigmoid, fit_regression, make_model_class
+from .errors import NonConvergence, TaskMismatch
 
 # estimator kind -> the parameters its spec takes (box is a float, the rest ints)
 _ESTIMATOR_KEYS = {"oracle": (), "ols": (), "logistic": ("box",), "knn": ("k",),
@@ -90,29 +92,8 @@ def default_rf_shape(n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Ordinary least squares
-# ---------------------------------------------------------------------------
-
-
-def _fit_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise SingularDesign(f"design rank {rank} < {X.shape[1]}")
-    return beta
-
-
-# ---------------------------------------------------------------------------
 # Logistic maximum likelihood (damped Newton / IRLS)
 # ---------------------------------------------------------------------------
-
-
-def _sigmoid(m):
-    out = np.empty_like(m)
-    pos = m >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
-    e = np.exp(m[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def _logistic_nll(X, z, beta):
@@ -729,10 +710,6 @@ def _oracle_values(truth, Q):
     return np.asarray(truth(Q), dtype=float).reshape(-1)
 
 
-def _linear_values(beta, Q):
-    return Q @ beta
-
-
 def _logistic_values(beta, Q):
     return _sigmoid(Q @ beta)
 
@@ -758,8 +735,8 @@ def fit_estimator(spec: EstimatorSpec, data: Dataset, seed: SeedSpec) -> FittedE
     if kind == "ols":
         if task is not TaskKind.REGRESSION:
             raise TaskMismatch("ols estimator requires a regression dataset")
-        beta = _fit_ols(X, y)
-        return FittedEstimator(kind, task, n, {"beta": beta}, partial(_linear_values, beta))
+        model = fit_regression(make_model_class("linear", p, task), data)
+        return FittedEstimator(kind, task, n, {"beta": model.coefficients}, model.predict)
 
     if kind == "logistic":
         if task is not TaskKind.CLASSIFICATION:

@@ -214,9 +214,12 @@ _SYNTH = "synth_density = piecewise breaks=-1,0,1 heights=0.25,0.75"
         (_SYNTH, "synth_density = uniform-box lower=-1,-1 upper=1,1", "dimension mismatch"),
         (_SYNTH, "synth_density = uniform-box lower=-2 upper=2\noutputs = utility, bound", "supports differ"),
         (_SYNTH, "synth_density = uniform-box lower=-2 upper=2\noutputs = utility, fidelity", "supports differ"),
+        # the exp2 map reads two features
+        ("model_classes = linear; abs", "model_classes = linear; exp2",
+         "error: [demo] 'exp2': exp2 cannot read 1-dimensional features"),
     ],
     ids=["box-nan", "box-inf", "heights-nan", "breaks-nan", "n-test-1", "synth-2d", "synth-box-bound",
-         "synth-box-fidelity"],
+         "synth-box-fidelity", "exp2-on-1d"],
 )
 def test_experiment_bad_density_or_n_test_fails_at_load(tmp_path, capsys, old, new, message):
     path = tmp_path / "bad.ini"

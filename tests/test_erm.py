@@ -13,7 +13,10 @@ from syndatum.densities import (
     UniformBox,
 )
 from syndatum.erm import (
+    _BASIS_TABLE,
+    BasisFunctionClass,
     fit_classification,
+    fit_downstream,
     fit_regression,
     make_model_class,
     parse_model_class,
@@ -310,6 +313,33 @@ def test_recip_cubic_bases_shapes():
     ]:
         mc = make_model_class(name, 1, REG)
         assert mc.features(X).shape == (7, q)
+
+
+def test_every_class_is_as_wide_as_its_map_or_refuses_the_dimension():
+    # a basis class has one coefficient per column of its map on p features;
+    # the threshold and sign families have one; a class that cannot be built
+    # on p features says which class it is
+    rng = SeedSpec(23).rng()
+    names = [*_BASIS_TABLE, "logistic-linear", "threshold-abs", "sign-abs", "sign-linear"]
+    refused = set()
+    for name in names:
+        for p in range(1, 5):
+            for task in (REG, CLS):
+                try:
+                    mc = make_model_class(name, p, task)
+                except ValueError as exc:
+                    assert name in str(exc), (name, p, task)
+                    refused.add((name, p))
+                    continue
+                q = 1
+                if isinstance(mc, BasisFunctionClass):
+                    q = mc.features(np.zeros((1, p))).shape[1]
+                    assert mc.q == q, (name, p, task)
+                X = rng.uniform(0.0, 1.0, size=(200, p))
+                y = rng.normal(size=200) if mc.task is REG else np.where(rng.random(200) < 0.5, 1.0, -1.0)
+                model = fit_downstream(mc, make_dataset(X, y, mc.task))
+                assert model.coefficients.shape == (q,), (name, p, task)
+    assert refused == {("exp2", 1), *(("threshold-abs", p) for p in range(1, 5))}
 
 
 def test_fitted_model_pickles_and_predicts_the_same_bytes():

@@ -57,6 +57,19 @@ def test_ols_singular_design():
         fit_estimator(EstimatorSpec("ols"), ds, SeedSpec(0))
 
 
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(1, 4), n=st.integers(5, 60), seed=st.integers(0, 2**32 - 1))
+def test_ols_is_least_squares_pickles_and_refuses_a_rank_deficient_design(p, n, seed):
+    rng = np.random.default_rng(seed)
+    X, y = rng.normal(size=(n, p)), rng.normal(size=n)
+    est = fit_estimator(EstimatorSpec("ols"), make_dataset(X, y, TaskKind.REGRESSION), SeedSpec(0))
+    assert est.mean(X).tobytes() == (X @ np.linalg.lstsq(X, y, rcond=None)[0]).tobytes()
+    assert pickle.loads(pickle.dumps(est)).mean(X).tobytes() == est.mean(X).tobytes()
+    X[:, -1] = 0.0
+    with pytest.raises(SingularDesign, match="singular"):
+        fit_estimator(EstimatorSpec("ols"), make_dataset(X, y, TaskKind.REGRESSION), SeedSpec(0))
+
+
 def test_ols_requires_regression_task():
     ds = make_dataset([[1.0], [2.0]], [1.0, -1.0], TaskKind.CLASSIFICATION)
     with pytest.raises(TaskMismatch):
