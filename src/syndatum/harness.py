@@ -679,38 +679,35 @@ _TOY_ALPHAS = (0.1, 0.3, 0.5, 0.75, 0.9)
 _TOY_M = 200_000
 
 
-def _run_toy51(master_seed: int) -> List[ResultRow]:
+def _toy_utility_rows(label, truth, mc, densities, master_seed, coef_synth=False) -> List[ResultRow]:
+    """The utility of the population optima of ``mc`` on the (real, synth)
+    pair ``densities(alpha)`` at each toy alpha, by quadrature; with
+    ``coef_synth``, also the synthetic optimum's first coefficient."""
     rows = []
-    truth = TruthSpec("abs")
-    wrong = make_model_class("linear", 1, TaskKind.REGRESSION)
+    loss = SQUARED if mc.task is TaskKind.REGRESSION else ZERO_ONE
     for ai, alpha in enumerate(_TOY_ALPHAS):
         seed = SeedSpec(master_seed, ai)
-        f_hat = population_optimum(wrong, _uniform_pm1(), truth, _TOY_M, seed.child(1))
-        f_tilde = population_optimum(wrong, _mass_pos(alpha), truth, _TOY_M, seed.child(2))
-        cfg = RiskConfig(density=_uniform_pm1(), truth=truth, loss=SQUARED, method="quadrature")
-        report = utility_metric(f_tilde, f_hat, cfg)
-        name = f"toy-5.1[alpha={alpha:g}]"
-        rows.append(ResultRow(name, 0, 0, "oracle", "linear", "utility", report.utility, 0.0))
-        rows.append(
-            ResultRow(name, 0, 0, "oracle", "linear", "coef_synth", float(f_tilde.coefficients[0]), 0.0)
-        )
+        real, synth = densities(alpha)
+        fit_real = population_optimum(mc, real, truth, _TOY_M, seed.child(1))
+        fit_synth = population_optimum(mc, synth, truth, _TOY_M, seed.child(2))
+        report = utility_metric(fit_synth, fit_real, RiskConfig(density=real, truth=truth, loss=loss,
+                                                                method="quadrature"))
+        row = partial(ResultRow, f"{label}[alpha={alpha:g}]", 0, 0, "oracle", mc.name)
+        rows.append(row("utility", report.utility, 0.0))
+        if coef_synth:
+            rows.append(row("coef_synth", float(fit_synth.coefficients[0]), 0.0))
     return rows
+
+
+def _run_toy51(master_seed: int) -> List[ResultRow]:
+    return _toy_utility_rows("toy-5.1", TruthSpec("abs"), make_model_class("linear", 1, TaskKind.REGRESSION),
+                             lambda alpha: (_uniform_pm1(), _mass_pos(alpha)), master_seed, coef_synth=True)
 
 
 def _run_toy_s1(master_seed: int) -> List[ResultRow]:
-    rows = []
-    truth = TruthSpec("step-pos")
-    cls = make_model_class("sign-abs", 1, TaskKind.CLASSIFICATION)
-    for ai, alpha in enumerate(_TOY_ALPHAS):
-        seed = SeedSpec(master_seed, ai)
-        real, synth = _mass_neg(alpha), _mass_neg(1.0 - alpha)
-        g_hat = population_optimum(cls, real, truth, _TOY_M, seed.child(1))
-        g_tilde = population_optimum(cls, synth, truth, _TOY_M, seed.child(2))
-        cfg = RiskConfig(density=real, truth=truth, loss=ZERO_ONE, method="quadrature")
-        report = utility_metric(g_tilde, g_hat, cfg)
-        name = f"toy-S.1[alpha={alpha:g}]"
-        rows.append(ResultRow(name, 0, 0, "oracle", "sign-abs", "utility", report.utility, 0.0))
-    return rows
+    return _toy_utility_rows("toy-S.1", TruthSpec("step-pos"),
+                             make_model_class("sign-abs", 1, TaskKind.CLASSIFICATION),
+                             lambda alpha: (_mass_neg(alpha), _mass_neg(1.0 - alpha)), master_seed)
 
 
 def _toy61_part(name, alpha, truth, task, class_name, boxes, labels, seed) -> List[ResultRow]:
@@ -812,8 +809,6 @@ def _suite_case(task: TaskKind, i: int, master_seed: int) -> dict:
         estimators=(est_text,),
         model_classes=(class_text,),
         n_grid=(n,),
-        replications=1,
-        n_test=20_000,
         master_seed=master_seed,
     )
     unit = _Unit(config, n, SeedSpec(master_seed, offset + i), SUITE_SEEDS)
