@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses, and no test module
-imports another test module.  No linter is installed, so this reads each
-module's syntax tree."""
+"""No module of the package imports a name it never uses or defines a private
+name no module reads, and no test module imports another test module.  No
+linter is installed, so this reads each module's syntax tree."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,55 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _module_level_private_names(tree) -> set:
+    """``_name`` bindings of the module body: defs, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, name) for each module-level ``_name`` that no module reads as
+    a name, an attribute or an imported name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+        read |= _annotation_names(tree)
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in _module_level_private_names(tree) if name not in read)
+
+
+def test_the_scan_finds_a_private_name_nothing_reads():
+    sources = {
+        "a": "_LIMIT = 3\n_dead = 0\ndef _helper():\n    return _LIMIT\nclass _Gone:\n    pass\n"
+             "def _by_attribute(): pass\n",
+        "b": "from a import _helper as run\nimport a\n__all__ = ()\ndef f(x: '_Quoted'):\n    return a._by_attribute\n"
+             "class _Quoted: pass\n",
+    }
+    assert unreferenced_private_names(sources) == [("a", "_Gone"), ("a", "_dead")]
+
+
+def test_every_private_name_of_the_package_is_read_somewhere_and_defined_once():
+    # one home per helper: a copy left behind in a second module is read
+    # there by its own name, so only the count shows it
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    defined = Counter(name for s in sources.values() for name in _module_level_private_names(ast.parse(s)))
+    assert len(defined) > 100 and [name for name, count in defined.items() if count > 1] == []
+    assert unreferenced_private_names(sources) == []
 
 
 def imported_test_modules(source: str) -> list:
