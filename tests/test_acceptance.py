@@ -19,21 +19,17 @@ from syndatum.densities import (
     default_c_grid,
     fidelity_tail_probability,
 )
-from syndatum.harness import (
-    run_bound_suite,
-    run_builtin,
-    run_consistency_validation,
-    summarize,
-)
+from syndatum.harness import run_builtin, summarize
 
 WORKERS = 2
 TOY_ALPHAS = (0.1, 0.3, 0.5, 0.75, 0.9)
-# golden pins: SHA-256 of each sweep's rows.csv at the scale its criterion runs
+# golden pins: SHA-256 of each builtin's rows.csv at the scale its criterion runs
 ROWS_SHA = {
     "fig3": "e6979b6c649af6dc5b8475f1ae81f0d9a85edfb66c1f8b2caf957275099cb0c9",
     "fig4": "2fee98de0ccf6351cef7b854bac3d583918646adac4ae08a3bbe9a0a67d618a7",
     "figS1-linear": "1445e9cff67e9585506640c5c2adefbb54d08746158725b9ad222439a68e7243",
     "figS1-logistic": "46a210ce891aca31baafbc5e91cb0f1392f91a19ec59b06c98247eb58a986a39",
+    "bound-suite": "3473a3a4d9983ff09220faba4d0971450fee4f3f1460e3a8aed9d5b1b3eae3e2",
 }
 
 
@@ -268,20 +264,23 @@ def test_criterion_7_fig5_sign_structure():
     )
 
 
-def test_criterion_8_bound_dominance_suite():
-    cases, elapsed = _timed(run_bound_suite)
+def test_criterion_8_bound_dominance_suite(tmp_path):
+    rows, elapsed = _timed(run_builtin, "bound-suite")
+    cases = {}
+    for r in rows:
+        cases.setdefault(r.scenario, {})[r.metric_name] = r.value
     assert len(cases) == 50
     violations = [
-        c for c in cases if not (c["total"] + 4.0 * c["u_se"] >= c["u"])
+        name for name, c in cases.items() if not (c["bound_total"] + 4.0 * c["utility_std_error"] >= c["utility"])
     ]
-    finite = all(math.isfinite(c["chi2"]) for c in cases)
+    finite = all(math.isfinite(c["chi2"]) for c in cases.values())
     ok = not violations and finite and elapsed < 20 * 60
     _report(
         "criterion 8 (bound dominance, 50 scenarios)",
         ok,
-        f"violations: {[c['name'] for c in violations]}, all chi2 finite: {finite}, "
-        f"{elapsed:.0f}s (< 1200s)",
+        f"violations: {violations}, all chi2 finite: {finite}, {elapsed:.0f}s (< 1200s)",
     )
+    assert _rows_sha(rows, tmp_path) == ROWS_SHA["bound-suite"]
 
 
 def test_criterion_9_figs1_convergence(tmp_path):
@@ -310,12 +309,13 @@ def test_criterion_9_figs1_convergence(tmp_path):
 
 
 def test_criterion_10_consistency_validation():
-    result, elapsed = _timed(run_consistency_validation, replications=100)
-    chk = result["assumption_check"]
-    ok = chk.holds_reg and result["consistent"] >= 95 and elapsed < 10 * 60
+    rows, elapsed = _timed(run_builtin, "consistency")
+    value = {r.metric_name: r.value for r in rows}
+    holds, consistent = value["assumption4_holds"] == 1.0, value["consistent_count"]
+    ok = holds and consistent >= 95 and elapsed < 10 * 60
     _report(
         "criterion 10 (consistent comparison under the gap condition)",
         ok,
-        f"assumption holds: {chk.holds_reg} (lhs {chk.lhs_reg:.3g} < rhs {chk.rhs_reg:.3g}), "
-        f"consistent {result['consistent']}/100 (need >= 95), {elapsed:.0f}s (< 600s)",
+        f"assumption holds: {holds}, consistent {consistent:.0f}/{value['replications']:.0f} (need >= 95), "
+        f"{elapsed:.0f}s (< 600s)",
     )

@@ -347,6 +347,7 @@ def test_toy61_rows_pinned(tmp_path):
         # squared-loss quadrature risks
         ("fig5", 20, "9f780d95cde9ff243a9071cf956a80680097577878472751d20ee7be2e2ba6a0"),
         ("toy-5.1", 1, "f0127272a74573cc2d2273e059741a1764bbefb79dd108b11b0a844408405ff6"),
+        ("consistency", 1, "18cf7d1f2eb26dd9eb3985d156600e015f9a1b1ef9704b1008aa29e663fd970a"),
         # zero-one quadrature risks
         ("toy-S.1", 1, "29b6a26cee534f2d1daaa700574f9a0c7ec49f5a3366d31a0365786fa7b3abe4"),
     ],
