@@ -75,10 +75,8 @@ from .harness import (  # noqa: F401
     ScenarioConfig,
     TruthSpec,
     load_scenarios,
-    run_bound_suite,
     run_builtin,
     run_scenario,
-    run_consistency_validation,
     summarize,
     write_rows_csv,
 )

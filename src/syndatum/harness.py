@@ -790,7 +790,13 @@ def _suite_table(task: TaskKind):
     ]
 
 
-def _suite_case(task: TaskKind, i: int, master_seed: int) -> dict:
+def _suite_rows(name, estimator, model_class, utility, utility_se, bound_total, chi2) -> List[ResultRow]:
+    values = {"utility": utility, "utility_std_error": utility_se, "bound_total": bound_total, "chi2": chi2}
+    return [ResultRow(name, 0, 0, estimator, model_class, metric, float(v), 0.0)
+            for metric, v in values.items()]
+
+
+def _suite_case(task: TaskKind, i: int, master_seed: int) -> List[ResultRow]:
     offset, estimators, pairs = _suite_table(task)
     real, synth, truth, classes = pairs[i % len(pairs)]
     est_text = estimators[(i + i // len(pairs)) % len(estimators)]
@@ -813,19 +819,11 @@ def _suite_case(task: TaskKind, i: int, master_seed: int) -> dict:
     )
     unit = _Unit(config, n, SeedSpec(master_seed, offset + i), SUITE_SEEDS)
     bound, u_report = unit.bound(0, 0), unit.utility(0, 0)
-    return {
-        "kind": task.value,
-        "name": config.name,
-        "estimator": est_text,
-        "model_class": class_text,
-        "u": u_report.utility,
-        "u_se": u_report.combined_std_error,
-        "total": bound.total,
-        "chi2": bound.chi2,
-    }
+    return _suite_rows(config.name, est_text, class_text, u_report.utility, u_report.combined_std_error,
+                       bound.total, bound.chi2)
 
 
-def _suite_lr_case(i: int, master_seed: int) -> dict:
+def _suite_lr_case(i: int, master_seed: int) -> List[ResultRow]:
     seed = SeedSpec(master_seed, 3000 + i)
     p = (1, 2, 4)[i % 3]
     half = (2.0, 4.0)[i % 2]
@@ -848,46 +846,31 @@ def _suite_lr_case(i: int, master_seed: int) -> dict:
         d = beta - beta_star
         return float(np.sum(Lam * d * d))
 
-    return {
-        "kind": "linear-regression",
-        "name": f"bound-lr-{i:02d}",
-        "estimator": "ols",
-        "model_class": "linear",
-        "u": abs(phi(beta_tilde) - phi(beta_hat)),
-        "u_se": 0.0,  # closed-form risks under the diagonal moment matrix
-        "total": report.total,
-        "chi2": chi2,
-    }
+    # the risks are closed forms under the diagonal moment matrix: no std error
+    return _suite_rows(f"bound-lr-{i:02d}", "ols", "linear", abs(phi(beta_tilde) - phi(beta_hat)), 0.0,
+                       report.total, chi2)
 
 
-def run_bound_suite(master_seed: int = DEFAULT_MASTER_SEED) -> List[dict]:
+def _run_bound_suite(master_seed: int) -> List[ResultRow]:
     """50 seeded scenarios with finite chi-square: 20 regression, 15
-    classification, 15 explicit linear-regression bounds."""
-    return (
-        [_suite_case(TaskKind.REGRESSION, i, master_seed) for i in range(20)]
-        + [_suite_case(TaskKind.CLASSIFICATION, i, master_seed) for i in range(15)]
-        + [_suite_lr_case(i, master_seed) for i in range(15)]
+    classification, 15 explicit linear-regression bounds; a case's
+    replication is its index."""
+    cases = chain(
+        (_suite_case(TaskKind.REGRESSION, i, master_seed) for i in range(20)),
+        (_suite_case(TaskKind.CLASSIFICATION, i, master_seed) for i in range(15)),
+        (_suite_lr_case(i, master_seed) for i in range(15)),
     )
-
-
-def _run_bound_suite_rows(master_seed: int) -> List[ResultRow]:
-    metrics = (("u", "utility"), ("u_se", "utility_std_error"), ("total", "bound_total"), ("chi2", "chi2"))
-    return [
-        ResultRow(case["name"], 0, idx, case["estimator"], case["model_class"], metric,
-                  float(case[key]), 0.0)
-        for idx, case in enumerate(run_bound_suite(master_seed))
-        for key, metric in metrics
-    ]
+    return [replace(row, replication=idx) for idx, rows in enumerate(cases) for row in rows]
 
 
 # ---------------------------------------------------------------------------
 # Consistent-comparison validation under the excess-risk gap condition
 # ---------------------------------------------------------------------------
 
+_CONSISTENCY_REPLICATIONS = 100
 
-def run_consistency_validation(
-    replications: int = 100, master_seed: int = DEFAULT_MASTER_SEED
-) -> dict:
+
+def _run_consistency(master_seed: int) -> List[ResultRow]:
     """Scenario where the gap condition holds (correct second class, so its
     excess risk vanishes): consistent comparison should hold in nearly every
     replication."""
@@ -906,8 +889,7 @@ def run_consistency_validation(
     check = assumption4_check(cert.d, cert.V, U, phi_f1, phi_f2, phi_f1, phi_f2)
 
     consistent = 0
-    indeterminate = 0
-    for rep in range(replications):
+    for rep in range(_CONSISTENCY_REPLICATIONS):
         cfg = RiskConfig(
             density=real,
             truth=truth,
@@ -918,26 +900,13 @@ def run_consistency_validation(
             seed=SeedSpec(master_seed, 4100 + rep),
         )
         try:
-            report = compare_models(f1, f2, synth, truth, cfg)
-            consistent += int(report.consistent)
+            consistent += int(compare_models(f1, f2, synth, truth, cfg).consistent)
         except SyndatumError:
-            indeterminate += 1
-    return {
-        "assumption_check": check,
-        "replications": replications,
-        "consistent": consistent,
-        "indeterminate": indeterminate,
-    }
-
-
-def _run_consistency_rows(master_seed: int) -> List[ResultRow]:
-    result = run_consistency_validation(master_seed=master_seed)
-    chk = result["assumption_check"]
-    return [
-        ResultRow("consistency", 0, 0, "oracle", "pair", "assumption4_holds", float(chk.holds_reg), 0.0),
-        ResultRow("consistency", 0, 0, "oracle", "pair", "consistent_count", float(result["consistent"]), 0.0),
-        ResultRow("consistency", 0, 0, "oracle", "pair", "replications", float(result["replications"]), 0.0),
-    ]
+            pass  # an indeterminate comparison does not count as consistent
+    values = {"assumption4_holds": check.holds_reg, "consistent_count": consistent,
+              "replications": _CONSISTENCY_REPLICATIONS}
+    return [ResultRow("consistency", 0, 0, "oracle", "pair", metric, float(v), 0.0)
+            for metric, v in values.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -958,8 +927,8 @@ _FIXED = {
     "toy-S.1": _run_toy_s1,
     "toy-6.1": _run_toy61,
     "fidelity-fig2": _run_fidelity_fig2,
-    "bound-suite": _run_bound_suite_rows,
-    "consistency": _run_consistency_rows,
+    "bound-suite": _run_bound_suite,
+    "consistency": _run_consistency,
 }
 BUILTIN_NAMES = (*_SWEEPS, *_FIXED)
 

@@ -1,10 +1,9 @@
-import hashlib
-import json
 import math
 import multiprocessing
 import warnings
 from dataclasses import fields
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -356,19 +355,18 @@ def test_quadrature_builtin_rows_pinned(name, scale, digest, tmp_path):
     assert _rows_sha(run_builtin(name, scale), tmp_path) == digest
 
 
-def test_bound_suite_slice_pinned():
+def test_bound_suite_slice_pinned(tmp_path):
     # every regression estimator, every classification class and three LR cases
-    cases = (
-        [_suite_case(TaskKind.REGRESSION, i, DEFAULT_MASTER_SEED) for i in range(5)]
-        + [_suite_case(TaskKind.CLASSIFICATION, i, DEFAULT_MASTER_SEED) for i in (0, 3, 6, 9)]
-        + [_suite_lr_case(i, DEFAULT_MASTER_SEED) for i in range(3)]
-    )
-    assert [c["estimator"] for c in cases[:5]] == ["oracle", "ols", "knn", "rf", "mlp"]
-    assert {c["model_class"] for c in cases[5:9]} == {
+    rows = [
+        *chain.from_iterable(_suite_case(TaskKind.REGRESSION, i, DEFAULT_MASTER_SEED) for i in range(5)),
+        *chain.from_iterable(_suite_case(TaskKind.CLASSIFICATION, i, DEFAULT_MASTER_SEED) for i in (0, 3, 6, 9)),
+        *chain.from_iterable(_suite_lr_case(i, DEFAULT_MASTER_SEED) for i in range(3)),
+    ]
+    assert [r.estimator for r in rows[:20:4]] == ["oracle", "ols", "knn", "rf", "mlp"]
+    assert {r.model_class for r in rows[20:36]} == {
         "sign-linear", "sign-abs", "threshold-abs box=0,0.5", "logistic-linear box=3"
     }
-    digest = hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest()
-    assert digest == "972d860bc3fae1975aaddf172aa29301c88c488241d55c8e712a51f08151554f"
+    assert _rows_sha(rows, tmp_path) == "758f9eb05401d0fd6020cd9b113f7e777a67d0be5a167ab95f1f9840e8d72baf"
 
 
 def test_fidelity_fig2_rows_match_closed_form(tmp_path):
