@@ -22,7 +22,7 @@ import numpy as np
 
 from .datamodel import JsonReport, NoiseModel, SeedSpec, TaskKind, draw_responses
 from .densities import BoxSupport, DensityModel, chi_square_divergence
-from .erm import BasisFunctionClass, FittedModel, ThresholdAbsClass
+from .erm import BasisFunctionClass, FittedModel
 from .errors import SingularDesign
 from .metrics import SQUARED, ZERO_ONE, _excess_vector, _loss_vector
 
@@ -358,8 +358,9 @@ def assumption4_sup_U(
 
     For coefficient-box basis classes the squared distance is a convex
     quadratic in the coefficients, so the supremum over the box is attained
-    at a corner (moments estimated by Monte Carlo).  Threshold classes fall
-    back to a parameter grid.
+    at a corner (moments estimated by Monte Carlo).  Other classes raise
+    ValueError: U enters only the regression constant C_{d,V,U} of
+    Assumption 4, and the classification constant K_{d,V} takes none.
     """
     X = density.sample(m, seed.child(31))
     target = mu_hat(X)
@@ -375,9 +376,4 @@ def assumption4_sup_U(
             val = float(corner @ A @ corner - 2.0 * corner @ b + c)
             best = max(best, val)
         return math.sqrt(max(best, 0.0))
-    if isinstance(model_class, ThresholdAbsClass):
-        grid = np.linspace(model_class.lo, model_class.hi, 256)
-        a = np.abs(X[:, 0])
-        best = max(float(np.mean((np.sign(a - b0) - target) ** 2)) for b0 in grid)
-        return math.sqrt(best)
     raise ValueError(f"unsupported class for sup computation: {model_class!r}")

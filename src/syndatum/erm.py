@@ -34,8 +34,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # ---------------------------------------------------------------------------
 # Feature maps (module-level so classes stay picklable).  A map's output width
-# is its class's coefficient count; a map that needs more features than a row
-# has raises IndexError.
+# is its class's coefficient count; a map that cannot read a row's features
+# raises IndexError.
 # ---------------------------------------------------------------------------
 
 
@@ -52,7 +52,7 @@ def _fm_exp2(X):
 
 
 def _fm_abs(X):
-    return np.abs(X[:, :1])
+    return np.abs(_col(X))
 
 
 def _fm_constant(X):
@@ -60,7 +60,9 @@ def _fm_constant(X):
 
 
 def _col(X):
-    return X[:, :1]
+    if X.shape[1] != 1:
+        raise IndexError(f"reads one feature, not {X.shape[1]}")
+    return X
 
 
 def _fm_recip_cubic_0(X):
@@ -454,12 +456,15 @@ def make_model_class(
     features; ``logistic-linear`` is the linear class fixed to
     classification.  ``box`` is a scalar B (interpreted as [-B, B] per
     coefficient) or a (lo, hi) pair replicated across coefficients.  Raises
-    ValueError for a feature map that cannot read p features, a ridge that is
-    not a finite number >= 0, an empty box and a threshold-abs box with an
-    infinite bound.
+    ValueError for a class that cannot read p features (the threshold, sign,
+    abs and recip-cubic classes read exactly one; exp2 reads two or more), a
+    ridge that is not a finite number >= 0, an empty box and a threshold-abs
+    box with an infinite bound.
     """
     if not (math.isfinite(ridge) and ridge >= 0.0):
         raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
+    if name in ("threshold-abs", "sign-abs", "sign-linear") and p != 1:
+        raise ValueError(f"{name} cannot read {p}-dimensional features")
     if name == "threshold-abs":
         if box is None:
             raise ValueError("threshold-abs requires box=lo,hi")

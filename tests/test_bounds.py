@@ -265,6 +265,10 @@ def test_assumption4_sup_U_exact_corner_value():
     mu_hat = _oracle_est(lambda X: X[:, 0], REG)
     val = assumption4_sup_U(mc, mu_hat, uniform_pm1(), m=200_000, seed=SeedSpec(16))
     assert val == pytest.approx(math.sqrt(3.0), abs=0.01)
+    # U is a regression constant; a classifier family has none
+    threshold = make_model_class("threshold-abs", 1, CLS, box=(0.0, 0.5))
+    with pytest.raises(ValueError, match="unsupported class"):
+        assumption4_sup_U(threshold, mu_hat, uniform_pm1(), m=1000, seed=SeedSpec(16))
 
 
 def test_bound_reports_serialize():

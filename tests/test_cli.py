@@ -217,9 +217,13 @@ _SYNTH = "synth_density = piecewise breaks=-1,0,1 heights=0.25,0.75"
         # the exp2 map reads two features
         ("model_classes = linear; abs", "model_classes = linear; exp2",
          "error: [demo] 'exp2': exp2 cannot read 1-dimensional features"),
+        # the abs map reads one feature
+        (f"{_REAL}\n{_SYNTH}",
+         "real_density = uniform-box lower=-1,-1 upper=1,1\nsynth_density = uniform-box lower=-1,-1 upper=1,1",
+         "error: [demo] 'abs': abs cannot read 2-dimensional features"),
     ],
     ids=["box-nan", "box-inf", "heights-nan", "breaks-nan", "n-test-1", "synth-2d", "synth-box-bound",
-         "synth-box-fidelity", "exp2-on-1d"],
+         "synth-box-fidelity", "exp2-on-1d", "abs-on-2d"],
 )
 def test_experiment_bad_density_or_n_test_fails_at_load(tmp_path, capsys, old, new, message):
     path = tmp_path / "bad.ini"

@@ -321,12 +321,13 @@ def test_every_class_is_as_wide_as_its_map_or_refuses_the_dimension():
     # on p features says which class it is
     rng = SeedSpec(23).rng()
     names = [*_BASIS_TABLE, "logistic-linear", "threshold-abs", "sign-abs", "sign-linear"]
+    one_feature = ["abs", *(f"recip-cubic-{k}" for k in range(4)), "threshold-abs", "sign-abs", "sign-linear"]
     refused = set()
     for name in names:
         for p in range(1, 5):
             for task in (REG, CLS):
                 try:
-                    mc = make_model_class(name, p, task)
+                    mc = make_model_class(name, p, task, box=(0.0, 0.5) if name == "threshold-abs" else None)
                 except ValueError as exc:
                     assert name in str(exc), (name, p, task)
                     refused.add((name, p))
@@ -339,7 +340,7 @@ def test_every_class_is_as_wide_as_its_map_or_refuses_the_dimension():
                 y = rng.normal(size=200) if mc.task is REG else np.where(rng.random(200) < 0.5, 1.0, -1.0)
                 model = fit_downstream(mc, make_dataset(X, y, mc.task))
                 assert model.coefficients.shape == (q,), (name, p, task)
-    assert refused == {("exp2", 1), *(("threshold-abs", p) for p in range(1, 5))}
+    assert refused == {("exp2", 1), *((name, p) for name in one_feature for p in range(2, 5))}
 
 
 def test_fitted_model_pickles_and_predicts_the_same_bytes():
