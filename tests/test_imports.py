@@ -1,6 +1,7 @@
-"""No module of the package imports a name it never uses or defines a private
-name no module reads, and no test module imports another test module.  No
-linter is installed, so this reads each module's syntax tree."""
+"""No module of the package imports a name it never uses, defines a private
+name no module reads or a public name no module reads or exports, and no
+test module imports another test module.  No linter is installed, so this
+reads each module's syntax tree."""
 
 import ast
 from collections import Counter
@@ -50,8 +51,9 @@ def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _module_level_private_names(tree) -> set:
-    """``_name`` bindings of the module body: defs, classes and assignments."""
+def _module_level_names(tree) -> set:
+    """Bindings of the module body other than dunders: defs, classes and
+    assignments."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -59,12 +61,13 @@ def _module_level_private_names(tree) -> set:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return {name for name in names if not name.startswith("__")}
 
 
-def unreferenced_private_names(sources: dict) -> list:
-    """(module, name) for each module-level ``_name`` that no module reads as
-    a name, an attribute or an imported name."""
+def unreferenced_names(sources: dict, private: bool) -> list:
+    """(module, name) for each module-level ``_name`` (private) or public
+    name that no module reads as a name, an attribute or an imported name;
+    a re-export from ``__init__`` is an imported name."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -76,8 +79,8 @@ def unreferenced_private_names(sources: dict) -> list:
             elif isinstance(n, ast.alias):
                 read.add(n.name)
         read |= _annotation_names(tree)
-    return sorted((module, name) for module, tree in trees.items()
-                  for name in _module_level_private_names(tree) if name not in read)
+    return sorted((module, name) for module, tree in trees.items() for name in _module_level_names(tree)
+                  if name.startswith("_") == private and name not in read)
 
 
 def test_the_scan_finds_a_private_name_nothing_reads():
@@ -87,16 +90,33 @@ def test_the_scan_finds_a_private_name_nothing_reads():
         "b": "from a import _helper as run\nimport a\n__all__ = ()\ndef f(x: '_Quoted'):\n    return a._by_attribute\n"
              "class _Quoted: pass\n",
     }
-    assert unreferenced_private_names(sources) == [("a", "_Gone"), ("a", "_dead")]
+    assert unreferenced_names(sources, private=True) == [("a", "_Gone"), ("a", "_dead")]
+
+
+def test_the_scan_finds_a_public_name_nothing_reads_or_exports():
+    sources = {
+        "a": "LIMIT = 3\nDEAD = 0\ndef helper():\n    return LIMIT\nclass Gone:\n    pass\n"
+             "def exported(): pass\ndef by_attribute(): pass\ndef _private(): pass\n",
+        "__init__": "from .a import exported\n",
+        "b": "import a\ndef orphan():\n    return a.helper(), a.by_attribute\n",
+    }
+    assert unreferenced_names(sources, private=False) == [("a", "DEAD"), ("a", "Gone"), ("b", "orphan")]
 
 
 def test_every_private_name_of_the_package_is_read_somewhere_and_defined_once():
     # one home per helper: a copy left behind in a second module is read
     # there by its own name, so only the count shows it
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
-    defined = Counter(name for s in sources.values() for name in _module_level_private_names(ast.parse(s)))
+    defined = Counter(name for s in sources.values() for name in _module_level_names(ast.parse(s))
+                      if name.startswith("_"))
     assert len(defined) > 100 and [name for name, count in defined.items() if count > 1] == []
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(sources, private=True) == []
+
+
+def test_every_public_name_of_the_package_is_read_or_exported():
+    # a public helper whose last caller went is no longer part of any path
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unreferenced_names(sources, private=False) == []
 
 
 def imported_test_modules(source: str) -> list:
