@@ -271,7 +271,8 @@ def test_criterion_8_bound_dominance_suite(tmp_path):
         cases.setdefault(r.scenario, {})[r.metric_name] = r.value
     assert len(cases) == 50
     violations = [
-        name for name, c in cases.items() if not (c["bound_total"] + 4.0 * c["utility_std_error"] >= c["utility"])
+        name for name, c in cases.items()
+        if not (c["bound_total"] + 4.0 * c["utility_std_error"] >= c["utility"])
     ]
     finite = all(math.isfinite(c["chi2"]) for c in cases.values())
     ok = not violations and finite and elapsed < 20 * 60
