@@ -21,16 +21,15 @@ import os
 import sys
 from dataclasses import replace
 
-from .datamodel import NoiseModel, SeedSpec, TaskKind, write_csv
+from .datamodel import NoiseModel, TaskKind, write_csv
 from .densities import certify_fidelity_level, chi_square_divergence
 from .errors import ConfigError, SyndatumError
 from .harness import (
     BUILTIN_NAMES,
-    COMMAND_SEEDS,
     DEFAULT_MASTER_SEED,
-    UTILITY_COMMAND_SEEDS,
     ScenarioConfig,
     _lr_case,
+    _sweep_unit,
     _Unit,
     default_workers,
     load_scenarios,
@@ -64,10 +63,11 @@ def _first_scenario(args) -> ScenarioConfig:
     return _seeded(load_scenarios(args.config)[0], getattr(args, "seed", None))
 
 
-def _first_unit(args, at: int = 0, layout=COMMAND_SEEDS) -> _Unit:
-    """A unit of the first --config scenario at n_grid[at], on seed stream 0."""
+def _first_unit(args, at: int = 0) -> _Unit:
+    """Replication 0 of the first --config scenario at n_grid[at], the unit
+    ``experiment --config`` runs there."""
     config = _first_scenario(args)
-    return _Unit(config, config.n_grid[at], SeedSpec(config.master_seed, 0), layout)
+    return _sweep_unit(config, range(len(config.n_grid))[at], 0)
 
 
 def _cmd_experiment(args) -> int:
@@ -111,7 +111,7 @@ def _cmd_fidelity(args) -> int:
 
 
 def _cmd_utility(args) -> int:
-    unit = _first_unit(args, -1, UTILITY_COMMAND_SEEDS)
+    unit = _first_unit(args, -1)
     reports = [
         {"estimator": est_text, "model_class": class_text, "n": unit.n,
          "report": unit.utility(ei, ci).to_json_dict()}

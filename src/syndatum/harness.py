@@ -367,19 +367,16 @@ def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
 
 # Seed layouts: the child path of a unit's SeedSpec that feeds each stage,
 # _EI standing for the estimator index.  A layout pins its callers' seeded
-# outputs.  Sweeps use SeedSpec(master_seed, rep).child(n_index), the bound
-# suite SeedSpec(master_seed, 1000 | 2000 + case) and the single-draw
-# commands SeedSpec(master_seed, 0).  star and tilde feed the real and the
-# synthetic population optima of the bound, bound its own risk draws.  synth
-# takes no _EI: common random numbers across estimators, so utilities differ
-# only through the fitted estimation model.
+# outputs.  Sweeps and the single-draw commands use SWEEP_SEEDS on
+# SeedSpec(master_seed, rep).child(n_index) (_sweep_unit), the bound suite
+# SUITE_SEEDS on SeedSpec(master_seed, 1000 | 2000 + case).  star and tilde
+# feed the real and the synthetic population optima of the bound, bound its
+# own risk draws.  synth takes no _EI: common random numbers across
+# estimators, so utilities differ only through the fitted estimation model.
 _EI = "ei"
 SWEEP_SEEDS = dict(draw=(), risk=(3,), fit=(4, _EI), synth=(5,), star=(6, _EI), tilde=(7, _EI),
                    compare=(8,), bound=(9, _EI))
 SUITE_SEEDS = dict(draw=(1,), fit=(2,), synth=(3,), star=(4,), tilde=(5,), risk=(6,), bound=(7,))
-COMMAND_SEEDS = dict(draw=(0,), fit=(1,), synth=(2,), compare=(2,), star=(5,), tilde=(6,), bound=(7,),
-                     risk=(8,))
-UTILITY_COMMAND_SEEDS = {**COMMAND_SEEDS, "risk": (9,)}
 
 
 def _stage(method):
@@ -498,9 +495,15 @@ def _comparison_rows(name, n, rep, est_name, labels, report) -> List[ResultRow]:
     ]
 
 
+def _sweep_unit(config: ScenarioConfig, n_index: int, rep: int) -> _Unit:
+    """The unit of replication rep at n_grid[n_index] (an index >= 0)."""
+    return _Unit(config, config.n_grid[n_index], SeedSpec(config.master_seed, rep).child(n_index),
+                 SWEEP_SEEDS)
+
+
 def _run_unit(config: ScenarioConfig, n_index: int, rep: int) -> List[ResultRow]:
-    n = config.n_grid[n_index]
-    unit = _Unit(config, n, SeedSpec(config.master_seed, rep).child(n_index), SWEEP_SEEDS)
+    unit = _sweep_unit(config, n_index, rep)
+    n = unit.n
     rows: List[ResultRow] = []
     # any exception, a numpy LinAlgError as well as a SyndatumError, becomes a
     # row error, so one failing unit does not end the sweep

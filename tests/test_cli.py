@@ -413,7 +413,7 @@ def test_synth_writes_dataset(tmp_path, reg_config):
     assert main(["synth", "--config", str(reg_config), "--out", str(out)]) == 0
     ds = read_csv(out, TaskKind.REGRESSION)
     assert ds.n == 128 and ds.p == 1
-    assert _sha(out) == "bbd75efb54a9575053df540c63c7e005f9e6e15a1a6d7b38fa3f693fde38d918"
+    assert _sha(out) == "bb2e4837648c4c129c311eda18bf623dc396a31a6ff34824c389ede6a69928b3"
 
 
 def test_synth_classification_labels(tmp_path):
@@ -423,7 +423,7 @@ def test_synth_classification_labels(tmp_path):
     assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
     ds = read_csv(out, TaskKind.CLASSIFICATION)
     assert set(ds.responses) <= {-1.0, 1.0}
-    assert _sha(out) == "51a3c56e57a454ed828a423d1ea87506e8f1cf33d8389c727b0c0817ec6886d2"
+    assert _sha(out) == "ed5f0cef63637c8a8ae89dea920d656ed316858d0b0936c181e89f5e5114684c"
 
 
 def test_fidelity_json(tmp_path, reg_config):
@@ -449,7 +449,7 @@ def test_utility_json(tmp_path, reg_config):
     reports = json.loads(out.read_text())
     assert len(reports) == 2
     assert all(r["report"]["utility"] >= 0.0 for r in reports)
-    assert _sha(out) == "6a96d98512b27fca3cfbae148a22a6977c48535648fb8c0fd26e5e881ddc8294"
+    assert _sha(out) == "f0308bfcb26df45543bc8921213769814e2439fc4afef28c8df444141ad19808"
 
 
 def test_bound_reg_json(tmp_path, reg_config):
@@ -459,7 +459,7 @@ def test_bound_reg_json(tmp_path, reg_config):
     for key in ("est_err_original", "est_err_synthetic", "chi2", "M", "upsilon1", "upsilon2", "phi_mu_hat", "total"):
         assert key in blob["report"]
     assert blob["report"]["total"] + 4 * blob["measured_utility_std_error"] >= blob["measured_utility"]
-    assert _sha(out) == "2940ffc4488e2dd869fc28f9b1d8116b2089c28a785262936e4882055d858fad"
+    assert _sha(out) == "6cad3a77fdedd83901bdf67606f2b6fabdda55676d7e3905817feb24b2f9a3c3"
 
 
 def test_bound_cls_json(tmp_path):
@@ -470,7 +470,7 @@ def test_bound_cls_json(tmp_path):
     blob = json.loads(out.read_text())
     for key in ("upsilon3", "eta_l2_gap", "c_terms", "phi_plugin", "total"):
         assert key in blob["report"]
-    assert _sha(out) == "b1dc85f5c99c7abb16db8b884642ef2af19a363dd026203874b95730d4c17808"
+    assert _sha(out) == "6b660e5d02803bf9ff8e4bad9dcd2b3e80349f73304da1ef1e81bbcfbabc5c83"
 
 
 def test_bound_task_mismatch_fails_before_fitting(tmp_path, reg_config, monkeypatch):
@@ -494,7 +494,7 @@ def test_bound_lr_json(tmp_path):
     blob = json.loads(out.read_text())
     for key in ("t1", "t2", "t3", "chi2_term", "cross_term", "M_LR", "total"):
         assert key in blob["report"]
-    assert _sha(out) == "f86274d030b115a5a0052a79286b51f5c454fd0e3c0604e711154aadbfa842f0"
+    assert _sha(out) == "9ccecb80de9f147f4a46a6d538eee8174b5ddc78083120679d4087e7653f2274"
     assert main(["bound", "--task", "lr", "--config", str(cfg.parent / "nope.ini")]) == 1
 
 
@@ -538,7 +538,40 @@ def test_compare_json(tmp_path):
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
     blob = json.loads(out.read_text())
     assert "consistent" in blob and "optima" in blob
-    assert _sha(out) == "033ab0254b4d6199654776482e856988de815dfbf02eac66c5008fe9d65f8889"
+    assert _sha(out) == "6087c053cf0749910a2fa49bb45b7f01efe77609a500721887fc38cfb6a94e6d"
+
+
+def test_single_draw_commands_print_replication_0_of_the_sweep(tmp_path):
+    """utility (at the last n), bound --task reg and compare (at the first n)
+    print the numbers experiment --config writes for replication 0 there."""
+
+    def run(text, *command):
+        cfg, out = tmp_path / "sweep.ini", tmp_path / "out.json"
+        cfg.write_text(text)
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        header, *lines = (tmp_path / "sweep" / "rows.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        values = {(r["n"], r["model_class"], r["metric_name"]): r["value"] for r in rows if r["replication"] == "0"}
+        blobs = []
+        for argv in command:
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+            blobs.append(json.loads(out.read_text()))
+        return values, blobs
+
+    sweep, (utility, bound) = run(
+        REG_CONFIG.replace("n_grid = 128", "n_grid = 64, 128") + "outputs = utility, bound\n",
+        ["utility"], ["bound", "--task", "reg"],
+    )
+    assert [repr(r["report"]["utility"]) for r in utility] == [
+        sweep["128", mc, "utility"] for mc in ("linear", "abs")
+    ]
+    assert repr(bound["measured_utility"]) == sweep["64", "linear", "utility"]
+    assert repr(bound["report"]["total"]) == sweep["64", "linear", "bound_total"]
+    sweep, (compare,) = run(CLS_CONFIG + "outputs = comparison\n", ["compare"])
+    assert repr(float(compare["consistent"])) == sweep["256", "pair", "consistent"]
+    assert [repr(compare[f"risk_f{i}_real"]["value"]) for i in (1, 2)] == [
+        sweep["256", mc, "risk_real"] for mc in ("sign-abs", "sign-linear")
+    ]
 
 
 def test_compare_requires_two_classes(tmp_path, reg_config):
