@@ -374,7 +374,7 @@ def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
 # own risk draws.  synth takes no _EI: common random numbers across
 # estimators, so utilities differ only through the fitted estimation model.
 _EI = "ei"
-SWEEP_SEEDS = dict(draw=(), risk=(3,), fit=(4, _EI), synth=(5,), star=(6, _EI), tilde=(7, _EI),
+SWEEP_SEEDS = dict(draw=(), risk=(3,), fit=(4, _EI), synth=(5,), star=(6,), tilde=(7, _EI),
                    compare=(8,), bound=(9, _EI))
 SUITE_SEEDS = dict(draw=(1,), fit=(2,), synth=(3,), star=(4,), tilde=(5,), risk=(6,), bound=(7,))
 
@@ -435,6 +435,15 @@ class _Unit:
         return fit_downstream(self.config.classes[ci], data)
 
     @_stage
+    def optimum(self, ei: Optional[int], ci: int):
+        """Population optimum of class ci under the synthetic law of estimator
+        ei, or under the real law when ei is None."""
+        config = self.config
+        density, truth, seed = ((config.real_density, config.truth, self._seed("star")) if ei is None
+                                else (config.synth_density, self.fitted(ei), self._seed("tilde", ei)))
+        return population_optimum(config.classes[ci], density, truth, 100_000, seed)
+
+    @_stage
     def utility(self, ei: int, ci: int):
         # the original-data fit goes first, so its failure is the one reported
         f_orig = self.erm(None, ci)
@@ -444,12 +453,11 @@ class _Unit:
     def bound(self, ei: int, ci: int):
         """The task's analytic utility bound, assuming the synthetic noise the
         synthesis used."""
-        config, mc, est = self.config, self.config.classes[ci], self.fitted(ei)
-        real, synth, truth = config.real_density, config.synth_density, config.truth
+        config = self.config
         fitted = FittedQuad(self.erm(None, ci), self.erm(ei, ci),
-                            population_optimum(mc, real, truth, 100_000, self._seed("star", ei)),
-                            population_optimum(mc, synth, est, 100_000, self._seed("tilde", ei)))
-        scenario = BoundScenario(real, synth, truth, est, config.noise, self.synthetic(ei)[1])
+                            self.optimum(None, ci), self.optimum(ei, ci))
+        scenario = BoundScenario(config.real_density, config.synth_density, config.truth, self.fitted(ei),
+                                 config.noise, self.synthetic(ei)[1])
         assemble = regression_bound if config.task is TaskKind.REGRESSION else classification_bound
         return assemble(scenario, fitted, n_test=config.n_test, seed=self._seed("bound", ei))
 

@@ -459,7 +459,7 @@ def test_bound_reg_json(tmp_path, reg_config):
     for key in ("est_err_original", "est_err_synthetic", "chi2", "M", "upsilon1", "upsilon2", "phi_mu_hat", "total"):
         assert key in blob["report"]
     assert blob["report"]["total"] + 4 * blob["measured_utility_std_error"] >= blob["measured_utility"]
-    assert _sha(out) == "6cad3a77fdedd83901bdf67606f2b6fabdda55676d7e3905817feb24b2f9a3c3"
+    assert _sha(out) == "c83b2527e43479e3b4b4621294a10d9f1cd3d105be884cb39e4f105cc18f62c5"
 
 
 def test_bound_cls_json(tmp_path):

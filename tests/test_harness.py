@@ -113,7 +113,7 @@ def test_bound_output_rows(tmp_path):
         assert key in by_metric
     # same real/synth density and oracle estimator: bound is essentially zero
     assert by_metric["bound_chi2"].value == pytest.approx(0.0, abs=1e-8)
-    assert _rows_sha(rows, tmp_path) == "2c5f0802e4733c72e081c430bd646e9a0ea7b4f2c3e2a82ed17ed80dcdb234dd"
+    assert _rows_sha(rows, tmp_path) == "4f3ebf270b863de2eeed39f39a044580f17a3c099009bce58c051c1af4988d60"
 
 
 def test_classification_sweep_utility_bound_comparison(tmp_path):
@@ -220,6 +220,13 @@ def test_every_entry_point_runs_each_stage_once_per_draw(tmp_path, monkeypatch):
             assert main([*argv, "--config", str(path)]) == 0
         assert calls == {"_draw_original": 1, "fit_estimator": fits, "fit_downstream": erm + optima,
                          "population_optimum": optima}, argv
+    # a sweep unit's bounds fit the real-law optimum once per class and the
+    # synthetic-law one once per (estimator, class): 2 + 2 * 2, not 2 * 2 * 2
+    calls.update(dict.fromkeys(calls, 0))
+    config = _tiny_config(estimators=("oracle", "knn k=5"), outputs=("utility", "bound"), n_test=500)
+    assert not any(r.error for r in _run_unit(config, 0, 0))
+    assert calls == {"_draw_original": 1, "fit_estimator": 2, "fit_downstream": 2 + 2 * 2 + 6,
+                     "population_optimum": 2 + 2 * 2}
 
 
 def test_unit_keeps_a_failed_fit(monkeypatch):
