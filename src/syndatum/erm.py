@@ -1,7 +1,6 @@
 """Downstream learning: basis-expansion function classes, threshold and sign
-classifier families, their (box-constrained, optionally ridge-penalized)
-empirical risk minimizers, and Monte-Carlo approximations of population
-optima.
+classifier families, their (optionally box-constrained) empirical risk
+minimizers, and Monte-Carlo approximations of population optima.
 
 Regression fits minimize mean squared error; classification fits minimize the
 logistic surrogate for basis classes and the empirical 0-1 risk directly for
@@ -101,14 +100,13 @@ _BASIS_TABLE = {
 
 @dataclass(frozen=True)
 class BasisFunctionClass:
-    """Span of a fixed finite basis, optionally box-constrained and ridged."""
+    """Span of a fixed finite basis, optionally box-constrained."""
 
     name: str
     feature_map: Callable
     q: int
     task: TaskKind
     coefficient_box: Optional[tuple] = None  # (lo, hi), each a tuple of q floats
-    ridge_penalty: float = 0.0
     map_knots: tuple = ()
 
     def features(self, X: np.ndarray) -> np.ndarray:
@@ -249,28 +247,21 @@ def _solve_box_quadratic(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.nd
 
 
 def fit_regression(model_class: BasisFunctionClass, data: Dataset) -> FittedModel:
-    """Penalized least squares over the basis; box-constrained when the class
-    declares a coefficient box."""
+    """Least squares over the basis; box-constrained when the class declares a
+    coefficient box."""
     if data.task is not TaskKind.REGRESSION:
         raise TaskMismatch("fit_regression requires a regression dataset")
     if not isinstance(model_class, BasisFunctionClass):
         raise TaskMismatch(f"{model_class!r} is not a regression basis class")
     Phi = model_class.features(data.features)
-    n = Phi.shape[0]
-    lam = model_class.ridge_penalty
     if model_class.coefficient_box is None:
-        if lam == 0.0:
-            beta, _, rank, _ = np.linalg.lstsq(Phi, data.responses, rcond=None)
-            if rank < Phi.shape[1]:
-                raise SingularDesign(
-                    f"basis Gram matrix is singular (rank {rank} < {Phi.shape[1]})"
-                )
-            return FittedModel(model_class, beta)
-        A = Phi.T @ Phi / n + lam * np.eye(Phi.shape[1])
-        beta = np.linalg.solve(A, Phi.T @ data.responses / n)
+        beta, _, rank, _ = np.linalg.lstsq(Phi, data.responses, rcond=None)
+        if rank < Phi.shape[1]:
+            raise SingularDesign(f"basis Gram matrix is singular (rank {rank} < {Phi.shape[1]})")
         return FittedModel(model_class, beta)
+    n = Phi.shape[0]
     lo, hi = (np.asarray(v, dtype=float) for v in model_class.coefficient_box)
-    A = Phi.T @ Phi / n + lam * np.eye(Phi.shape[1])
+    A = Phi.T @ Phi / n
     b = Phi.T @ data.responses / n
     beta = _solve_box_quadratic(A, b, lo, hi)
     return FittedModel(model_class, beta)
@@ -294,13 +285,12 @@ def _fit_logistic_basis(mc: BasisFunctionClass, data: Dataset) -> FittedModel:
     Phi = mc.features(data.features)
     z = data.responses
     n = Phi.shape[0]
-    lam = mc.ridge_penalty
 
     def objective(beta):
         m = Phi @ beta
-        val = float(np.mean(np.logaddexp(0.0, -z * m))) + lam * float(beta @ beta)
+        val = float(np.mean(np.logaddexp(0.0, -z * m)))
         s = _sigmoid(-z * m)
-        grad = -(Phi.T @ (z * s)) / n + 2.0 * lam * beta
+        grad = -(Phi.T @ (z * s)) / n
         return val, grad
 
     bounds = None
@@ -448,7 +438,6 @@ def make_model_class(
     p: int,
     task: TaskKind,
     box=None,
-    ridge: float = 0.0,
 ) -> ModelClass:
     """Build a model class from its config name.
 
@@ -457,12 +446,9 @@ def make_model_class(
     classification.  ``box`` is a scalar B (interpreted as [-B, B] per
     coefficient) or a (lo, hi) pair replicated across coefficients.  Raises
     ValueError for a class that cannot read p features (the threshold, sign,
-    abs and recip-cubic classes read exactly one; exp2 reads two or more), a
-    ridge that is not a finite number >= 0, an empty box and a threshold-abs
-    box with an infinite bound.
+    abs and recip-cubic classes read exactly one; exp2 reads two or more), an
+    empty box and a threshold-abs box with an infinite bound.
     """
-    if not (math.isfinite(ridge) and ridge >= 0.0):
-        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     if name in ("threshold-abs", "sign-abs", "sign-linear") and p != 1:
         raise ValueError(f"{name} cannot read {p}-dimensional features")
     if name == "threshold-abs":
@@ -481,7 +467,7 @@ def make_model_class(
             q = fm(np.zeros((1, p))).shape[1]
         except IndexError:
             raise ValueError(f"{name} cannot read {p}-dimensional features") from None
-        return BasisFunctionClass(name, fm, q, task, _expand_box(box, q), ridge, knots)
+        return BasisFunctionClass(name, fm, q, task, _expand_box(box, q), knots)
     raise ValueError(f"unknown model class {name!r}")
 
 
@@ -501,7 +487,7 @@ def _expand_box(box, q):
     return _nonempty_box(lo, hi)
 
 
-# class name -> the parameters its spec takes; every basis class takes box= and ridge=
+# class name -> the parameters its spec takes; every basis class takes box=
 _CLASS_KEYS = {"threshold-abs": ("box",), "sign-abs": (), "sign-linear": ()}
 
 
@@ -509,12 +495,12 @@ def parse_model_class(text: str, p: int, task: TaskKind) -> ModelClass:
     """Parse a class spec string like ``linear``, ``constant box=-0.5,0.5``,
     ``logistic-linear box=4``, or ``threshold-abs box=0,0.5``."""
     name = (text.split() or ["<empty>"])[0]
-    name, params = parse_spec(text, _CLASS_KEYS.get(name, ("box", "ridge")))
+    name, params = parse_spec(text, _CLASS_KEYS.get(name, ("box",)))
     box = None
     if "box" in params:
         vals = [float(v) for v in params["box"].split(",")]
         box = vals[0] if len(vals) == 1 else (vals[0], vals[1])
-    mc = make_model_class(name, p, task, box=box, ridge=float(params.get("ridge", 0.0)))
+    mc = make_model_class(name, p, task, box=box)
     if mc.task is not task:
         raise ValueError(f"{name} is a {mc.task.value} class, not {task.value}")
     return mc

@@ -71,21 +71,6 @@ def test_fit_regression_duplication_invariance():
     assert np.allclose(a, b, atol=1e-10)
 
 
-def test_ridge_penalty_shrinks_coefficients():
-    rng = SeedSpec(12).rng()
-    X = rng.uniform(-1, 1, size=(200, 1))
-    y = 2.0 * X[:, 0]
-    plain = fit_regression(make_model_class("linear", 1, REG), make_dataset(X, y, REG))
-    ridged = fit_regression(
-        make_model_class("linear", 1, REG, ridge=1.0), make_dataset(X, y, REG)
-    )
-    assert plain.coefficients[0] == pytest.approx(2.0, abs=1e-10)
-    assert 0.0 < ridged.coefficients[0] < 2.0
-    # closed form: beta = E[xy] / (E[x^2] + lambda)
-    ex2 = float(np.mean(X[:, 0] ** 2))
-    assert ridged.coefficients[0] == pytest.approx(2.0 * ex2 / (ex2 + 1.0), abs=1e-10)
-
-
 def test_fit_regression_singular_design():
     X = np.ones((10, 1))
     mc = make_model_class("quadratic", 1, REG)  # maps to (x, x^2) = (1, 1): collinear
@@ -286,9 +271,10 @@ def test_parse_model_class():
     for text in ("sign-abs box=1", "sign-linear ridge=0.1", "threshold-abs box=0,0.5 ridge=0.1"):
         with pytest.raises(ValueError, match="bad parameter"):
             parse_model_class(text, 1, CLS)
-    # a negative ridge and empty boxes, which fit silently or fail inside a unit otherwise
+    # a ridge, which no class takes, and empty boxes, which fit silently or
+    # fail inside a unit otherwise
     for text, task, match in (
-        ("constant ridge=-1", REG, "ridge"),
+        ("constant ridge=-1", REG, "bad parameter"),
         ("constant box=1,-1", REG, "box is empty"),
         ("logistic-linear box=1,-1", CLS, "box is empty"),
         ("threshold-abs box=0.5,0", CLS, "box is empty"),

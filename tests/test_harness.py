@@ -550,7 +550,7 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
         ("estimators = oracle", "estimators = knn depth=3", "depth=3"),
         ("n_grid = 64", "n_grid = 0", "n_grid"),
         ("n_test = 2000", "n_test = 0", "n_test"),
-        ("model_classes = linear; abs", "model_classes = constant ridge=-1; linear", "ridge"),
+        ("model_classes = linear; abs", "model_classes = constant ridge=-1; linear", "bad parameter"),
         ("model_classes = linear; abs", "model_classes = constant box=1,-1", "box is empty"),
         # default is the residual-variance rule of synth_noise, not a law of the real noise
         ("noise = gaussian var=0.25", "noise = default", "noise has no default"),
