@@ -362,18 +362,18 @@ def assumption4_sup_U(
     ValueError: U enters only the regression constant C_{d,V,U} of
     Assumption 4, and the classification constant K_{d,V} takes none.
     """
+    if not isinstance(model_class, BasisFunctionClass):
+        raise ValueError(f"unsupported class for sup computation: {model_class!r}")
+    if model_class.coefficient_box is None:
+        raise ValueError("sup over an unbounded coefficient class is infinite")
     X = density.sample(m, seed.child(31))
     target = mu_hat(X)
-    if isinstance(model_class, BasisFunctionClass):
-        if model_class.coefficient_box is None:
-            raise ValueError("sup over an unbounded coefficient class is infinite")
-        Phi = model_class.features(X)
-        A = Phi.T @ Phi / m
-        b = Phi.T @ target / m
-        c = float(np.mean(target**2))
-        best = 0.0
-        for corner in BoxSupport(*model_class.coefficient_box).corners():
-            val = float(corner @ A @ corner - 2.0 * corner @ b + c)
-            best = max(best, val)
-        return math.sqrt(max(best, 0.0))
-    raise ValueError(f"unsupported class for sup computation: {model_class!r}")
+    Phi = model_class.features(X)
+    A = Phi.T @ Phi / m
+    b = Phi.T @ target / m
+    c = float(np.mean(target**2))
+    best = 0.0
+    for corner in BoxSupport(*model_class.coefficient_box).corners():
+        val = float(corner @ A @ corner - 2.0 * corner @ b + c)
+        best = max(best, val)
+    return math.sqrt(max(best, 0.0))

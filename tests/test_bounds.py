@@ -15,6 +15,7 @@ from syndatum.bounds import (
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset
 from syndatum.densities import (
     BoxSupport,
+    DensityModel,
     PiecewiseConstant1D,
     Triangular1D,
     TruncatedNormalDiag,
@@ -259,16 +260,25 @@ def test_assumption4_large_d_reduces_to_risk_comparison():
     assert not chk2.holds_reg and not chk2.holds_cls
 
 
-def test_assumption4_sup_U_exact_corner_value():
+def test_assumption4_sup_U_exact_corner_value(monkeypatch):
     # sup over {beta x : beta in [-2, 2]} of ||beta x - x|| = 3 sqrt(E x^2) = sqrt(3)
     mc = make_model_class("linear", 1, REG, box=(-2.0, 2.0))
     mu_hat = _oracle_est(lambda X: X[:, 0], REG)
     val = assumption4_sup_U(mc, mu_hat, uniform_pm1(), m=200_000, seed=SeedSpec(16))
     assert val == pytest.approx(math.sqrt(3.0), abs=0.01)
-    # U is a regression constant; a classifier family has none
-    threshold = make_model_class("threshold-abs", 1, CLS, box=(0.0, 0.5))
-    with pytest.raises(ValueError, match="unsupported class"):
-        assumption4_sup_U(threshold, mu_hat, uniform_pm1(), m=1000, seed=SeedSpec(16))
+
+    # U is a regression constant: a classifier family has none, and an
+    # unbounded class has an infinite one; both are refused before any draw
+    def no_draw(*args):
+        raise AssertionError("points drawn for an unsupported class")
+
+    monkeypatch.setattr(DensityModel, "sample", no_draw)
+    for model_class, match in (
+        (make_model_class("threshold-abs", 1, CLS, box=(0.0, 0.5)), "unsupported class"),
+        (make_model_class("linear", 1, REG), "unbounded"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            assumption4_sup_U(model_class, mu_hat, uniform_pm1(), seed=SeedSpec(16))
 
 
 def test_bound_reports_serialize():
