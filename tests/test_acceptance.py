@@ -163,6 +163,7 @@ def fig4_rows():
     return _timed(run_builtin, "fig4", scale=4, workers=WORKERS)
 
 
+@pytest.mark.pins
 @pytest.mark.slow
 def test_criterion_5_fig3_convergence_trend(fig3_rows, tmp_path):
     rows, elapsed = fig3_rows
@@ -195,6 +196,7 @@ def test_criterion_5_fig3_convergence_trend(fig3_rows, tmp_path):
     assert _rows_sha(rows, tmp_path) == ROWS_SHA["fig3"]
 
 
+@pytest.mark.pins
 @pytest.mark.slow
 def test_criterion_6_fig4_plateau(fig4_rows, tmp_path):
     rows, elapsed = fig4_rows
@@ -264,6 +266,7 @@ def test_criterion_7_fig5_sign_structure():
     )
 
 
+@pytest.mark.pins
 def test_criterion_8_bound_dominance_suite(tmp_path):
     rows, elapsed = _timed(run_builtin, "bound-suite")
     cases = {}
@@ -284,6 +287,7 @@ def test_criterion_8_bound_dominance_suite(tmp_path):
     assert _rows_sha(rows, tmp_path) == ROWS_SHA["bound-suite"]
 
 
+@pytest.mark.pins
 def test_criterion_9_figs1_convergence(tmp_path):
     t0 = time.time()
     results, digests = {}, {}

@@ -69,6 +69,7 @@ def reg_config(tmp_path):
     return path
 
 
+@pytest.mark.pins
 def test_experiment_with_config(tmp_path, reg_config):
     out = tmp_path / "out"
     code = main(["experiment", "--config", str(reg_config), "--out", str(out)])
@@ -408,6 +409,7 @@ def test_experiment_turns_unit_exception_into_row_error(tmp_path, monkeypatch, c
     ]
 
 
+@pytest.mark.pins
 def test_synth_writes_dataset(tmp_path, reg_config):
     out = tmp_path / "synth.csv"
     assert main(["synth", "--config", str(reg_config), "--out", str(out)]) == 0
@@ -416,6 +418,7 @@ def test_synth_writes_dataset(tmp_path, reg_config):
     assert _sha(out) == "bb2e4837648c4c129c311eda18bf623dc396a31a6ff34824c389ede6a69928b3"
 
 
+@pytest.mark.pins
 def test_synth_classification_labels(tmp_path):
     cfg = tmp_path / "cls.ini"
     cfg.write_text(CLS_CONFIG)
@@ -426,6 +429,7 @@ def test_synth_classification_labels(tmp_path):
     assert _sha(out) == "ed5f0cef63637c8a8ae89dea920d656ed316858d0b0936c181e89f5e5114684c"
 
 
+@pytest.mark.pins
 def test_fidelity_json(tmp_path, reg_config):
     out = tmp_path / "fid.json"
     assert main(["fidelity", "--config", str(reg_config), "--d", "1", "--out", str(out)]) == 0
@@ -443,6 +447,7 @@ def test_fidelity_rejects_non_finite_d(tmp_path, reg_config, capsys):
     assert not out.exists()
 
 
+@pytest.mark.pins
 def test_utility_json(tmp_path, reg_config):
     out = tmp_path / "util.json"
     assert main(["utility", "--config", str(reg_config), "--out", str(out)]) == 0
@@ -452,6 +457,7 @@ def test_utility_json(tmp_path, reg_config):
     assert _sha(out) == "f0308bfcb26df45543bc8921213769814e2439fc4afef28c8df444141ad19808"
 
 
+@pytest.mark.pins
 def test_bound_reg_json(tmp_path, reg_config):
     out = tmp_path / "bound.json"
     assert main(["bound", "--task", "reg", "--config", str(reg_config), "--out", str(out)]) == 0
@@ -462,6 +468,7 @@ def test_bound_reg_json(tmp_path, reg_config):
     assert _sha(out) == "c83b2527e43479e3b4b4621294a10d9f1cd3d105be884cb39e4f105cc18f62c5"
 
 
+@pytest.mark.pins
 def test_bound_cls_json(tmp_path):
     cfg = tmp_path / "cls.ini"
     cfg.write_text(CLS_CONFIG)
@@ -486,6 +493,7 @@ def test_bound_task_mismatch_fails_before_fitting(tmp_path, reg_config, monkeypa
     assert main(["bound", "--task", "cls", "--config", str(reg_config)]) == 1
 
 
+@pytest.mark.pins
 def test_bound_lr_json(tmp_path):
     cfg = tmp_path / "lr.ini"
     cfg.write_text(LR_CONFIG)
@@ -531,6 +539,7 @@ def test_json_outputs_write_non_finite_values_as_text(tmp_path):
     assert run("fidelity")["chi2_real_vs_synth"] == "inf"
 
 
+@pytest.mark.pins
 def test_compare_json(tmp_path):
     cfg = tmp_path / "cls.ini"
     cfg.write_text(CLS_CONFIG)

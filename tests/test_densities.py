@@ -404,6 +404,7 @@ KIND_PAIRS = {
 }
 
 
+@pytest.mark.pins
 @pytest.mark.parametrize(
     "kind, digest",
     [

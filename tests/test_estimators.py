@@ -588,6 +588,7 @@ def _fig3_like(n):
     return make_dataset(X, y, TaskKind.REGRESSION), density.sample(2000, SeedSpec(43))
 
 
+@pytest.mark.pins
 @pytest.mark.parametrize(
     "kind, n, digest",
     [

@@ -69,6 +69,7 @@ def test_counting_contract():
     }
 
 
+@pytest.mark.pins
 def test_fidelity_output_rows_emitted_once(tmp_path):
     from syndatum.densities import PiecewiseConstant1D
 
@@ -85,6 +86,7 @@ def test_fidelity_output_rows_emitted_once(tmp_path):
     assert _rows_sha(rows, tmp_path) == "12b93ad31810511ab87056a4c9aa866539bfc335d563332cd6253276810c6279"
 
 
+@pytest.mark.pins
 def test_comparison_output_rows(tmp_path):
     from syndatum.densities import PiecewiseConstant1D
 
@@ -105,6 +107,7 @@ def test_comparison_output_rows(tmp_path):
     assert _rows_sha(rows, tmp_path) == "d0d89df593a059724dfb5ccb2d6752ea94e216315e917a8aead71a83a44dc4f4"
 
 
+@pytest.mark.pins
 def test_bound_output_rows(tmp_path):
     config = _tiny_config(outputs=("utility", "bound"), n_grid=(128,), n_test=4000)
     rows = run_scenario(config)
@@ -116,6 +119,7 @@ def test_bound_output_rows(tmp_path):
     assert _rows_sha(rows, tmp_path) == "4f3ebf270b863de2eeed39f39a044580f17a3c099009bce58c051c1af4988d60"
 
 
+@pytest.mark.pins
 def test_classification_sweep_utility_bound_comparison(tmp_path):
     from syndatum.densities import PiecewiseConstant1D
 
@@ -325,6 +329,7 @@ def test_summarize_warns_and_omits_empty_group():
     assert any("no valid rows" in str(w.message) for w in caught)
 
 
+@pytest.mark.pins
 def test_error_rows_do_not_abort_sweep(tmp_path):
     # ols on a classification task fails per-row; other estimators still run
     config = _tiny_config(
@@ -343,10 +348,12 @@ def test_error_rows_do_not_abort_sweep(tmp_path):
     assert _rows_sha(rows, tmp_path) == "475113c024343db7055d96327ce2b20723141372b43acf52fd95057383cd9877"
 
 
+@pytest.mark.pins
 def test_toy61_rows_pinned(tmp_path):
     assert _rows_sha(run_builtin("toy-6.1"), tmp_path) == "6ae18d25d186da10063c49f80f986d9244a850e54be52400207b1d63dfaa8868"
 
 
+@pytest.mark.pins
 @pytest.mark.parametrize(
     "name, scale, digest",
     [
@@ -362,6 +369,7 @@ def test_quadrature_builtin_rows_pinned(name, scale, digest, tmp_path):
     assert _rows_sha(run_builtin(name, scale), tmp_path) == digest
 
 
+@pytest.mark.pins
 def test_bound_suite_slice_pinned(tmp_path):
     # every regression estimator, every classification class and three LR cases
     rows = [
@@ -376,6 +384,7 @@ def test_bound_suite_slice_pinned(tmp_path):
     assert _rows_sha(rows, tmp_path) == "758f9eb05401d0fd6020cd9b113f7e777a67d0be5a167ab95f1f9840e8d72baf"
 
 
+@pytest.mark.pins
 def test_fidelity_fig2_rows_match_closed_form(tmp_path):
     rows = run_builtin("fidelity-fig2")
     assert _rows_sha(rows, tmp_path) == "aec5108aaef99b5c52d9eea2465c94c68148b2b4c69c541aa8bd491eba6ba179"
