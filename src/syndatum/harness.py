@@ -373,6 +373,8 @@ def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
 # feed the real and the synthetic population optima of the bound, bound its
 # own risk draws.  synth takes no _EI: common random numbers across
 # estimators, so utilities differ only through the fitted estimation model.
+# star takes none either: the real-law optimum does not depend on the
+# estimator, so a unit fits it once per class.
 _EI = "ei"
 SWEEP_SEEDS = dict(draw=(), risk=(3,), fit=(4, _EI), synth=(5,), star=(6,), tilde=(7, _EI),
                    compare=(8,), bound=(9, _EI))
