@@ -168,7 +168,14 @@ class _KNN:
       rounding of both computations (``_tree_predict``).
 
     Rows neither can prove (ties, near-ties, non-finite queries, training
-    sets that are not finite) go to the kernel."""
+    sets that are not finite) go to the kernel.
+
+    Working set, beyond the predictions: the tree path queries
+    ``_QUERY_CELLS // (k + 1)`` rows at a time, so its (rows, k + 1) distance
+    and index arrays hold at most ``_QUERY_CELLS`` cells each, whatever the
+    number of queries; the window path takes 10^6 // k rows at a time; the
+    kernel's (rows, n) distance blocks hold at most 4 * 10^6 cells, and only
+    unproven rows reach it."""
 
     def __init__(self, X, y, k):
         self.X = X
@@ -294,7 +301,7 @@ class _KNN:
         p = Q.shape[1]
         out = np.empty(Q.shape[0])
         proven = np.empty(Q.shape[0], dtype=bool)
-        chunk = max(1, 1_000_000 // (k + 1))
+        chunk = max(1, _QUERY_CELLS // (k + 1))
         for s in range(0, Q.shape[0], chunk):
             q = Q[s : s + chunk]
             finite = np.isfinite(q).all(axis=1)
@@ -349,6 +356,7 @@ class _Tree:
 
 _BATCH_ROWS = 1 << 14  # bootstrap rows (trees x n) grown together
 _BLOCK_CELLS = 1 << 14  # cells of one padded (p, nodes, width) block of split scores
+_QUERY_CELLS = 1 << 16  # cells of one knn tree query chunk's (rows, k + 1) distances and indices
 
 
 def _segment_sums(values, starts, sizes):
@@ -588,6 +596,11 @@ class _MLP:
     error propagated to a layer and its ReLU mask (1.0 where the activation
     is positive); and the output and its error (n,).
 
+    `predict` on m rows lets the hidden layers take turns in two (m, hidden)
+    activation buffers, whatever the depth, and writes the output into one
+    (m,) array; each product has the shape and layout of the forward pass
+    that gave every layer its own buffer.
+
     A hidden bias gradient is the column sum of its layer's masked error.
     With two or more columns, `np.add.reduce(axis=0)` adds the rows in order
     to 0.0, and `np.einsum("ij->j")` makes the same additions in the same
@@ -691,8 +704,9 @@ class _MLP:
         return t
 
     def predict(self, Q):
-        acts = [np.empty((Q.shape[0], b.size)) for b in self.b[:-1]]
-        return self._forward(Q, acts, np.empty(Q.shape[0]))
+        layers, hidden = len(self.W) - 1, self.W[0].shape[1]
+        pair = [np.empty((Q.shape[0], hidden)) for _ in range(min(layers, 2))]
+        return self._forward(Q, [pair[layer % 2] for layer in range(layers)], np.empty(Q.shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,23 @@ def _knn_reference(X, y, k, Q):
     return out
 
 
+def _mlp_predict_reference(W, b, Q):
+    """The ReLU network's forward pass as ``_MLP.predict`` first computed it:
+    one fresh (rows, hidden) array per hidden layer, each product written
+    into its array."""
+    h = Q
+    for Wi, bi in zip(W[:-1], b[:-1]):
+        a = np.empty((Q.shape[0], Wi.shape[1]))
+        np.matmul(h, Wi, out=a)
+        a += bi
+        np.maximum(a, 0.0, out=a)
+        h = a
+    out = np.empty(Q.shape[0])
+    np.matmul(h, W[-1], out=out.reshape(-1, 1))
+    out += b[-1]
+    return out
+
+
 def _piecewise_sample1_reference(self, n, rng):
     """``_Piecewise1D.sample1`` as first written, called with the factor as
     ``self``: the segment from ``searchsorted`` and ``np.where`` over fresh

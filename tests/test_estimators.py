@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import _knn_reference
+from reference import _knn_reference, _mlp_predict_reference
 
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset, sample_noise
 from syndatum.densities import BoxSupport, TruncatedNormalDiag
 from syndatum.errors import NonConvergence, SingularDesign, TaskMismatch
 from syndatum.estimators import (
     EstimatorSpec,
+    _KNN,
     _MLP,
     default_knn_k,
     default_rf_shape,
@@ -111,8 +112,6 @@ def test_knn_predict_matches_per_query_reference(k):
     y = rng.normal(size=150) * 1e3
     Q = np.vstack([X[:50], np.round(rng.normal(size=(300, 2)), 1), rng.normal(size=(300, 2)),
                    [[np.nan, 0.0], [0.5, np.nan]]])
-    from syndatum.estimators import _KNN
-
     assert _KNN(X, y, k).predict(Q).tobytes() == _knn_reference(X, y, k, Q).tobytes()
 
 
@@ -132,8 +131,6 @@ def test_knn_one_feature_matches_per_query_reference(features, labels):
     y = np.where(rng.random(n) < 0.5, -1.0, 1.0) if labels else rng.normal(size=n) * 1e3
     Q = np.concatenate([x, rng.normal(size=300), rng.uniform(3.0, 50.0, size=20) * rng.choice([-1.0, 1.0], 20),
                         [np.inf, -np.inf, np.nan, -0.0]])[:, None]
-    from syndatum.estimators import _KNN
-
     for k in (1, 2, 7, 40, n - 1, n):
         model = _KNN(X, y, k)
         with np.errstate(invalid="ignore"):  # inf * 0 in the distances of an infinite query
@@ -163,8 +160,6 @@ def _spread_features(rng, n, p, features):
 def test_knn_several_features_match_per_query_reference(monkeypatch, p, features, labels):
     # two or more features take the k-d tree path; rows it cannot prove
     # (ties, near-ties, non-finite queries) take the brute-force kernel
-    from syndatum.estimators import _KNN
-
     rng = SeedSpec(35 + p).rng()
     n = 150
     X = _spread_features(rng, n, p, features)
@@ -196,8 +191,6 @@ def test_knn_lone_unproven_row_keeps_the_block_product():
     # numpy takes a one-row product to gemv, which can round a dot product
     # unlike the block product of the reference; a tied row that is the only
     # one left for the kernel must still get the block's answer
-    from syndatum.estimators import _KNN
-
     rng = SeedSpec(37).rng()
     X = np.round(rng.normal(size=(150, 2)), 1)
     y = rng.normal(size=150) * 1e3
@@ -217,8 +210,6 @@ def test_knn_lone_unproven_row_keeps_the_block_product():
 def test_knn_training_set_at_one_point_takes_the_kernel():
     # every distance ties at 0 with the query at that point: nothing is proven
     # and the lowest indices win
-    from syndatum.estimators import _KNN
-
     y = SeedSpec(38).rng().normal(size=20) * 1e3
     for p in (1, 2):
         X, Q = np.zeros((20, p)), np.zeros((4, p))
@@ -229,8 +220,6 @@ def test_knn_training_set_at_one_point_takes_the_kernel():
 
 
 def test_knn_training_set_not_finite_takes_the_kernel():
-    from syndatum.estimators import _KNN
-
     rng = SeedSpec(39).rng()
     X = rng.normal(size=(60, 2))
     X[7, 1] = np.inf
@@ -240,6 +229,23 @@ def test_knn_training_set_not_finite_takes_the_kernel():
     assert model._tree is None and model._sorted is None
     with np.errstate(invalid="ignore"):
         assert model.predict(Q).tobytes() == _knn_reference(X, y, 5, Q).tobytes()
+
+
+def test_knn_predict_on_100k_rows_does_not_depend_on_the_block():
+    # the tree path takes the queries in chunks; each row's answer is its own
+    rng = SeedSpec(38).rng()
+    X = rng.normal(size=(800, 2))
+    X[:200] = np.round(X[:200], 1)  # ties, for the kernel
+    y = rng.normal(size=800)
+    Q = rng.normal(size=(100_000, 2))
+    Q[:5_000] = np.round(Q[:5_000], 1)
+    model = _KNN(X, y, 28)
+    whole = model.predict(Q)
+    for block in (1_000, 7_919, 65_536):
+        parts = [model.predict(Q[s : s + block]) for s in range(0, Q.shape[0], block)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), block
+    sub = np.r_[0:1_000, 99_000:100_000]
+    assert whole[sub].tobytes() == _knn_reference(X, y, 28, Q[sub]).tobytes()
 
 
 def test_knn_classification_prob_in_unit_interval():
@@ -759,6 +765,43 @@ def test_mlp_flat_adam_matches_per_parameter_reference(n, p, layers, hidden, sca
 )
 def test_mlp_train_matches_reference_property(n, p, layers, hidden, scale, seed, weights):
     _assert_mlp_matches_reference(n, p, layers, hidden, scale, seed, weights)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, 4])
+@pytest.mark.parametrize("hidden", [1, 10])
+def test_mlp_predict_matches_one_buffer_per_layer_reference(layers, hidden):
+    # the hidden layers take turns in two buffers; each product keeps its shape
+    rng = SeedSpec(70 + layers).rng()
+    mlp = _MLP(2, layers, hidden, rng)
+    for b in mlp.b:
+        b[...] = rng.normal(size=b.shape)
+    for rows in (1, 2, 5_000):
+        Q = rng.normal(size=(rows, 2))
+        assert mlp.predict(Q).tobytes() == _mlp_predict_reference(mlp.W, mlp.b, Q).tobytes(), rows
+
+
+def test_knn_and_mlp_predict_working_set_is_bounded():
+    # 100k rows, as in a population optimum: the knn tree path's query chunks
+    # and the mlp's two activation buffers bound what a call allocates
+    import tracemalloc
+
+    rng = SeedSpec(39).rng()
+    rows, hidden = 100_000, 10
+    Q = rng.normal(size=(rows, 2))
+    knn = _KNN(rng.normal(size=(800, 2)), rng.normal(size=800), 28)
+    mlp = _MLP(2, 4, hidden, rng)
+
+    def peak(predict):
+        tracemalloc.start()
+        try:
+            predict(Q)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(knn.predict) <= 4 * 2**20
+    # two (rows, hidden) buffers, the (rows,) output and 1 MiB of slack
+    assert peak(mlp.predict) <= 2 * rows * hidden * 8 + rows * 8 + 2**20
 
 
 def test_mlp_keeps_no_training_scratch():
