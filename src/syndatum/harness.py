@@ -207,8 +207,9 @@ class ScenarioConfig:
                               f"line break (rows.csv writes it unquoted)")
         if self.noise is None:
             raise ConfigError("noise has no default; default is for synth_noise only")
-        if not self.n_grid or list(self.n_grid) != sorted(self.n_grid) or self.n_grid[0] < 1:
-            raise ConfigError(f"n_grid must be non-empty, ascending and >= 1, got {self.n_grid}")
+        # a repeated n would give two units rows with the same keys
+        if not self.n_grid or any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])) or self.n_grid[0] < 1:
+            raise ConfigError(f"n_grid must be non-empty, strictly ascending and >= 1, got {self.n_grid}")
         if self.replications < 1 or self.n_test < 2:
             raise ConfigError(f"replications must be >= 1 and n_test >= 2 (a standard error needs two "
                               f"test rows), got {self.replications} and {self.n_test}")
@@ -958,7 +959,11 @@ def run_builtin(
     if master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
     if name in _SWEEPS:
-        return run_scenario(*_SWEEPS[name](scale, master_seed), workers=workers)
+        try:
+            configs = _SWEEPS[name](scale, master_seed)
+        except ConfigError as exc:  # a scale so large that it collapses the n grid
+            raise ConfigError(f"{name} --scale {scale}: {exc}") from None
+        return run_scenario(*configs, workers=workers)
     if name in _FIXED:
         return _sort_rows(_FIXED[name](master_seed))
     raise UnknownBuiltin(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")

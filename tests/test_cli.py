@@ -236,6 +236,18 @@ def test_experiment_bad_density_or_n_test_fails_at_load(tmp_path, capsys, old, n
     assert not (tmp_path / "o").exists()
 
 
+def test_experiment_repeated_n_fails_at_load(tmp_path, capsys):
+    """A repeated n, written in a config or made by a builtin's --scale,
+    would give two units rows with the same keys."""
+    path = tmp_path / "bad.ini"
+    path.write_text(REG_CONFIG.replace("n_grid = 128", "n_grid = 16, 16, 32"))
+    for source in (["--config", str(path)], ["fig3", "--scale", "5000"]):
+        assert main(["experiment", *source, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "strictly ascending" in err and len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [

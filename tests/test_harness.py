@@ -277,9 +277,8 @@ def test_full_run_determinism_byte_identical_csv(tmp_path):
 
 
 def test_schedule_independence_with_workers(tmp_path):
-    # a repeated n gives units with equal (n, replication) row keys, which
-    # keep their grid order however the units are dispatched
-    for estimators, n_grid in [(("oracle",), (32, 64)), (("oracle", "mlp"), (16, 16, 32))]:
+    # units are dispatched largest n first; their rows come back in grid order
+    for estimators, n_grid in [(("oracle",), (32, 64)), (("oracle", "mlp"), (16, 24, 32))]:
         config = _tiny_config(replications=3, n_grid=n_grid, estimators=estimators)
         serial = run_scenario(config, workers=1)
         parallel = run_scenario(config, workers=2)
@@ -580,6 +579,9 @@ def test_load_scenarios_rejects_bad_config(tmp_path):
 def test_scenario_config_validation():
     with pytest.raises(ConfigError):
         _tiny_config(n_grid=(64, 32))
+    # a repeated n would write two units' rows under the same keys
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        _tiny_config(n_grid=(16, 16, 32))
     with pytest.raises(ConfigError):
         _tiny_config(replications=0)
     with pytest.raises(ConfigError, match="master_seed"):
