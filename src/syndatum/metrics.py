@@ -242,17 +242,17 @@ def excess_risk(
     return float(np.mean(_excess_vector(scores, truth_vals, loss)))
 
 
-def _draw_test(cfg: RiskConfig):
+def _draw_test_sample(cfg: RiskConfig):
     X = cfg.density.sample(cfg.n_test, cfg.seed.child(91))
     target = draw_responses(cfg.task, cfg.truth(X), cfg.noise, cfg.seed.child(92))
     X.flags.writeable = target.flags.writeable = False
     return X, target
 
 
-_last_test_draw = functools.lru_cache(maxsize=1)(_draw_test)
+_last_test_sample = functools.lru_cache(maxsize=1)(_draw_test_sample)
 
 
-def _test_draw(cfg: RiskConfig):
+def _test_sample(cfg: RiskConfig):
     """The Monte-Carlo test features and responses of cfg, read-only.  The
     last draw is kept, so the utilities of one unit, which share one config,
     draw once; a config with an unhashable part (a plug-in FittedEstimator
@@ -260,8 +260,8 @@ def _test_draw(cfg: RiskConfig):
     try:
         hash(cfg)
     except TypeError:
-        return _draw_test(cfg)
-    return _last_test_draw(cfg)
+        return _draw_test_sample(cfg)
+    return _last_test_sample(cfg)
 
 
 def risks_common_draws(models: Sequence[Predictor], cfg: RiskConfig):
@@ -283,7 +283,7 @@ def risks_common_draws(models: Sequence[Predictor], cfg: RiskConfig):
             for m in models
         ]
         return ests, None
-    X, target = _test_draw(cfg)
+    X, target = _test_sample(cfg)
     vectors = [_loss_vector(_score_fn(m, cfg.loss), cfg.loss, X, target) for m in models]
     ests = [
         RiskEstimate(

@@ -346,13 +346,13 @@ def test_monte_carlo_test_sample_is_drawn_once_per_config_and_read_only():
     # the utilities of one unit share one RiskConfig, so one test sample
     cfg = RiskConfig(density=uniform_pm1(), truth=TruthSpec("abs"), noise=NoiseModel.gaussian(0.3),
                      n_test=500, seed=SeedSpec(41))
-    fresh = metrics._draw_test(cfg)
+    fresh = metrics._draw_test_sample(cfg)
     models = [lambda X: 0.5 * X[:, 0], lambda X: X[:, 0] ** 2]
     with mock.patch.object(metrics, "draw_responses", wraps=metrics.draw_responses) as draws:
         first = risks_common_draws(models, cfg)[0]
         again = risks_common_draws(models[::-1], RiskConfig(**vars(cfg)))[0]
     assert draws.call_count == 1 and first == again[::-1]
-    X, target = metrics._test_draw(cfg)
+    X, target = metrics._test_sample(cfg)
     assert not X.flags.writeable and not target.flags.writeable
     assert X.tobytes() == fresh[0].tobytes() and target.tobytes() == fresh[1].tobytes()
     # a plug-in estimator truth does not hash: it draws every time, as before
