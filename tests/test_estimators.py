@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -783,8 +784,6 @@ def test_mlp_predict_matches_one_buffer_per_layer_reference(layers, hidden):
 def test_knn_and_mlp_predict_working_set_is_bounded():
     # 100k rows, as in a population optimum: the knn tree path's query chunks
     # and the mlp's two activation buffers bound what a call allocates
-    import tracemalloc
-
     rng = SeedSpec(39).rng()
     rows, hidden = 100_000, 10
     Q = rng.normal(size=(rows, 2))
