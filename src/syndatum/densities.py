@@ -595,7 +595,6 @@ class FidelityCertificate:
     C_grid: tuple
     tails: tuple
     worst_C: float
-    attained_sup: float
 
     def bound_at(self, C: float) -> float:
         return self.V * C**-self.d
@@ -639,7 +638,6 @@ def certify_fidelity_level(
         C_grid=tuple(float(c) for c in C_grid),
         tails=tuple(float(t) for t in tails),
         worst_C=float(C_grid[i]),
-        attained_sup=V,
     )
 
 

@@ -2,10 +2,10 @@
 classifier families, their (optionally box-constrained) empirical risk
 minimizers, and Monte-Carlo approximations of population optima.
 
-Regression fits minimize mean squared error; classification fits minimize the
-logistic surrogate for basis classes and the empirical 0-1 risk directly for
-the one-parameter threshold/sign families (grid search plus golden-section
-refinement, resolution 1e-4).
+Regression fits minimize mean squared error, over a coefficient box exactly;
+classification fits minimize the logistic surrogate for basis classes and the
+empirical 0-1 risk directly for the one-parameter threshold/sign families
+(grid search plus golden-section refinement, resolution 1e-4).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import lsq_linear, minimize
 
 from .datamodel import (
     Dataset,
@@ -187,68 +187,10 @@ class FittedModel:
 # ---------------------------------------------------------------------------
 
 
-def _quadratic_objective(A, b, beta):
-    return float(beta @ A @ beta - 2.0 * b @ beta)
-
-
-def _solve_box_quadratic(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Minimize beta' A beta - 2 b' beta over the box [lo, hi].
-
-    Exact face enumeration for q <= 2; accelerated projected gradient to
-    tolerance 1e-10 otherwise.
-    """
-    q = A.shape[0]
-    if q <= 2:
-        best, best_val = None, np.inf
-        states = [(0,), (1,), (2,)] if q == 1 else [(i, j) for i in range(3) for j in range(3)]
-        for state in states:
-            fixed_vals = np.empty(q)
-            free = []
-            for i, s in enumerate(state):
-                if s == 0:
-                    free.append(i)
-                else:
-                    fixed_vals[i] = lo[i] if s == 1 else hi[i]
-            beta = fixed_vals.copy()
-            if free:
-                f = np.asarray(free)
-                rest = np.asarray([i for i in range(q) if i not in free])
-                rhs = b[f]
-                if rest.size:
-                    rhs = rhs - A[np.ix_(f, rest)] @ fixed_vals[rest]
-                try:
-                    beta_f = np.linalg.solve(A[np.ix_(f, f)], rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                if np.any(beta_f < lo[f] - 1e-12) or np.any(beta_f > hi[f] + 1e-12):
-                    continue
-                beta[f] = np.clip(beta_f, lo[f], hi[f])
-            val = _quadratic_objective(A, b, beta)
-            if val < best_val - 1e-15:
-                best, best_val = beta, val
-        return best
-
-    # FISTA on the smooth quadratic with box projection
-    L = 2.0 * float(np.linalg.eigvalsh(A)[-1])
-    L = max(L, 1e-12)
-    beta = np.clip(np.zeros(q), lo, hi)
-    y = beta.copy()
-    t = 1.0
-    for _ in range(200_000):
-        grad = 2.0 * (A @ y - b)
-        new = np.clip(y - grad / L, lo, hi)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = new + (t - 1.0) / t_new * (new - beta)
-        shift = np.max(np.abs(new - beta))
-        beta, t = new, t_new
-        if shift <= 1e-10 * max(1.0, np.max(np.abs(beta))):
-            break
-    return beta
-
-
 def fit_regression(model_class: BasisFunctionClass, data: Dataset) -> FittedModel:
-    """Least squares over the basis; box-constrained when the class declares a
-    coefficient box."""
+    """Least squares over the basis; over the coefficient box, exactly, when
+    the class declares one: the parabola's vertex clipped to the box for one
+    coefficient, bounded-variable least squares (BVLS) for more."""
     if data.task is not TaskKind.REGRESSION:
         raise TaskMismatch("fit_regression requires a regression dataset")
     if not isinstance(model_class, BasisFunctionClass):
@@ -259,11 +201,29 @@ def fit_regression(model_class: BasisFunctionClass, data: Dataset) -> FittedMode
         if rank < Phi.shape[1]:
             raise SingularDesign(f"basis Gram matrix is singular (rank {rank} < {Phi.shape[1]})")
         return FittedModel(model_class, beta)
+    # minimize beta' A beta - 2 b' beta over [lo, hi]
     n = Phi.shape[0]
     lo, hi = (np.asarray(v, dtype=float) for v in model_class.coefficient_box)
     A = Phi.T @ Phi / n
     b = Phi.T @ data.responses / n
-    beta = _solve_box_quadratic(A, b, lo, hi)
+    if model_class.q == 1:
+        # a flat parabola (A == 0) descends towards hi when b > 0, else is level or falls to lo
+        beta = np.where(b > 0, hi, lo) if A[0, 0] == 0 else np.clip(b / A[0], lo, hi)
+        return FittedModel(model_class, beta)
+    # as ||R beta - c||^2 with R'R = A and R'c = b on A's range
+    w, V = np.linalg.eigh(A)
+    root, V = np.sqrt(w[w > 0]), V[:, w > 0]
+    R, c = root[:, None] * V.T, V.T @ b / root
+    beta = lo.copy()
+    free = lo < hi  # BVLS needs lo < hi; a zero-width coordinate stays at its bound
+    if free.any():
+        fit = lsq_linear(R[:, free], c - R[:, ~free] @ lo[~free], bounds=(lo[free], hi[free]), method="bvls")
+        beta[free] = np.clip(fit.x, lo[free], hi[free])  # BVLS can step past a bound by rounding
+        # BVLS's success flag says how it stopped, not whether the KKT conditions
+        # hold: it stops on a step that leaves the cost unchanged (one across a box
+        # narrower than rounding) and fails when its last allowed step is optimal
+        if fit.optimality > 1e-8 * (w[-1] * np.abs(beta).max() + np.abs(b).max()):
+            raise NonConvergence(f"bounded least squares stopped short: {fit.message}")
     return FittedModel(model_class, beta)
 
 
@@ -499,7 +459,9 @@ def parse_model_class(text: str, p: int, task: TaskKind) -> ModelClass:
     box = None
     if "box" in params:
         vals = [float(v) for v in params["box"].split(",")]
-        box = vals[0] if len(vals) == 1 else (vals[0], vals[1])
+        if len(vals) > 2:
+            raise ValueError(f"box takes B or lo,hi, not {params['box']!r}")
+        box = vals[0] if len(vals) == 1 else tuple(vals)
     mc = make_model_class(name, p, task, box=box)
     if mc.task is not task:
         raise ValueError(f"{name} is a {mc.task.value} class, not {task.value}")

@@ -910,7 +910,6 @@ def _run_consistency(master_seed: int) -> List[ResultRow]:
             loss=SQUARED,
             noise=NoiseModel.gaussian(0.25),
             method="quadrature",
-            population_m=100_000,
             seed=SeedSpec(master_seed, 4100 + rep),
         )
         try:

@@ -2,6 +2,7 @@
 apart from the test modules so that each test module imports only this one."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -17,6 +18,72 @@ def _rows_sha(rows, tmp_path) -> str:
     path = tmp_path / "rows.csv"
     write_rows_csv(rows, path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _box_problem(model_class, X, y):
+    """The quadratic a boxed fit minimizes, as ``_solve_box_quadratic``'s
+    arguments (A, b, lo, hi)."""
+    Phi = model_class.features(X)
+    lo, hi = (np.asarray(v, dtype=float) for v in model_class.coefficient_box)
+    return Phi.T @ Phi / Phi.shape[0], Phi.T @ y / Phi.shape[0], lo, hi
+
+
+def _quadratic_objective(A, b, beta):
+    return float(beta @ A @ beta - 2.0 * b @ beta)
+
+
+def _solve_box_quadratic(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The box-constrained fit as ``erm.fit_regression`` first computed it:
+    minimize beta' A beta - 2 b' beta over the box [lo, hi] by exact face
+    enumeration for q <= 2 and accelerated projected gradient (FISTA) to
+    tolerance 1e-10 otherwise."""
+    q = A.shape[0]
+    if q <= 2:
+        best, best_val = None, np.inf
+        states = [(0,), (1,), (2,)] if q == 1 else [(i, j) for i in range(3) for j in range(3)]
+        for state in states:
+            fixed_vals = np.empty(q)
+            free = []
+            for i, s in enumerate(state):
+                if s == 0:
+                    free.append(i)
+                else:
+                    fixed_vals[i] = lo[i] if s == 1 else hi[i]
+            beta = fixed_vals.copy()
+            if free:
+                f = np.asarray(free)
+                rest = np.asarray([i for i in range(q) if i not in free])
+                rhs = b[f]
+                if rest.size:
+                    rhs = rhs - A[np.ix_(f, rest)] @ fixed_vals[rest]
+                try:
+                    beta_f = np.linalg.solve(A[np.ix_(f, f)], rhs)
+                except np.linalg.LinAlgError:
+                    continue
+                if np.any(beta_f < lo[f] - 1e-12) or np.any(beta_f > hi[f] + 1e-12):
+                    continue
+                beta[f] = np.clip(beta_f, lo[f], hi[f])
+            val = _quadratic_objective(A, b, beta)
+            if val < best_val - 1e-15:
+                best, best_val = beta, val
+        return best
+
+    # FISTA on the smooth quadratic with box projection
+    L = 2.0 * float(np.linalg.eigvalsh(A)[-1])
+    L = max(L, 1e-12)
+    beta = np.clip(np.zeros(q), lo, hi)
+    y = beta.copy()
+    t = 1.0
+    for _ in range(200_000):
+        grad = 2.0 * (A @ y - b)
+        new = np.clip(y - grad / L, lo, hi)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = new + (t - 1.0) / t_new * (new - beta)
+        shift = np.max(np.abs(new - beta))
+        beta, t = new, t_new
+        if shift <= 1e-10 * max(1.0, np.max(np.abs(beta))):
+            break
+    return beta
 
 
 def _knn_reference(X, y, k, Q):

@@ -186,9 +186,14 @@ def test_experiment_bad_mlp_shape_fails_at_load(tmp_path, reg_config, capsys, es
          "finite box bounds"),
         (CLS_CONFIG, "model_classes = sign-abs; sign-linear", "model_classes = threshold-abs box=-inf,1",
          "finite box bounds"),
+        # a third value would be dropped
+        (REG_CONFIG, "model_classes = linear; abs", "model_classes = constant box=0,1,5; abs",
+         "'constant box=0,1,5': box takes B or lo,hi, not '0,1,5'"),
+        (CLS_CONFIG, "model_classes = sign-abs; sign-linear", "model_classes = logistic-linear box=2,3,4",
+         "'logistic-linear box=2,3,4': box takes B or lo,hi, not '2,3,4'"),
     ],
     ids=["logistic-box-negative", "logistic-box-nan", "class-box-nan-cls", "class-box-nan-reg",
-         "threshold-box-inf-upper", "threshold-box-inf-lower"],
+         "threshold-box-inf-upper", "threshold-box-inf-lower", "class-box-three-reg", "class-box-three-cls"],
 )
 def test_experiment_bad_box_fails_at_load(tmp_path, capsys, config, old, new, message):
     path = tmp_path / "bad.ini"

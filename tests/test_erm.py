@@ -1,8 +1,10 @@
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from reference import _box_problem, _solve_box_quadratic
 
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset
 from syndatum.densities import (
@@ -22,7 +24,7 @@ from syndatum.erm import (
     parse_model_class,
     population_optimum,
 )
-from syndatum.errors import NonFiniteValue, SingularDesign, TaskMismatch
+from syndatum.errors import NonConvergence, NonFiniteValue, SingularDesign, TaskMismatch
 
 REG = TaskKind.REGRESSION
 CLS = TaskKind.CLASSIFICATION
@@ -126,6 +128,48 @@ def test_box_constrained_q4_projected_gradient():
     for _ in range(100):
         cand = rng.uniform(-0.3, 0.3, size=4)
         assert base <= objective(cand) + 1e-8
+
+
+@pytest.mark.parametrize("response, expected", [(-1e170, -1.0), (0.0, -1.0), (1e170, 2.0)],
+                         ids=["b-negative", "b-zero", "b-positive"])
+def test_box_fit_of_a_flat_parabola_takes_the_end_it_descends_to(response, expected):
+    # features of 1e-170 square to 0, so A = 0 while b is -1, 0 or 1
+    X = np.full((8, 1), 1e-170)
+    y = np.full(8, response)
+    mc = make_model_class("linear", 1, REG, box=(-1.0, 2.0))
+    assert _box_problem(mc, X, y)[0][0, 0] == 0.0
+    beta = fit_regression(mc, make_dataset(X, y, REG)).coefficients
+    assert beta.tobytes() == _solve_box_quadratic(*_box_problem(mc, X, y)).tobytes()
+    assert beta[0] == expected
+
+
+def test_box_fit_in_a_zero_width_or_infinite_box():
+    rng = SeedSpec(4).rng()
+    X = rng.uniform(-1, 1, size=(200, 1))
+    y = 0.3 * X[:, 0] + rng.normal(0, 0.01, size=200)
+    data = make_dataset(X, y, REG)
+    # box=0 is [-0.0, 0.0]: the enumeration keeps the lower end's -0.0 where
+    # the clip gives the upper end's 0.0, equal as numbers
+    zero = make_model_class("linear", 1, REG, box=0.0)
+    assert fit_regression(zero, data).coefficients[0] == 0.0 == _solve_box_quadratic(*_box_problem(zero, X, y))[0]
+    wide = make_model_class("linear", 1, REG, box=np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta = fit_regression(wide, data).coefficients
+    with np.errstate(invalid="ignore"):  # the enumeration's objective at an infinite end
+        assert beta.tobytes() == _solve_box_quadratic(*_box_problem(wide, X, y)).tobytes()
+    assert beta[0] == pytest.approx(fit_regression(make_model_class("linear", 1, REG), data).coefficients[0], abs=1e-12)
+
+
+def test_box_fit_fails_loudly_where_bvls_stops_short():
+    # a coordinate free to move by 1e-300 stalls scipy's BVLS at beta[2] = 0,
+    # reported as success; the minimizer has beta[2] = 0.2
+    X = np.array([[2.0, 2.0, 2.0], [1.0, 2.0, -1.0], [-2.0, 0.0, 2.0], [2.0, 2.0, 1.0]])
+    y = np.array([1.0, 2.0, 0.0, 2.0])
+    mc = make_model_class("linear", 3, REG, box=((0.0, -1.0, 0.0), (1e-300, 0.0, 1.0)))
+    assert _solve_box_quadratic(*_box_problem(mc, X, y))[2] == pytest.approx(0.2)
+    with pytest.raises(NonConvergence, match="stopped short"):
+        fit_regression(mc, make_dataset(X, y, REG))
 
 
 def test_constant_class_population_optimum_toy61():

@@ -253,6 +253,25 @@ def test_unit_keeps_a_failed_fit(monkeypatch):
     assert calls == {"fit_estimator": 1}
 
 
+@pytest.mark.parametrize("success", [False, True], ids=["failed", "stopped-short"])
+def test_unit_records_a_bvls_failure_as_a_row_error(monkeypatch, success):
+    # BVLS that ends away from the box's KKT point, whatever it reports,
+    # fails the boxed fits of the unit and nothing else
+    from scipy.optimize import OptimizeResult
+
+    import syndatum.erm
+
+    def stopped(R, c, bounds, method):
+        return OptimizeResult(x=bounds[0], success=success, optimality=1.0, message="stub")
+
+    monkeypatch.setattr(syndatum.erm, "lsq_linear", stopped)
+    square = UniformBox(BoxSupport((-1.0, -1.0), (1.0, 1.0)))
+    rows = run_scenario(_tiny_config(real_density=square, synth_density=square, truth=TruthSpec("expdiff"),
+                                     model_classes=("linear box=1",)))
+    assert {r.metric_name for r in rows} == {"utility"}
+    assert all(r.error == "NonConvergence: bounded least squares stopped short: stub" for r in rows)
+
+
 def test_bound_assumes_the_synthetic_noise_the_synthesis_used(monkeypatch):
     import syndatum.harness
 

@@ -1,12 +1,13 @@
 """Property-based checks of the core invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import _knn_reference
+from reference import _box_problem, _knn_reference, _quadratic_objective, _solve_box_quadratic
 
 from syndatum.datamodel import NoiseModel, SeedSpec, TaskKind, make_dataset, sample_noise
 from scipy.special import erfi, ndtr
@@ -198,6 +199,89 @@ def test_box_fit_stays_inside_box_property(lo, hi, seed):
     mc = make_model_class("linear", 1, REG, box=(lo, hi))
     model = fit_regression(mc, make_dataset(X, y, REG))
     assert lo - 1e-9 <= model.coefficients[0] <= hi + 1e-9
+
+
+@st.composite
+def one_coefficient_box_fit(draw):
+    """Rows of one feature and a box placed against the fit's vertex v = b / A:
+    around it, wholly below or above it, or with an end within 1e-12 of it.
+    The reference keeps the first of two candidates whose objectives differ
+    by under 1e-15, so |x| >= 0.1 keeps A from hiding the better end and
+    |y| <= 1/2 keeps the objective's rounding under that."""
+    n = draw(st.integers(2, 40))
+    sign = st.sampled_from([-1.0, 1.0])
+    x = np.array([draw(st.floats(0.1, 3.0)) * draw(sign) for _ in range(n)])
+    y = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+    v = float(x @ y / n / (x @ x / n))
+    width = draw(st.floats(1e-3, 5.0))
+    where = draw(st.sampled_from(["around", "below", "above", "lo", "hi"]))
+    if where == "around":
+        lo = v - draw(st.floats(0.0, 1.0)) * width
+    elif where == "below":
+        lo = v + draw(st.floats(1e-6, 5.0))
+    elif where == "above":
+        lo = v - draw(st.floats(1e-6, 5.0)) - width
+    else:
+        lo = v + draw(st.floats(-1e-12, 1e-12)) - (width if where == "hi" else 0.0)
+    return x[:, None], y, lo, lo + width
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=one_coefficient_box_fit())
+def test_one_coefficient_box_fit_is_the_reference_property(case):
+    # the clipped vertex picks the face the enumeration picks, to the bit
+    X, y, lo, hi = case
+    mc = make_model_class("linear", 1, REG, box=(lo, hi))
+    got = fit_regression(mc, make_dataset(X, y, REG)).coefficients
+    assert got.tobytes() == _solve_box_quadratic(*_box_problem(mc, X, y)).tobytes()
+
+
+@st.composite
+def boxed_design(draw):
+    """2-10 coefficients of the linear class; a full, collinear, zero-column
+    or all-zero design; an infinite box or one per coordinate, some of zero
+    width.  A nonzero width is at least 1e-3: scipy's BVLS stops short on a
+    box narrower than rounding (test_erm covers that)."""
+    q = draw(st.integers(2, 10))
+    n = draw(st.integers(q, 40))
+    row = st.lists(st.floats(-3.0, 3.0), min_size=q, max_size=q)
+    X = np.array(draw(st.lists(row, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["full", "collinear", "zero-column", "all-zero"]))
+    if kind == "collinear":
+        i, j = draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+        X[:, i] = draw(st.floats(-2.0, 2.0)) * X[:, j]
+    elif kind == "zero-column":
+        X[:, draw(st.integers(0, q - 1))] = 0.0
+    elif kind == "all-zero":
+        X[:] = 0.0
+    if draw(st.booleans()):
+        return X, y, np.full(q, -np.inf), np.full(q, np.inf)
+    lo = np.array(draw(st.lists(st.floats(-3.0, 1.0), min_size=q, max_size=q)))
+    width = st.just(0.0) | st.floats(1e-3, 3.0)
+    return X, y, lo, lo + np.array(draw(st.lists(width, min_size=q, max_size=q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=boxed_design())
+def test_box_fit_meets_the_kkt_conditions_property(case):
+    # BVLS is at least as good as face enumeration and FISTA, and its
+    # projected gradient vanishes; an infinite box warns of nothing
+    X, y, lo, hi = case
+    mc = make_model_class("linear", X.shape[1], REG, box=(tuple(lo), tuple(hi)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        beta = fit_regression(mc, make_dataset(X, y, REG)).coefficients
+    A, b, lo, hi = _box_problem(mc, X, y)
+    assert np.all((lo <= beta) & (beta <= hi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the reference's, on an infinite box
+        ref = _solve_box_quadratic(A, b, lo, hi)
+        best = np.inf if ref is None else _quadratic_objective(A, b, ref)
+    if np.isfinite(best):
+        assert _quadratic_objective(A, b, beta) <= best + 1e-12 * (1.0 + np.mean(y**2))
+    gradient = 2.0 * (A @ beta - b)
+    assert np.max(np.abs(np.clip(beta - gradient, lo, hi) - beta)) <= 1e-8
 
 
 @settings(max_examples=15, deadline=None)
