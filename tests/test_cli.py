@@ -186,7 +186,7 @@ def test_experiment_bad_mlp_shape_fails_at_load(tmp_path, reg_config, capsys, es
          "finite box bounds"),
         (CLS_CONFIG, "model_classes = sign-abs; sign-linear", "model_classes = threshold-abs box=-inf,1",
          "finite box bounds"),
-        # a third value would be dropped
+        # a class box is B or lo,hi
         (REG_CONFIG, "model_classes = linear; abs", "model_classes = constant box=0,1,5; abs",
          "'constant box=0,1,5': box takes B or lo,hi, not '0,1,5'"),
         (CLS_CONFIG, "model_classes = sign-abs; sign-linear", "model_classes = logistic-linear box=2,3,4",
