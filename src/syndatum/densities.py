@@ -74,7 +74,7 @@ class BoxSupport:
 
 
 class Marginal1D:
-    """One-dimensional factor on [a, b]: pdf1, cdf1, mean, variance and
+    """One-dimensional factor on [a, b]: pdf1, cdf1, variance and
     sample1(n, rng)."""
 
     a: float
@@ -97,9 +97,6 @@ class _Uniform1D(Marginal1D):
     def cdf1(self, x):
         x = np.asarray(x, dtype=float)
         return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
-
-    def mean(self):
-        return 0.5 * (self.a + self.b)
 
     def variance(self):
         return (self.b - self.a) ** 2 / 12.0
@@ -289,9 +286,6 @@ class _LinearTilt1D(Marginal1D):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 2.0)
         return self.alpha * x * x / 4.0 + (1.0 - self.alpha) * x / 2.0
 
-    def mean(self):
-        return 1.0 + self.alpha / 3.0
-
     def variance(self):
         return 1.0 / 3.0 - self.alpha**2 / 9.0
 
@@ -322,9 +316,6 @@ class _Triangular1D(Marginal1D):
     def cdf1(self, x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
         return x * x if self.increasing else 1.0 - (1.0 - x) ** 2
-
-    def mean(self):
-        return 2.0 / 3.0 if self.increasing else 1.0 / 3.0
 
     def variance(self):
         return 1.0 / 18.0

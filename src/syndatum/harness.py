@@ -371,14 +371,14 @@ def _risk_config(config: ScenarioConfig, seed: SeedSpec) -> RiskConfig:
 # outputs.  Sweeps and the single-draw commands use SWEEP_SEEDS on
 # SeedSpec(master_seed, rep).child(n_index) (_sweep_unit), the bound suite
 # SUITE_SEEDS on SeedSpec(master_seed, 1000 | 2000 + case).  star and tilde
-# feed the real and the synthetic population optima of the bound, bound its
-# own risk draws.  synth takes no _EI: common random numbers across
-# estimators, so utilities differ only through the fitted estimation model.
-# star takes none either: the real-law optimum does not depend on the
-# estimator, so a unit fits it once per class.
+# feed the real and the synthetic population optima of the bound and the
+# comparison, bound the bound's own risk draws.  synth takes no _EI: common
+# random numbers across estimators, so utilities differ only through the
+# fitted estimation model.  star takes none either: the real-law optimum
+# does not depend on the estimator, so a unit fits it once per class.
 _EI = "ei"
 SWEEP_SEEDS = dict(draw=(), risk=(3,), fit=(4, _EI), synth=(5,), star=(6,), tilde=(7, _EI),
-                   compare=(8,), bound=(9, _EI))
+                   bound=(9, _EI))
 SUITE_SEEDS = dict(draw=(1,), fit=(2,), synth=(3,), star=(4,), tilde=(5,), risk=(6,), bound=(7,))
 
 
@@ -466,9 +466,10 @@ class _Unit:
 
     @_stage
     def comparison(self):
-        config = self.config
-        return compare_models(*config.classes, config.synth_density, self.fitted(0),
-                              _risk_config(config, self._seed("compare")))
+        """The two classes' optima under the real law and under estimator 0's
+        synthetic law, ranked on the utilities' risk draws."""
+        optima = [self.optimum(ei, ci) for ei in (None, 0) for ci in (0, 1)]
+        return compare_models(*optima, _risk_config(self.config, self._seed("risk")))
 
 
 def _lr_case(real: DensityModel, synth: DensityModel, beta, noise: NoiseModel,
@@ -724,6 +725,13 @@ def _run_toy_s1(master_seed: int) -> List[ResultRow]:
                              lambda alpha: (_mass_neg(alpha), _mass_neg(1.0 - alpha)), master_seed)
 
 
+def _comparison_optima(classes, real, synth, truth, m, seed):
+    """Population optima of two classes, (real f1, real f2, synth f1, synth
+    f2) at seed children 1-4, every one fitted on m draws."""
+    return [population_optimum(mc, law, truth, m, seed.child(k))
+            for k, (law, mc) in enumerate(product((real, synth), classes), 1)]
+
+
 def _toy61_part(name, alpha, truth, task, class_name, boxes, labels, seed) -> List[ResultRow]:
     real, synth = _mass_neg(alpha), _mass_neg(1 - alpha)
     classes = [make_model_class(class_name, 1, task, box=box) for box in boxes]
@@ -732,10 +740,9 @@ def _toy61_part(name, alpha, truth, task, class_name, boxes, labels, seed) -> Li
         truth=truth,
         loss=SQUARED if task is TaskKind.REGRESSION else ZERO_ONE,
         method="quadrature",
-        population_m=_TOY_M,
         seed=seed,
     )
-    report = compare_models(*classes, synth, truth, cfg)
+    report = compare_models(*_comparison_optima(classes, real, synth, truth, _TOY_M, seed), cfg)
     rows = _comparison_rows(name, 0, 0, "oracle", labels, report)
     for which in ("real", "synth"):
         rows.extend(
@@ -913,7 +920,8 @@ def _run_consistency(master_seed: int) -> List[ResultRow]:
             seed=SeedSpec(master_seed, 4100 + rep),
         )
         try:
-            consistent += int(compare_models(f1, f2, synth, truth, cfg).consistent)
+            optima = _comparison_optima((f1, f2), real, synth, truth, 100_000, cfg.seed)
+            consistent += int(compare_models(*optima, cfg).consistent)
         except SyndatumError:
             pass  # an indeterminate comparison does not count as consistent
     values = {"assumption4_holds": check.holds_reg, "consistent_count": consistent,

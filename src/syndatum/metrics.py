@@ -26,7 +26,7 @@ from .datamodel import (
     draw_responses,
 )
 from .densities import DensityModel
-from .erm import BasisFunctionClass, FittedModel, ModelClass, population_optimum
+from .erm import BasisFunctionClass, FittedModel
 from .errors import Indeterminate, UnsupportedQuadrature
 from .estimators import FittedEstimator
 
@@ -56,7 +56,6 @@ class RiskConfig:
     n_test: int = 50_000
     method: str = "monte-carlo"
     seed: SeedSpec = SeedSpec(0)
-    population_m: int = 100_000
 
     @property
     def task(self) -> TaskKind:
@@ -327,27 +326,16 @@ def _band_sign(diff: float, se: float) -> int:
 
 
 def compare_models(
-    class1: ModelClass,
-    class2: ModelClass,
-    synth_density: DensityModel,
-    synth_truth,
-    cfg: RiskConfig,
+    f1: FittedModel, f2: FittedModel, f1s: FittedModel, f2s: FittedModel, cfg: RiskConfig
 ) -> ComparisonReport:
     """Does synthetic training preserve the ranking of two model classes?
 
-    Computes population optima of both classes under the real law
-    (``cfg.density``, ``cfg.truth``) and the synthetic law (``synth_density``
-    with responses from ``synth_truth``, typically the fitted estimation
-    model), evaluates all four risks under the real law, and reports sign
-    agreement of the two risk gaps.  Raises Indeterminate when either gap
-    falls inside the two-standard-error dead band.
+    Takes the population optima of both classes under the real law (f1, f2)
+    and under the synthetic law (f1s, f2s), evaluates all four risks under
+    the real law (``cfg.density``, ``cfg.truth``), and reports sign agreement
+    of the two risk gaps.  Raises Indeterminate when either gap falls inside
+    the two-standard-error dead band.
     """
-    m = cfg.population_m
-    f1 = population_optimum(class1, cfg.density, cfg.truth, m, cfg.seed.child(1))
-    f2 = population_optimum(class2, cfg.density, cfg.truth, m, cfg.seed.child(2))
-    f1s = population_optimum(class1, synth_density, synth_truth, m, cfg.seed.child(3))
-    f2s = population_optimum(class2, synth_density, synth_truth, m, cfg.seed.child(4))
-
     ests, loss_matrix = risks_common_draws([f1, f2, f1s, f2s], cfg)
     gap_orig = ests[0].value - ests[1].value
     gap_synth = ests[2].value - ests[3].value

@@ -352,7 +352,8 @@ def test_experiment_turns_a_failed_draw_into_row_errors(tmp_path, reg_config):
         + "outputs = utility, comparison\n"
     )
     out = tmp_path / "out"
-    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    with pytest.warns(UserWarning, match="has no valid rows; omitted from summary"):
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
     lines = (out / "rows.csv").read_text().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
@@ -370,7 +371,8 @@ def test_experiment_reports_row_errors_in_exit_code(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(CLS_CONFIG.replace("estimators = oracle", "estimators = ols"))
     out = tmp_path / "out"
-    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    with pytest.warns(UserWarning, match="has no valid rows; omitted from summary"):
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
 
 
 UNIT_ERROR_CONFIG = """
@@ -411,7 +413,8 @@ def test_experiment_turns_unit_exception_into_row_error(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(syndatum.estimators._Forest, "__init__", failing)
     capsys.readouterr()
-    assert main(args + [str(tmp_path / "failed")]) == 2
+    with pytest.warns(UserWarning, match="has no valid rows; omitted from summary"):
+        assert main(args + [str(tmp_path / "failed")]) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     clean = (tmp_path / "clean" / "rows.csv").read_text().splitlines()
@@ -497,7 +500,7 @@ def test_bound_cls_json(tmp_path):
     assert _sha(out) == "6b660e5d02803bf9ff8e4bad9dcd2b3e80349f73304da1ef1e81bbcfbabc5c83"
 
 
-def test_bound_task_mismatch_fails_before_fitting(tmp_path, reg_config, monkeypatch):
+def test_bound_task_mismatch_fails_before_fitting(tmp_path, reg_config, monkeypatch, capsys):
     import syndatum.harness
 
     def no_draw(*args):
@@ -506,8 +509,11 @@ def test_bound_task_mismatch_fails_before_fitting(tmp_path, reg_config, monkeypa
     monkeypatch.setattr(syndatum.harness, "_draw_original", no_draw)
     cls_cfg = tmp_path / "cls.ini"
     cls_cfg.write_text(CLS_CONFIG)
-    assert main(["bound", "--task", "reg", "--config", str(cls_cfg)]) == 1
-    assert main(["bound", "--task", "cls", "--config", str(reg_config)]) == 1
+    # lr on the regression config: its truth is abs, not linear
+    for task, cfg in (("reg", cls_cfg), ("cls", reg_config), ("lr", reg_config)):
+        assert main(["bound", "--task", task, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bound --task ") and len(err.splitlines()) == 1, task
 
 
 @pytest.mark.pins
@@ -564,7 +570,7 @@ def test_compare_json(tmp_path):
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
     blob = json.loads(out.read_text())
     assert "consistent" in blob and "optima" in blob
-    assert _sha(out) == "6087c053cf0749910a2fa49bb45b7f01efe77609a500721887fc38cfb6a94e6d"
+    assert _sha(out) == "fbb432ef084dcd3b76b7087f13b04b769fac153159e272be438fcee5f8b2b6ca"
 
 
 def test_single_draw_commands_print_replication_0_of_the_sweep(tmp_path):

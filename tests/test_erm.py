@@ -252,6 +252,27 @@ def test_logistic_class_separable_hits_box_boundary():
     assert abs(model.coefficients[0]) == pytest.approx(3.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("x, stationary", [(0.0, False), (-3.0, False), (3.0, True)])
+def test_logistic_class_keeps_a_failed_search_only_where_it_is_stationary(monkeypatch, x, stationary):
+    # an L-BFGS-B result that reports failure is kept when its projected
+    # gradient vanishes: on separable data at the box face the gradient
+    # pushes against, not inside the box nor at the opposite face
+    from scipy.optimize import OptimizeResult
+
+    import syndatum.erm
+
+    stalled = OptimizeResult(x=np.array([x]), success=False, message="stub")
+    monkeypatch.setattr(syndatum.erm, "minimize", lambda *args, **kw: stalled)
+    X = np.linspace(-1, 1, 50).reshape(-1, 1)
+    data = make_dataset(X, np.where(X[:, 0] >= 0, 1.0, -1.0), CLS)
+    mc = make_model_class("logistic-linear", 1, CLS, box=3.0)
+    if stationary:
+        assert fit_classification(mc, data).coefficients.tolist() == [x]
+    else:
+        with pytest.raises(NonConvergence, match="^logistic surrogate fit failed: stub$"):
+            fit_classification(mc, data)
+
+
 def test_intercept_only_balanced_labels():
     mc = make_model_class("constant", 1, CLS)
     X = np.zeros((100, 1))

@@ -374,6 +374,43 @@ def test_logistic_iteration_cap_raises_non_convergence():
         fit_logistic_mle(X, z, max_iter=2)
 
 
+def test_logistic_mle_takes_the_least_squares_step_on_a_singular_hessian(monkeypatch):
+    # two equal columns make the Hessian singular, and at this scale the
+    # 1e-12 ridge rounds away, so solve fails; the minimum-norm steps of
+    # lstsq reach the likelihood of the one-column fit
+    rng = SeedSpec(8).rng()
+    x = rng.uniform(-2, 2, size=400)
+    z = np.where(rng.random(400) < 1.0 / (1.0 + np.exp(-x)), 1.0, -1.0)
+    lstsq, calls = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+    beta, nll = fit_logistic_mle(np.column_stack([1000.0 * x, 1000.0 * x]), z)
+    assert calls
+    (beta_1d,), nll_1d = fit_logistic_mle(x.reshape(-1, 1), z)
+    assert nll == pytest.approx(nll_1d, rel=1e-12)
+    assert 1000.0 * beta.sum() == pytest.approx(beta_1d, rel=1e-6)
+
+
+def test_logistic_mle_halves_a_step_that_raises_the_likelihood(monkeypatch):
+    # a full Newton step overshoots on these four points; the accepted
+    # iterates still descend to the stationary point
+    import syndatum.estimators
+
+    nll_of, seen = syndatum.estimators._logistic_nll, []
+
+    def recorded(*args):
+        seen.append(nll_of(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(syndatum.estimators, "_logistic_nll", recorded)
+    X = np.array([[17.6], [-0.8], [-0.7], [-0.5]])
+    z = np.array([-1.0, -1.0, 1.0, 1.0])
+    beta, nll = fit_logistic_mle(X, z)
+    rejected = [v for i, v in enumerate(seen[1:], 1) if v > min(seen[:i])]
+    assert rejected and nll == min(seen)
+    m = z * (X @ beta)
+    assert abs(np.mean(z * X[:, 0] / (1.0 + np.exp(m)))) <= 1e-9
+
+
 def test_logistic_separable_box_binds():
     # MLE diverges on separated data; the clip makes the box boundary bind
     X = np.array([[1.0], [2.0], [3.0], [-1.0], [-2.0]])

@@ -104,7 +104,7 @@ def test_comparison_output_rows(tmp_path):
     consistent = [r for r in rows if r.metric_name == "consistent"]
     assert len(consistent) == 1
     assert consistent[0].value == 0.0  # the flipped split makes ranking flip
-    assert _rows_sha(rows, tmp_path) == "d0d89df593a059724dfb5ccb2d6752ea94e216315e917a8aead71a83a44dc4f4"
+    assert _rows_sha(rows, tmp_path) == "8f97243d336256e9a1259237f80aa176a913ca813fe350499be860d71f088374"
 
 
 @pytest.mark.pins
@@ -138,7 +138,7 @@ def test_classification_sweep_utility_bound_comparison(tmp_path):
     assert not any(r.error for r in rows)
     metrics = {r.metric_name for r in rows}
     assert {"utility", "bound_total", "bound_upsilon3", "consistent", "risk_synth_opt"} <= metrics
-    assert _rows_sha(rows, tmp_path) == "6f5e63d05d5266097416073e842084e72dfd7994b33321c611b5ee8cbd41d2d4"
+    assert _rows_sha(rows, tmp_path) == "2d9eb81292e5b45339f5688c8a1029e67dff4720d0d41b4290dacb91a2b0602a"
 
 
 def _count_calls(monkeypatch, *fns) -> dict:
@@ -225,12 +225,14 @@ def test_every_entry_point_runs_each_stage_once_per_draw(tmp_path, monkeypatch):
         assert calls == {"_draw_original": 1, "fit_estimator": fits, "fit_downstream": erm + optima,
                          "population_optimum": optima}, argv
     # a sweep unit's bounds fit the real-law optimum once per class and the
-    # synthetic-law one once per (estimator, class): 2 + 2 * 2, not 2 * 2 * 2
-    calls.update(dict.fromkeys(calls, 0))
-    config = _tiny_config(estimators=("oracle", "knn k=5"), outputs=("utility", "bound"), n_test=500)
-    assert not any(r.error for r in _run_unit(config, 0, 0))
-    assert calls == {"_draw_original": 1, "fit_estimator": 2, "fit_downstream": 2 + 2 * 2 + 6,
-                     "population_optimum": 2 + 2 * 2}
+    # synthetic-law one once per (estimator, class): 2 + 2 * 2, not 2 * 2 * 2;
+    # its comparison reads four of those optima and fits none of its own
+    for outputs in (("utility", "bound"), ("utility", "bound", "comparison")):
+        calls.update(dict.fromkeys(calls, 0))
+        config = _tiny_config(estimators=("oracle", "knn k=5"), outputs=outputs, n_test=500)
+        assert not any(r.error for r in _run_unit(config, 0, 0))
+        assert calls == {"_draw_original": 1, "fit_estimator": 2, "fit_downstream": 2 + 2 * 2 + 6,
+                         "population_optimum": 2 + 2 * 2}, outputs
 
 
 def test_unit_keeps_a_failed_fit(monkeypatch):
@@ -270,6 +272,31 @@ def test_unit_records_a_bvls_failure_as_a_row_error(monkeypatch, success):
                                      model_classes=("linear box=1",)))
     assert {r.metric_name for r in rows} == {"utility"}
     assert all(r.error == "NonConvergence: bounded least squares stopped short: stub" for r in rows)
+
+
+def test_unit_records_a_failed_bound_as_one_row_error(monkeypatch):
+    # a bound that raises after its utility succeeded writes one bound_total
+    # error row for its (estimator, class); the utility rows and the next
+    # class's bound rows are the rows of a run where no bound fails
+    import syndatum.harness
+
+    config = _tiny_config(outputs=("utility", "bound"))
+    healthy = run_scenario(config)
+    assemble = syndatum.harness.regression_bound
+
+    def failing(scenario, fitted, **kwargs):
+        if fitted.on_original.model_class.name == "linear":
+            raise np.linalg.LinAlgError("stub")
+        return assemble(scenario, fitted, **kwargs)
+
+    monkeypatch.setattr(syndatum.harness, "regression_bound", failing)
+    rows = run_scenario(config)
+    failed = [(r.model_class, r.metric_name, r.error) for r in rows if r.error]
+    assert failed == [("linear", "bound_total", "LinAlgError: stub")]
+    assert [r for r in rows if not r.error] == [
+        r for r in healthy if not (r.model_class == "linear" and r.metric_name.startswith("bound_"))
+    ]
+    assert {r.metric_name for r in rows if r.model_class == "abs"} >= {"utility", "bound_total"}
 
 
 def test_bound_assumes_the_synthetic_noise_the_synthesis_used(monkeypatch):

@@ -1,3 +1,4 @@
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -245,6 +246,15 @@ def test_utility_toy_s1():
     assert report.utility == pytest.approx(abs(2 * alpha - 1), abs=0.01)
 
 
+def _compare(class1, class2, synth_density, synth_truth, cfg):
+    """compare_models on the two classes' optima under the real law of cfg and
+    under the synthetic law, fitted on 10**5 draws at cfg.seed.child(1..4)."""
+    laws = ((cfg.density, cfg.truth), (synth_density, synth_truth))
+    optima = [population_optimum(mc, density, truth, 10**5, cfg.seed.child(k))
+              for k, ((density, truth), mc) in enumerate(product(laws, (class1, class2)), 1)]
+    return compare_models(*optima, cfg)
+
+
 def test_compare_models_toy61_regression():
     alpha = 5.0 / 6.0
     identity = lambda X: X[:, 0]
@@ -257,7 +267,7 @@ def test_compare_models_toy61_regression():
         method="quadrature",
         seed=SeedSpec(13),
     )
-    report = compare_models(f1, f2, mass_neg(1 - alpha), _oracle_est(identity, REG), cfg)
+    report = _compare(f1, f2, mass_neg(1 - alpha), _oracle_est(identity, REG), cfg)
     assert report.risk_f1_real.value == pytest.approx(2.0 / 9.0, abs=0.01)
     assert report.risk_f2_real.value == pytest.approx(0.2292, abs=0.01)
     assert report.risk_f1_synth.value == pytest.approx(2.0 / 3.0, abs=0.01)
@@ -279,7 +289,7 @@ def test_compare_models_toy61_classification():
         method="quadrature",
         seed=SeedSpec(14),
     )
-    report = compare_models(g1, g2, mass_neg(1 - alpha), _oracle_est(eta, CLS), cfg)
+    report = _compare(g1, g2, mass_neg(1 - alpha), _oracle_est(eta, CLS), cfg)
     assert report.optima["f1_real"][0] == pytest.approx(0.0, abs=0.01)
     assert report.optima["f2_real"][0] == pytest.approx(0.25, abs=0.01)
     assert report.optima["f1_synth"][0] == pytest.approx(0.5, abs=0.01)
@@ -296,7 +306,7 @@ def test_compare_models_identical_distributions_consistent():
     cfg = RiskConfig(
         density=density, truth=identity, loss=SQUARED, method="quadrature", seed=SeedSpec(15)
     )
-    report = compare_models(f1, f2, density, _oracle_est(identity, REG), cfg)
+    report = _compare(f1, f2, density, _oracle_est(identity, REG), cfg)
     assert report.consistent is True
 
 
@@ -314,7 +324,7 @@ def test_compare_models_indeterminate_in_dead_band():
         seed=SeedSpec(16),
     )
     with pytest.raises(Indeterminate):
-        compare_models(f, f, uniform_pm1(), _oracle_est(identity, REG), cfg)
+        _compare(f, f, uniform_pm1(), _oracle_est(identity, REG), cfg)
 
 
 def test_utility_report_json_round_trip():
